@@ -13,6 +13,7 @@ I + K + K^2 + ... costs O(n) block products instead of repeated full products.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence, Tuple
 
 
@@ -25,21 +26,14 @@ class MatrixError(ValueError):
 
 
 class IntegerRing:
+    # builtins from operator do not bind as methods, and calling them costs
+    # no Python frame per entry
     name = "int"
     zero = 0
     one = 1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    add = operator.add
+    mul = operator.mul
+    neg = operator.neg
 
 
 class BooleanSemiring:
@@ -47,14 +41,8 @@ class BooleanSemiring:
     name = "bool"
     zero = 0
     one = 1
-
-    @staticmethod
-    def add(a, b):
-        return a | b
-
-    @staticmethod
-    def mul(a, b):
-        return a & b
+    add = operator.or_
+    mul = operator.and_
 
     @staticmethod
     def neg(a):
@@ -126,17 +114,6 @@ class BlockMatrix:
     def n_levels(self) -> int:
         return len(self.level_sizes)
 
-    def level_of_index(self, i: int) -> int:
-        """1-based level of a 0-based row/column index."""
-        lo, hi = 0, self.n_levels
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._offsets[mid] <= i:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
     def block(self, r: int, s: int) -> Tuple[Tuple[int, ...], ...]:
         """The (r, s) block, levels 1-based."""
         off = self._offsets
@@ -184,13 +161,13 @@ class BlockMatrix:
 
     def is_one_band(self) -> bool:
         """Support only on blocks (k, k+1)."""
-        off = self._offsets
-        for i, row in enumerate(self.rows):
-            r = self.level_of_index(i)
-            lo = off[r] if r < self.n_levels else self.size
-            hi = off[r + 1] if r + 1 <= self.n_levels else lo
-            for j, v in enumerate(row):
-                if v != self.ring.zero and not lo <= j < hi:
+        off, z, n = self._offsets, self.ring.zero, self.n_levels
+        for r in range(1, n + 1):
+            # rows of level r may be nonzero only in the columns of level r+1
+            lo = off[r]
+            hi = off[r + 1] if r < n else lo
+            for row in self.rows[off[r - 1]:lo]:
+                if any(v != z for v in row[:lo]) or any(v != z for v in row[hi:]):
                     return False
         return True
 
@@ -216,41 +193,24 @@ def add(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
 
 
 def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
-    """Exact ring product; skips zero entries of A row by row."""
+    """Exact ring product of two full matrices; no triangular shape assumed."""
     _check_compatible(A, B)
-    ring = A.ring
-    zero, radd, rmul = ring.zero, ring.add, ring.mul
-    n = A.size
-    brows = B.rows
-    out = []
-    for arow in A.rows:
-        acc = [zero] * n
-        for k, a in enumerate(arow):
-            if a == zero:
-                continue
-            brow = brows[k]
-            for j in range(n):
-                b = brow[j]
-                if b != zero:
-                    acc[j] = radd(acc[j], rmul(a, b))
-        out.append(acc)
-    return BlockMatrix(A.level_sizes, out, ring)
+    return BlockMatrix(A.level_sizes, _mul_block(A.rows, B.rows, A.ring), A.ring)
 
 
 def _mul_block(X, Y, ring):
-    """Plain block product of rectangular tuples over the ring."""
+    """Product of rectangular row tuples over the ring, in time proportional
+    to the nonzeros: each row of Y is reduced once to its nonzero (j, y)
+    pairs, and each nonzero x of X walks only those."""
     zero, radd, rmul = ring.zero, ring.add, ring.mul
     cols = len(Y[0]) if Y else 0
+    ynz = [[(j, y) for j, y in enumerate(yrow) if y != zero] for yrow in Y]
     out = []
     for xr in X:
         acc = [zero] * cols
         for k, x in enumerate(xr):
-            if x == zero:
-                continue
-            yrow = Y[k]
-            for j in range(cols):
-                y = yrow[j]
-                if y != zero:
+            if x != zero:
+                for j, y in ynz[k]:
                     acc[j] = radd(acc[j], rmul(x, y))
         out.append(acc)
     return out
@@ -302,12 +262,7 @@ def unitriangular_inverse(M: BlockMatrix) -> BlockMatrix:
     column at a time by Horner steps, so mul(M, result) == I exactly.
     """
     ring = M.ring
-    if not hasattr(ring, "neg"):
-        raise RingError("inverse needs a ring with negation")
-    try:
-        ring.neg(ring.one)
-    except RingError:
-        raise
+    ring.neg(ring.one)  # raises RingError over a ring without negation
     if not M.is_unitriangular():
         raise MatrixError("inverse requires a unitriangular matrix")
     n = M.size

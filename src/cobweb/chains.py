@@ -2,16 +2,27 @@
 hyper-box coding of cobweb layers.
 
 Enumeration is depth-first in lexicographic position order, so listings are
-deterministic.  Counting goes through per-node downward tallies instead of
-listing, which keeps interval counts polynomial; the counts are the oracle
-that the closed-form matrices are measured against.
+deterministic.  Counting never lists.  One private sweep pushes a tally down
+the cover blocks level by level, each node taking the sum of its upper
+covers' tallies.  Started from a unit tally on a node y, the sweep holds at
+level l the chain count of [x, y] for every x on l; started from all ones on
+a level s, the sum of its level-r tally is the layer count C(r, s).  The
+per-pair counters read one entry of one sweep.  The column form
+(interval_chain_column) and the table form (layer_chain_counts) keep every
+level of it, so a caller that wants a whole column of the max matrix or every
+C(r, s) pays one sweep per target node or per top level, not one per pair.
+
+These counts are the oracle that the closed-form matrices are measured
+against, so the counters read nothing but P.blocks and this module imports
+neither blockmat nor incidence: a fault in the matrix closure cannot reach
+both sides of a comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Iterator, List, Tuple
 
 from .fsequence import FSequence, f_factorial, fnomial
@@ -82,15 +93,32 @@ def enumerate_max_chains(P: GradedPoset, k: int, n: int) -> List[Chain]:
     return [Chain(k, pos) for pos in iter_max_chain_positions(P, k, n)]
 
 
+def _tallies(P: GradedPoset, tally: List[int], top: int, bottom: int) -> List[List[int]]:
+    """Push a tally on level `top` down the cover blocks to level `bottom`;
+    return the tally of every level bottom..top, bottom first.
+
+    Each step gives a node the sum of its upper covers' tallies, so the entry
+    of node x counts the cover paths from x up to level top, each weighted by
+    the tally of the node it ends on.
+    """
+    out = [tally]
+    for blk in reversed(P.blocks[bottom - 1:top - 1]):
+        tally = [sum(compress(tally, row)) for row in blk]
+        out.append(tally)
+    out.reverse()
+    return out
+
+
+def _unit(P: GradedPoset, node: NodeLabel) -> List[int]:
+    tally = [0] * P.level_sizes[node.level - 1]
+    tally[node.position - 1] = 1
+    return tally
+
+
 def count_layer_chains(P: GradedPoset, k: int, n: int) -> int:
     """Number of maximal chains spanning levels k..n, by memoized tallies."""
     _check_layer_bounds(P, k, n)
-    # tally[i] = chains from node i of the current level up to level n
-    tally = [1] * P.level_sizes[n - 1]
-    for lvl in range(n - 1, k - 1, -1):
-        blk = P.blocks[lvl - 1]
-        tally = [sum(v * t for v, t in zip(row, tally)) for row in blk]
-    return sum(tally)
+    return sum(_tallies(P, [1] * P.level_sizes[n - 1], n, k)[0])
 
 
 def count_interval_chains(P: GradedPoset, x: NodeLabel, y: NodeLabel) -> int:
@@ -99,35 +127,36 @@ def count_interval_chains(P: GradedPoset, x: NodeLabel, y: NodeLabel) -> int:
         return 1
     if y.level <= x.level:
         return 0
-    tally = [0] * P.level_sizes[y.level - 1]
-    tally[y.position - 1] = 1
-    for lvl in range(y.level - 1, x.level - 1, -1):
-        blk = P.blocks[lvl - 1]
-        tally = [sum(v * t for v, t in zip(row, tally)) for row in blk]
-    return tally[x.position - 1]
+    return _tallies(P, _unit(P, y), y.level, x.level)[0][x.position - 1]
 
 
 def count_tail_chains(P: GradedPoset, r: int, target: NodeLabel) -> int:
     """Chains spanning levels r..target.level that end at target."""
     if not 1 <= r <= target.level:
         raise PosetError(f"tail level {r} must satisfy 1 <= r <= {target.level}")
-    tally = [0] * P.level_sizes[target.level - 1]
-    tally[target.position - 1] = 1
-    for lvl in range(target.level - 1, r - 1, -1):
-        blk = P.blocks[lvl - 1]
-        tally = [sum(v * t for v, t in zip(row, tally)) for row in blk]
-    return sum(tally)
+    return sum(_tallies(P, _unit(P, target), target.level, r)[0])
 
 
 def count_head_chains(P: GradedPoset, source: NodeLabel, s: int) -> int:
     """Chains spanning levels source.level..s that start at source."""
     if not source.level <= s <= P.n_levels:
         raise PosetError(f"head level {s} must satisfy {source.level} <= s <= {P.n_levels}")
-    tally = [1] * P.level_sizes[s - 1]
-    for lvl in range(s - 1, source.level - 1, -1):
-        blk = P.blocks[lvl - 1]
-        tally = [sum(v * t for v, t in zip(row, tally)) for row in blk]
-    return tally[source.position - 1]
+    return _tallies(P, [1] * P.level_sizes[s - 1], s, source.level)[0][source.position - 1]
+
+
+def interval_chain_column(P: GradedPoset, y: NodeLabel) -> List[int]:
+    """count_interval_chains(P, x, y) for every node x, indexed by global
+    label minus one, from a single sweep down from y."""
+    # levels 1..y.level in order are global labels 1..S(y.level)
+    col = [c for tally in _tallies(P, _unit(P, y), y.level, 1) for c in tally]
+    return col + [0] * (P.node_count - len(col))
+
+
+def layer_chain_counts(P: GradedPoset, s: int) -> List[int]:
+    """count_layer_chains(P, r, s) for r = 1..s, at index r - 1, from a
+    single sweep down from level s."""
+    _check_layer_bounds(P, 1, s)
+    return [sum(tally) for tally in _tallies(P, [1] * P.level_sizes[s - 1], s, 1)]
 
 
 def markov_product(P: GradedPoset, r: int, k: int, s: int) -> Tuple[int, int]:

@@ -181,6 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_matrix(b) -> bool:
+    return (isinstance(b, list) and len(b) > 0
+            and all(isinstance(row, list) and len(row) == len(b[0]) > 0 for row in b))
+
+
 def _cmd_gen(args) -> int:
     if args.blocks:
         try:
@@ -188,8 +193,9 @@ def _cmd_gen(args) -> int:
                 blocks = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise CliError(f"cannot read blocks file {args.blocks}: {e}")
-        if not isinstance(blocks, list) or not blocks:
-            raise CliError("blocks file must hold a nonempty list of 0/1 matrices")
+        if not isinstance(blocks, list) or not blocks or not all(map(_is_matrix, blocks)):
+            raise CliError("blocks file must hold a nonempty list of nonempty "
+                           "rectangular 0/1 matrices")
         sizes = [len(blocks[0])] + [len(b[0]) for b in blocks]
         if args.levels is not None and args.levels != len(sizes):
             raise CliError(f"--levels {args.levels} disagrees with {len(sizes)} "
@@ -369,13 +375,13 @@ def run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    # results are exact, so no integer is too long to print
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return run(sys.argv[1:] if argv is None else argv)
-    except CliError as e:
-        print(f"cobweb: {e}", file=sys.stderr)
-        return 1
-    except (SequenceError, PosetError, MatrixError, RingError,
-            formats.FormatError, ValueError, TypeError) as e:
+    except (CliError, SequenceError, PosetError, MatrixError, RingError,
+            formats.FormatError, ValueError, TypeError, OSError) as e:
         print(f"cobweb: {e}", file=sys.stderr)
         return 1
 

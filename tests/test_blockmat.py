@@ -193,6 +193,37 @@ def test_mul_associates_and_distributes(seed, boolean):
     assert mul(A, add(B, C)) == add(mul(A, B), mul(A, C))
 
 
+def naive_mul(A, B):
+    """Textbook triple loop over every index, zeros included."""
+    ring, n = A.ring, A.size
+    out = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = ring.add(out[i][j], ring.mul(A.rows[i][k], B.rows[k][j]))
+    return out
+
+
+def with_zero_lines(rng, M):
+    """M with one random row and one random column set to zero."""
+    i, j = rng.randrange(M.size), rng.randrange(M.size)
+    rows = [[0 if r == i or c == j else v for c, v in enumerate(row)]
+            for r, row in enumerate(M.rows)]
+    return BlockMatrix(M.level_sizes, rows, M.ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.booleans())
+def test_mul_matches_naive_triple_loop(seed, boolean):
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    ring = BOOL if boolean else INT
+    A = with_zero_lines(rng, rand_matrix(rng, sizes, ring))
+    B = with_zero_lines(rng, rand_matrix(rng, sizes, ring))
+    for X, Y in ((A, B), (B, A), (A, A)):
+        assert [list(r) for r in mul(X, Y).rows] == naive_mul(X, Y)
+
+
 def test_matrix_natural_join():
     A = BlockMatrix([1, 2], [[1, 1, 1], [0, 1, 0], [0, 0, 1]], INT)
     B = BlockMatrix([2, 1], [[1, 0, 1], [0, 1, 1], [0, 0, 1]], INT)

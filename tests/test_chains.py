@@ -5,13 +5,16 @@ from itertools import product
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from cobweb import Chain, PosetError, box_join, chain_box_bijection, cobweb, \
     count_head_chains, count_interval_chains, count_layer_chains, \
     count_tail_chains, custom, enumerate_max_chains, f_factorial, f_falling, \
     fib, fnomial, fnomial_partition_check, from_blocks, gauss, hyperbox, \
-    fnomial_chain_probe, markov_product, max_matrix, nat
+    fnomial_chain_probe, interval_chain_column, layer_chain_counts, \
+    markov_product, max_matrix, nat
 
-from conftest import brute_interval_count, random_no_mute_poset
+from conftest import brute_interval_count, random_cobweb, random_no_mute_poset
 
 
 def test_layer_chain_counts_pinned():
@@ -130,6 +133,36 @@ def test_markov_split_form():
                     assert (count_layer_chains(P, r, k)
                             * count_layer_chains(P, k + 1, s)
                             == count_layer_chains(P, r, s))
+
+
+def _seeded_poset(seed, is_cobweb):
+    return random_cobweb(seed) if is_cobweb else random_no_mute_poset(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_column_sweep_equals_pairwise_counts(seed, is_cobweb):
+    P = _seeded_poset(seed, is_cobweb)
+    for y in P.nodes():
+        assert interval_chain_column(P, y) == \
+            [count_interval_chains(P, x, y) for x in P.nodes()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_layer_table_equals_layer_counts(seed, is_cobweb):
+    P = _seeded_poset(seed, is_cobweb)
+    for s in range(1, P.n_levels + 1):
+        assert layer_chain_counts(P, s) == \
+            [count_layer_chains(P, r, s) for r in range(1, s + 1)]
+
+
+def test_column_and_table_pinned(nat3):
+    # column of the top-left level-3 node: 2 chains from level 1, 1 from level 2
+    assert interval_chain_column(nat3, nat3.node(3, 1)) == [2, 1, 1, 1, 0, 0]
+    assert layer_chain_counts(nat3, 3) == [6, 6, 3]
+    with pytest.raises(PosetError):
+        layer_chain_counts(nat3, 4)
 
 
 def test_markov_refuses_non_cobweb():

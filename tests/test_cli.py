@@ -1,9 +1,15 @@
 """CLI subcommands, exit codes, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cobweb as cobweb_pkg
 from cobweb import cli, cobweb, fib, mobius, nat, root
 from cobweb.formats import poset_from_json, poset_to_json
 
@@ -12,6 +18,20 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """Run the CLI as its own interpreter, so a traceback would reach stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cobweb.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_one_line_diagnostic(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("cobweb: ")
 
 
 @pytest.fixture
@@ -249,3 +269,34 @@ def test_outputs_are_byte_identical(nat5_file, capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_output_into_missing_directory_is_a_diagnostic(tmp_path):
+    code, _, err = run_cli_process("gen", "--seq", "nat", "--levels", "3",
+                                   "-o", str(tmp_path / "missing" / "p.json"))
+    assert_one_line_diagnostic(code, err)
+
+
+def test_missing_sequence_file_is_a_diagnostic(tmp_path):
+    code, _, err = run_cli_process("gen", "--seq", f"file:{tmp_path / 'missing.txt'}",
+                                   "--levels", "3")
+    assert_one_line_diagnostic(code, err)
+
+
+@pytest.mark.parametrize("blocks", [[[]], [[[1, 1], [1]]], [[1]], [[[1]], []]])
+def test_empty_or_ragged_blocks_are_a_diagnostic(tmp_path, blocks):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(blocks))
+    code, _, err = run_cli_process("gen", "--blocks", str(path))
+    assert_one_line_diagnostic(code, err)
+    assert "rectangular" in err
+
+
+def test_prints_integers_past_the_default_digit_limit():
+    # C(20000, 10000) has 6,019 digits, past the interpreter's default of 4,300
+    code, out, err = run_cli_process("fnomial", "--seq", "nat", "20000", "10000")
+    assert code == 0 and err == ""
+    digits = out.strip()
+    want = math.comb(20000, 10000)
+    assert len(digits) == 6019 and digits.isdigit()
+    assert int(digits[-18:]) == want % 10 ** 18
