@@ -16,9 +16,11 @@ from .chains import BijectionReport, Chain, HyperBox, PartitionReport, \
 from .fsequence import AdmissibilityVerdict, FSequence, SequenceError, const, \
     custom, f_factorial, f_falling, fib, fnomial, from_file, gauss, \
     is_cobweb_admissible, nat, preset
-from .incidence import CodingMatrix, coding_matrix, coding_recurrence, eta, \
-    eta_inverse, interval_mobius, kappa, kroton, logic_L, max_inverse, \
-    max_matrix, mobius, mobius_krot, reachable_sets, zeta
+from .incidence import CodingMatrix, LevelMatrix, coding_matrix, \
+    coding_recurrence, eta, eta_inverse, interval_mobius, kappa, kroton, \
+    level_eta, level_eta_inverse, level_max, level_max_inverse, level_mobius, \
+    level_zeta, logic_L, max_inverse, max_matrix, mobius, mobius_krot, \
+    reachable_sets, zeta
 from .invariants import CharPoly, RootedPoset, char_poly, mobius_from_root, \
     root, whitney_first, whitney_second
 from .poset import GradedPoset, NodeLabel, PosetError, antichain, cobweb, \

@@ -9,6 +9,7 @@ counts so a stray argument cannot trigger a huge computation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,8 +19,9 @@ from . import formats
 from .blockmat import MatrixError, RingError
 from .chains import count_interval_chains, count_layer_chains, enumerate_max_chains
 from .fsequence import SequenceError, fnomial, is_cobweb_admissible, preset
-from .incidence import coding_matrix, eta, eta_inverse, kroton, max_inverse, \
-    max_matrix, mobius, zeta
+from .incidence import coding_matrix, eta, eta_inverse, kroton, level_eta, \
+    level_eta_inverse, level_max, level_max_inverse, level_mobius, level_zeta, \
+    max_inverse, max_matrix, mobius, zeta
 from .invariants import RootedPoset, char_poly, whitney_first, whitney_second
 from .poset import GradedPoset, PosetError, cobweb, from_blocks, ones_block
 from .suites import run_checks
@@ -61,26 +63,38 @@ def _load_poset(path: str) -> GradedPoset:
     return P
 
 
-def _open_out(args):
-    if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The -o file, closed on exit, or stdout when none is given."""
+    if not getattr(args, "output", None):
+        yield sys.stdout
+        return
+    with open(args.output, "w", encoding="utf-8") as out:
+        yield out
 
 
-def _emit_matrix(M, args):
-    fmt = getattr(args, "format", "csv") or "csv"
-    out = _open_out(args)
-    try:
-        if fmt == "csv":
-            formats.write_matrix_csv(M, out)
-        elif fmt == "json":
+def _emit_matrix(M, args) -> int:
+    with _output(args) as out:
+        if args.format == "json":
             formats.write_matrix_json(M, out)
             out.write("\n")
         else:
-            raise CliError(f"unsupported matrix format {fmt!r}")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            formats.write_matrix_csv(M, out)
+    return 0
+
+
+def _emit_text(args, *parts: str) -> int:
+    with _output(args) as out:
+        for text in parts:
+            out.write(text)
+    return 0
+
+
+def _load_rooted(args, command: str) -> RootedPoset:
+    P = _load_poset(args.poset)
+    if P.level_sizes[0] != 1 or not P.is_cobweb:
+        raise CliError(f"{command} needs a rooted cobweb (singleton bottom level)")
+    return RootedPoset.from_poset(P)
 
 
 def _fraction_str(v: Fraction) -> str:
@@ -222,20 +236,12 @@ def _cmd_gen(args) -> int:
             P = root(F, args.levels)
         else:
             P = cobweb(F, args.levels)
-    out = _open_out(args)
-    try:
-        out.write(formats.poset_to_json(P))
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    return _emit_text(args, formats.poset_to_json(P), "\n")
 
 
 def _cmd_chains(args) -> int:
     P = _load_poset(args.poset)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.interval:
             x = P.node_by_global(args.interval[0])
             y = P.node_by_global(args.interval[1])
@@ -250,9 +256,78 @@ def _cmd_chains(args) -> int:
             out.write(formats.chains_to_json(cs))
             out.write("\n")
         return 0
-    finally:
-        if out is not sys.stdout:
-            out.close()
+
+
+# Cobweb matrices are computed in the level algebra and expanded to node rows
+# only while being written; every other poset, and the label formulas of
+# zeta, take the dense route.
+
+def _cmd_zeta(args) -> int:
+    P = _load_poset(args.poset)
+    if args.format == "ascii":
+        return _emit_text(args, formats.la_scala(P).text)
+    method = ZETA_FLAG_TO_METHOD[args.method]
+    if P.is_cobweb and method == "closure":
+        return _emit_matrix(level_zeta(P), args)
+    return _emit_matrix(zeta(P, method), args)
+
+
+def _cmd_mobius(args) -> int:
+    P = _load_poset(args.poset)
+    method = MOBIUS_FLAG_TO_METHOD[args.method]
+    if P.is_cobweb:
+        return _emit_matrix(level_mobius(P, method), args)
+    return _emit_matrix(mobius(P, method), args)
+
+
+def _cmd_max(args) -> int:
+    P = _load_poset(args.poset)
+    if P.is_cobweb:
+        return _emit_matrix(level_max_inverse(P) if args.inverse else level_max(P), args)
+    return _emit_matrix(max_inverse(P) if args.inverse else max_matrix(P), args)
+
+
+def _cmd_eta(args) -> int:
+    P = _load_poset(args.poset)
+    if P.is_cobweb:
+        return _emit_matrix(level_eta_inverse(P) if args.inverse else level_eta(P), args)
+    return _emit_matrix(eta_inverse(P) if args.inverse else eta(P), args)
+
+
+def _cmd_fnomial(args) -> int:
+    print(_fraction_str(fnomial(preset(args.seq), args.n, args.k)))
+    return 0
+
+
+def _cmd_admissible(args) -> int:
+    _check_levels(args.up_to, "--up-to")
+    print(is_cobweb_admissible(preset(args.seq), args.up_to))
+    return 0
+
+
+def _cmd_whitney(args) -> int:
+    R = _load_rooted(args, "whitney")
+    for r in range(R.top_rank + 1):
+        print(f"{r} {whitney_first(R, r)} {whitney_second(R, r)}")
+    return 0
+
+
+def _cmd_charpoly(args) -> int:
+    print(char_poly(_load_rooted(args, "charpoly")).to_json())
+    return 0
+
+
+def _cmd_coding(args) -> int:
+    _check_levels(args.levels)
+    C = coding_matrix(preset(args.seq), args.levels)
+    if args.format == "json":
+        return _emit_text(args, formats.coding_to_json(C), "\n")
+    return _emit_text(args, *(",".join(map(str, row)) + "\n" for row in C.entries))
+
+
+def _cmd_kroton(args) -> int:
+    print(kroton(preset(args.seq), args.r, args.s))
+    return 0
 
 
 def _cmd_check(args) -> int:
@@ -271,107 +346,29 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _cmd_dot(args) -> int:
+    return _emit_text(args, formats.to_dot(_load_poset(args.poset)))
+
+
+def _cmd_lascala(args) -> int:
+    return _emit_text(args, formats.la_scala(_load_poset(args.poset)).text)
+
+
+COMMANDS = {"gen": _cmd_gen, "zeta": _cmd_zeta, "mobius": _cmd_mobius,
+            "max": _cmd_max, "eta": _cmd_eta, "chains": _cmd_chains,
+            "fnomial": _cmd_fnomial, "admissible": _cmd_admissible,
+            "whitney": _cmd_whitney, "charpoly": _cmd_charpoly,
+            "coding": _cmd_coding, "kroton": _cmd_kroton, "check": _cmd_check,
+            "dot": _cmd_dot, "lascala": _cmd_lascala}
+
+
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "zeta":
-        P = _load_poset(args.poset)
-        if args.format == "ascii":
-            out = _open_out(args)
-            try:
-                out.write(formats.la_scala(P).text)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
-            return 0
-        _emit_matrix(zeta(P, ZETA_FLAG_TO_METHOD[args.method]), args)
-        return 0
-    if args.command == "mobius":
-        P = _load_poset(args.poset)
-        _emit_matrix(mobius(P, MOBIUS_FLAG_TO_METHOD[args.method]), args)
-        return 0
-    if args.command == "max":
-        P = _load_poset(args.poset)
-        _emit_matrix(max_inverse(P) if args.inverse else max_matrix(P), args)
-        return 0
-    if args.command == "eta":
-        P = _load_poset(args.poset)
-        _emit_matrix(eta_inverse(P) if args.inverse else eta(P), args)
-        return 0
-    if args.command == "chains":
-        return _cmd_chains(args)
-    if args.command == "fnomial":
-        F = preset(args.seq)
-        print(_fraction_str(fnomial(F, args.n, args.k)))
-        return 0
-    if args.command == "admissible":
-        _check_levels(args.up_to, "--up-to")
-        F = preset(args.seq)
-        print(is_cobweb_admissible(F, args.up_to))
-        return 0
-    if args.command == "whitney":
-        P = _load_poset(args.poset)
-        if P.level_sizes[0] != 1 or not P.is_cobweb:
-            raise CliError("whitney needs a rooted cobweb (singleton bottom level)")
-        R = RootedPoset.from_poset(P)
-        for r in range(R.top_rank + 1):
-            print(f"{r} {whitney_first(R, r)} {whitney_second(R, r)}")
-        return 0
-    if args.command == "charpoly":
-        P = _load_poset(args.poset)
-        if P.level_sizes[0] != 1 or not P.is_cobweb:
-            raise CliError("charpoly needs a rooted cobweb (singleton bottom level)")
-        print(char_poly(RootedPoset.from_poset(P)).to_json())
-        return 0
-    if args.command == "coding":
-        _check_levels(args.levels)
-        F = preset(args.seq)
-        C = coding_matrix(F, args.levels)
-        out = _open_out(args)
-        try:
-            if args.format == "json":
-                out.write(formats.coding_to_json(C))
-                out.write("\n")
-            else:
-                for row in C.entries:
-                    out.write(",".join(str(v) for v in row))
-                    out.write("\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return 0
-    if args.command == "kroton":
-        F = preset(args.seq)
-        print(kroton(F, args.r, args.s))
-        return 0
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "dot":
-        P = _load_poset(args.poset)
-        out = _open_out(args)
-        try:
-            out.write(formats.to_dot(P))
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return 0
-    if args.command == "lascala":
-        P = _load_poset(args.poset)
-        out = _open_out(args)
-        try:
-            out.write(formats.la_scala(P).text)
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return 0
-    parser.print_usage(sys.stderr)
-    return 1
+    return COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:

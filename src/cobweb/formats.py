@@ -74,31 +74,38 @@ def poset_from_json(text: str) -> GradedPoset:
 
 
 # -- matrix CSV / JSON -------------------------------------------------------
+#
+# Both writers stream one row at a time and take a dense BlockMatrix or a
+# cobweb LevelMatrix; the latter is expanded here and never held densely.
 
-def write_matrix_csv(M: BlockMatrix, out: IO[str]):
+def write_matrix_csv(M, out: IO[str]):
     """Row-major CSV, plain decimal integers, streamed row by row."""
-    for row in M.rows:
-        out.write(",".join(str(v) for v in row))
+    for text in _row_texts(M, ","):
+        out.write(text)
         out.write("\n")
 
 
-def matrix_to_csv(M: BlockMatrix) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in M.rows) + "\n"
-
-
-def write_matrix_json(M: BlockMatrix, out: IO[str]):
+def write_matrix_json(M, out: IO[str]):
     out.write('{"level_sizes":%s,"entries":[' % json.dumps(list(M.level_sizes)))
-    for i, row in enumerate(M.rows):
-        if i:
-            out.write(",")
-        out.write(json.dumps(list(row)))
+    for i, text in enumerate(_row_texts(M, ", ")):
+        out.write("," if i else "")
+        out.write("[" + text + "]")
     out.write("]}")
 
 
-def matrix_to_json(M: BlockMatrix) -> str:
-    obj = {"level_sizes": list(M.level_sizes),
-           "entries": [list(row) for row in M.rows]}
-    return json.dumps(obj, separators=(",", ":"))
+def _row_texts(M, sep: str):
+    """Each row's entries in decimal, joined by sep.  A LevelMatrix row is
+    put together from text built once per level: the zeros left of the
+    diagonal 1, and the constant tail right of the diagonal block."""
+    if isinstance(M, BlockMatrix):
+        for row in M.rows:
+            yield sep.join(map(str, row))
+        return
+    zero, zsep = "0" + sep, sep + "0"
+    for before, size, runs in M.level_rows():
+        tail = "".join(sep + sep.join([str(v)] * count) for v, count in runs)
+        for i in range(size):
+            yield zero * (before + i) + "1" + zsep * (size - 1 - i) + tail
 
 
 def matrix_from_json(text: str, ring=None) -> BlockMatrix:

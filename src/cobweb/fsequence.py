@@ -9,7 +9,6 @@ Python integers and fractions.Fraction, never floats.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -38,7 +37,6 @@ class FSequence:
         self.name = name
         self._values = values
         self._rule = rule
-        self._grow_lock = threading.Lock()  # lazy extension must not race
 
     def __repr__(self):
         head = ",".join(str(v) for v in self._values[:6])
@@ -54,12 +52,11 @@ class FSequence:
                 raise SequenceError(
                     f"sequence {self.name or 'custom'} is defined only up to index "
                     f"{len(self._values)}, got {k}")
-            with self._grow_lock:
-                while k > len(self._values):
-                    nxt = self._rule(len(self._values) + 1)
-                    if nxt < 1:
-                        raise SequenceError("sequence rule produced a non-positive value")
-                    self._values.append(nxt)
+            while k > len(self._values):
+                nxt = self._rule(len(self._values) + 1)
+                if nxt < 1:
+                    raise SequenceError("sequence rule produced a non-positive value")
+                self._values.append(nxt)
         return self._values[k - 1]
 
     def prefix(self, n: int):

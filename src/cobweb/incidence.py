@@ -5,6 +5,15 @@ matrix has a closure construction that works for every graded poset plus
 three label-formula constructions for cobwebs, and the Moebius matrix has a
 closed form (cobwebs), a series inversion, and the textbook recurrence.
 Tests and the check suites hold all routes to exact agreement.
+
+In a cobweb every off-diagonal block of zeta, Moebius, max, eta and their
+inverses is constant and every diagonal block is the identity, so each fits
+in an n x n LevelMatrix: the reduced incidence algebra of Doubilet, Rota and
+Stanley.  Each level route keeps the algorithm of the dense route it stands
+for, and a LevelMatrix is expanded to node rows one row at a time, so no
+N x N matrix is held for a cobweb.  The dense routes serve every other
+poset and the label formulas, and are the oracles the level forms are held
+to.
 """
 
 from __future__ import annotations
@@ -222,22 +231,7 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
 def _mobius_closed_form(P: GradedPoset) -> BlockMatrix:
     if not P.is_cobweb:
         raise PosetError("closed form Moebius is defined for cobwebs only")
-    n = P.n_levels
-    F = FSequence(list(P.level_sizes))
-    C = coding_matrix(F, n)
-    M = BlockMatrix.identity(P.level_sizes, INT)
-    rows = [list(r) for r in M.rows]
-    off = M._offsets
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            c = C.c(r, s)
-            if c == 0:
-                continue
-            for i in range(off[r - 1], off[r]):
-                row = rows[i]
-                for j in range(off[s - 1], off[s]):
-                    row[j] = c
-    return BlockMatrix(P.level_sizes, rows, INT)
+    return level_mobius(P, "closed_form").to_block()
 
 
 def reachable_sets(P: GradedPoset) -> List[Set[int]]:
@@ -290,7 +284,8 @@ def interval_mobius(F: FSequence, r: int, s: int) -> int:
 def mobius_krot(F: FSequence, x: Tuple[int, int], y: Tuple[int, int]) -> int:
     """Coordinate-pair Moebius form: x and y are (position, level) pairs.
 
-    Positions are bounded by the level sizes; the value reduces to the
+    Positions are bounded by the level sizes.  Within one level the value
+    is the Kronecker delta of the positions; across levels it is the
     rank-only interval form.
     """
     s, t = x
@@ -305,12 +300,7 @@ def mobius_krot(F: FSequence, x: Tuple[int, int], y: Tuple[int, int]) -> int:
         return 0
     if v == t:
         return 1 if s == u else 0
-    if v == t + 1:
-        return -1
-    out = 1
-    for i in range(t + 1, v):
-        out *= F.value(i) - 1
-    return (-1) ** (v - t) * out
+    return interval_mobius(F, t, v)
 
 
 # -- maximal chain counting matrix -----------------------------------------
@@ -338,3 +328,130 @@ def logic_L(M: BlockMatrix) -> BlockMatrix:
                 raise MatrixError(f"logic_L is undefined on negative entry at ({i},{j})")
     rows = [[1 if v > 0 else 0 for v in row] for row in M.rows]
     return BlockMatrix(M.level_sizes, rows, BOOL)
+
+
+# -- the level algebra of cobwebs ------------------------------------------
+
+@dataclass(frozen=True)
+class LevelMatrix:
+    """A cobweb matrix stored by level pairs.
+
+    Diagonal blocks are the identity (entries[r][r] == 1), block (r+1, s+1)
+    with r < s is entries[r][s] times the all-ones block, and blocks below
+    the diagonal are zero.  `ring` is the ring of the dense matrix it
+    stands for.
+    """
+    level_sizes: Tuple[int, ...]
+    entries: Tuple[Tuple[int, ...], ...]
+    ring: object = INT
+
+    def level_rows(self):
+        """The expander: per level, (columns left of its diagonal block,
+        block size, runs), runs being the (value, count) pairs right of the
+        diagonal block.  Rows of one level differ only inside that block."""
+        sizes = self.level_sizes
+        before = 0
+        for r, size in enumerate(sizes):
+            runs = [(self.entries[r][s], sizes[s]) for s in range(r + 1, len(sizes))]
+            yield before, size, runs
+            before += size
+
+    def rows(self):
+        """Dense node rows, one at a time."""
+        for before, size, runs in self.level_rows():
+            tail = [v for v, count in runs for _ in range(count)]
+            for i in range(size):
+                row = [0] * (before + size)
+                row[before + i] = 1
+                row += tail
+                yield row
+
+    def to_block(self) -> BlockMatrix:
+        return BlockMatrix(self.level_sizes, self.rows(), self.ring)
+
+
+def _cobweb_sizes(P: GradedPoset) -> Tuple[int, ...]:
+    if not P.is_cobweb:
+        raise PosetError("level forms are defined for cobwebs only")
+    return P.level_sizes
+
+
+def _unit(n: int) -> List[List[int]]:
+    return [[1 if r == s else 0 for s in range(n)] for r in range(n)]
+
+
+def _frozen(sizes, ent, ring=INT) -> LevelMatrix:
+    return LevelMatrix(sizes, tuple(map(tuple, ent)), ring)
+
+
+def _level_closure(sizes, ring) -> LevelMatrix:
+    # I + K + K^2 + ... band by band: J_(a x b) J_(b x c) = b J_(a x c), so
+    # K^j(r, r+j) is the product of the j-1 intermediate level sizes, and
+    # over BOOL it is 1
+    n = len(sizes)
+    ent = _unit(n)
+    for j in range(1, n):
+        for r in range(n - j):
+            s = r + j
+            ent[r][s] = 1 if j == 1 or ring is BOOL else ent[r][s - 1] * sizes[s - 1]
+    return _frozen(sizes, ent, ring)
+
+
+def _level_inverse(sizes, f) -> LevelMatrix:
+    # the unit-triangular recurrence, column by column like the dense
+    # inverse: g(r,s) = -(f(r,s) + sum over r<k<s of k_F f(r,k) g(k,s))
+    n = len(sizes)
+    g = _unit(n)
+    for s in range(n):
+        for r in range(s - 1, -1, -1):
+            acc = f[r][s]
+            for k in range(r + 1, s):
+                acc += sizes[k] * f[r][k] * g[k][s]
+            g[r][s] = -acc
+    return _frozen(sizes, g)
+
+
+def _level_band(sizes, v) -> LevelMatrix:
+    # identity plus v on the first block band
+    ent = _unit(len(sizes))
+    for r in range(len(sizes) - 1):
+        ent[r][r + 1] = v
+    return _frozen(sizes, ent)
+
+
+def level_zeta(P: GradedPoset) -> LevelMatrix:
+    """Level form of zeta(P, "closure") for a cobweb, over BOOL."""
+    return _level_closure(_cobweb_sizes(P), BOOL)
+
+
+def level_mobius(P: GradedPoset, method: str = "invert") -> LevelMatrix:
+    """Level form of mobius(P, method) for a cobweb, along the same route:
+    `invert` inverts level zeta, `recurrence` is coding_recurrence and
+    `closed_form` is coding_matrix."""
+    sizes = _cobweb_sizes(P)
+    if method == "invert":
+        return _level_inverse(sizes, level_zeta(P).entries)
+    if method not in MOBIUS_METHODS:
+        raise ValueError(f"unknown mobius method {method!r}")
+    route = coding_recurrence if method == "recurrence" else coding_matrix
+    return LevelMatrix(sizes, route(FSequence(list(sizes)), len(sizes)).entries)
+
+
+def level_max(P: GradedPoset) -> LevelMatrix:
+    """Level form of max_matrix(P) for a cobweb."""
+    return _level_closure(_cobweb_sizes(P), INT)
+
+
+def level_max_inverse(P: GradedPoset) -> LevelMatrix:
+    """Level form of max_inverse(P): identity minus the cover."""
+    return _level_band(_cobweb_sizes(P), -1)
+
+
+def level_eta(P: GradedPoset) -> LevelMatrix:
+    """Level form of eta(P): identity plus the cover."""
+    return _level_band(_cobweb_sizes(P), 1)
+
+
+def level_eta_inverse(P: GradedPoset) -> LevelMatrix:
+    """Level form of eta_inverse(P), by inverting level eta."""
+    return _level_inverse(P.level_sizes, level_eta(P).entries)

@@ -12,6 +12,10 @@ names the same entry a pair-by-pair scan would.  The Markov suite reads
 every C(r, s) from layer_chain_counts, one sweep per top level s.  Both
 oracles come from chains, which reads only the cover blocks, so they stay
 independent of the matrix closure they are checking.
+
+On a cobweb the zeta, mobius and max suites also expand the level forms the
+CLI writes and hold them entry by entry to the dense matrices the suite has
+already built.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import Callable, Dict, List
 
 from .blockmat import INT, BlockMatrix, mul
 from .chains import interval_chain_column, layer_chain_counts
-from .incidence import ZETA_METHODS, logic_L, max_inverse, max_matrix, mobius, \
-    reachable_sets, zeta
+from .incidence import ZETA_METHODS, level_max, level_max_inverse, level_mobius, \
+    level_zeta, logic_L, max_inverse, max_matrix, mobius, reachable_sets, zeta
 from .invariants import RootedPoset, char_poly, whitney_first, whitney_second
 from .poset import GradedPoset
 
@@ -47,6 +51,21 @@ def _skip(suite, name, why):
     return CheckResult(suite, name, True, f"skipped: {why}")
 
 
+def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
+    """routes: (route name, level form builder, dense matrix).  The detail
+    names the route and its first mismatching entry in row-major order."""
+    name = "level-form-agreement"
+    if not P.is_cobweb:
+        return _skip(suite, name, "level form needs a cobweb")
+    for route, build, dense in routes:
+        for x, (got, want) in enumerate(zip(build(P).rows(), dense.rows), start=1):
+            if tuple(got) != want:
+                y = next(j for j in range(len(want)) if got[j] != want[j])
+                return _fail(suite, name, f"{route}: entry ({x}, {y + 1}): "
+                                          f"level form has {got[y]}, dense has {want[y]}")
+    return _ok(suite, name)
+
+
 def suite_zeta(P: GradedPoset) -> List[CheckResult]:
     out = []
     Z = zeta(P, "closure")
@@ -65,6 +84,7 @@ def suite_zeta(P: GradedPoset) -> List[CheckResult]:
         out.append(_skip("zeta", "method-agreement", "label formulas need a cobweb"))
     out.append(_ok("zeta", "logic-of-max") if logic_L(max_matrix(P)).rows == Z.rows
                else _fail("zeta", "logic-of-max", "L(max) differs from zeta"))
+    out.append(_level_agreement("zeta", P, [("closure", level_zeta, Z)]))
     return out
 
 
@@ -99,6 +119,9 @@ def suite_mobius(P: GradedPoset) -> List[CheckResult]:
                          "mu varies inside a level block of a cobweb"))
     else:
         out.append(_skip("mobius", "rank-dependence", "stated for cobwebs"))
+    out.append(_level_agreement("mobius", P, [
+        ("invert", lambda Q: level_mobius(Q, "invert"), mu),
+        ("recurrence", lambda Q: level_mobius(Q, "recurrence"), mu)]))
     return out
 
 
@@ -127,6 +150,8 @@ def suite_max(P: GradedPoset) -> List[CheckResult]:
     diag_ok = all(M.rows[i][i] == 1 for i in range(P.node_count))
     out.append(_ok("max", "unit-diagonal") if diag_ok else
                _fail("max", "unit-diagonal", "diagonal entry differs from 1"))
+    out.append(_level_agreement("max", P, [("closure", level_max, M),
+                                           ("inverse", level_max_inverse, inv)]))
     return out
 
 

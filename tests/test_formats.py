@@ -1,5 +1,6 @@
 """Serialization round-trips, DOT export, staircase rendering."""
 
+import io
 import json
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from cobweb import BlockMatrix, INT, antichain, cobweb, coding_matrix, \
     enumerate_max_chains, fib, from_blocks, gauss, hyperbox, nat, zeta
 from cobweb.formats import FormatError, chains_to_json, coding_to_json, \
-    hyperbox_to_json, la_scala, matrix_from_json, matrix_to_csv, \
-    matrix_to_json, poset_from_json, poset_to_json, to_dot
+    hyperbox_to_json, la_scala, matrix_from_json, poset_from_json, \
+    poset_to_json, to_dot, write_matrix_csv, write_matrix_json
 
 from conftest import random_no_mute_poset
 
@@ -58,14 +59,18 @@ def test_poset_json_flag_mismatch_rejected(nat3):
 def test_matrix_csv_plain_decimal():
     big = 10 ** 40  # exact decimal, no scientific notation
     M = BlockMatrix([1, 1], [[1, big], [0, 1]], INT)
-    text = matrix_to_csv(M)
+    buf = io.StringIO()
+    write_matrix_csv(M, buf)
+    text = buf.getvalue()
     assert text == f"1,{big}\n0,1\n"
     assert "e" not in text and "E" not in text
 
 
 def test_matrix_json_roundtrip(nat3):
     Z = zeta(nat3).with_ring(INT)
-    M = matrix_from_json(matrix_to_json(Z))
+    buf = io.StringIO()
+    write_matrix_json(Z, buf)
+    M = matrix_from_json(buf.getvalue())
     assert M == Z
 
 

@@ -1,6 +1,7 @@
 """Check suites: failure details name the same entry as a pair-by-pair scan."""
 
-from cobweb import BlockMatrix, cobweb, from_blocks, nat, run_checks, suites
+from cobweb import BlockMatrix, LevelMatrix, cobweb, cobweb_of_sizes, from_blocks, \
+    nat, run_checks, suites
 
 
 def corrupted(M, *entries):
@@ -47,3 +48,52 @@ def test_all_suites_pass_on_a_cobweb():
     results = run_checks(cobweb(nat(), 5))
     assert all(r.passed for r in results)
     assert [r.suite for r in results].count("markov") == 2
+
+
+def corrupted_level(L, r, s):
+    """L with 7 added to the level-pair entry (r, s), 1-based."""
+    ent = [list(row) for row in L.entries]
+    ent[r - 1][s - 1] += 7
+    return LevelMatrix(L.level_sizes, tuple(map(tuple, ent)), L.ring)
+
+
+def level_results(P):
+    return {r.suite: r for r in run_checks(P) if r.name == "level-form-agreement"}
+
+
+def test_level_form_agreement_passes_on_cobwebs():
+    for P in (cobweb(nat(), 5), cobweb_of_sizes([1, 3, 1, 2])):
+        res = level_results(P)
+        assert sorted(res) == ["max", "mobius", "zeta"]
+        assert all(r.passed and r.detail == "" for r in res.values())
+
+
+def test_level_form_agreement_is_skipped_on_non_cobwebs():
+    P = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
+    res = level_results(P)
+    assert sorted(res) == ["max", "mobius", "zeta"]
+    assert all(r.passed and r.detail == "skipped: level form needs a cobweb"
+               for r in res.values())
+
+
+def test_level_form_failure_names_route_and_first_entry(monkeypatch):
+    P = cobweb(nat(), 4)  # levels 1 | 2 3 | 4 5 6 | 7 8 9 10
+    real = suites.level_mobius
+    monkeypatch.setattr(suites, "level_mobius", lambda Q, m: corrupted_level(
+        real(Q, m), 1, 3) if m == "recurrence" else real(Q, m))
+    (res,) = [r for r in suites.suite_mobius(P) if r.name == "level-form-agreement"]
+    assert not res.passed
+    assert res.detail == "recurrence: entry (1, 4): level form has 8, dense has 1"
+
+
+def test_level_form_failures_in_max_and_zeta(monkeypatch):
+    P = cobweb(nat(), 4)
+    real = suites.level_max_inverse
+    monkeypatch.setattr(suites, "level_max_inverse",
+                        lambda Q: corrupted_level(real(Q), 2, 4))
+    (res,) = [r for r in suites.suite_max(P) if r.name == "level-form-agreement"]
+    assert res.detail == "inverse: entry (2, 7): level form has 7, dense has 0"
+    # level max in place of level zeta first differs where two chains meet
+    monkeypatch.setattr(suites, "level_zeta", suites.level_max)
+    (res,) = [r for r in suites.suite_zeta(P) if r.name == "level-form-agreement"]
+    assert res.detail == "closure: entry (1, 4): level form has 2, dense has 1"
