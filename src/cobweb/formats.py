@@ -9,8 +9,8 @@ from typing import IO, List, Tuple
 
 from .blockmat import BlockMatrix
 from .chains import Chain, HyperBox
-from .incidence import CodingMatrix, zeta
-from .poset import GradedPoset
+from .incidence import CodingMatrix, level_zeta, zeta
+from .poset import GradedPoset, PosetError, first_non_binary
 
 
 class FormatError(ValueError):
@@ -53,17 +53,23 @@ def poset_from_json(text: str) -> GradedPoset:
         for i, row in enumerate(blk):
             if not isinstance(row, list) or len(row) != sizes[k + 1]:
                 raise FormatError(f"blocks[{k}][{i}]: expected {sizes[k + 1]} entries")
-            for j, v in enumerate(row):
-                if v not in (0, 1) or isinstance(v, bool):
-                    raise FormatError(f"blocks[{k}][{i}][{j}]: expected 0 or 1, got {v!r}")
+    name = obj["sequence"]
+    # the shapes are sound, so the poset refuses only an entry that is not
+    # the int 0 or 1; each entry is checked there, once
+    try:
+        P = GradedPoset(sizes, blocks, sequence_name=name)
+    except PosetError:
+        bad = first_non_binary(blocks)
+        if bad is None:
+            raise
+        k, i, j, v = bad
+        raise FormatError(f"blocks[{k}][{i}][{j}]: expected 0 or 1, got {v!r}") from None
     flags = obj["flags"]
     if (not isinstance(flags, dict) or set(flags) != {"cobweb", "no_mute"}
             or any(not isinstance(b, bool) for b in flags.values())):
         raise FormatError("flags: expected {cobweb: bool, no_mute: bool}")
-    name = obj["sequence"]
     if name is not None and not isinstance(name, str):
         raise FormatError("sequence: expected a string or null")
-    P = GradedPoset(sizes, blocks, sequence_name=name)
     # flags are stored redundantly; recompute and insist they match
     if flags["cobweb"] != P.is_cobweb:
         raise FormatError(f"flags.cobweb: stored {flags['cobweb']}, recomputed {P.is_cobweb}")
@@ -172,9 +178,11 @@ class LaScalaRender:
 
 
 def la_scala(P: GradedPoset) -> LaScalaRender:
-    Z = zeta(P, "closure")
+    """A cobweb is drawn from the rows of its level zeta, any other poset
+    from its dense zeta closure."""
+    rows = level_zeta(P).rows() if P.is_cobweb else zeta(P, "closure").rows
     out = []
-    for i, row in enumerate(Z.rows):
+    for i, row in enumerate(rows):
         cells = []
         for j, v in enumerate(row):
             if v:

@@ -6,14 +6,18 @@ three label-formula constructions for cobwebs, and the Moebius matrix has a
 closed form (cobwebs), a series inversion, and the textbook recurrence.
 Tests and the check suites hold all routes to exact agreement.
 
+Each label route evaluates its own formula from the prefix sums S and the
+level sizes alone, one row at a time: every term is taken once and adds
+its contribution to the whole run of columns it covers, so a label route
+costs O(N^2) for N nodes.
+
 In a cobweb every off-diagonal block of zeta, Moebius, max, eta and their
 inverses is constant and every diagonal block is the identity, so each fits
 in an n x n LevelMatrix: the reduced incidence algebra of Doubilet, Rota and
 Stanley.  Each level route keeps the algorithm of the dense route it stands
-for, and a LevelMatrix is expanded to node rows one row at a time, so no
-N x N matrix is held for a cobweb.  The dense routes serve every other
-poset and the label formulas, and are the oracles the level forms are held
-to.
+for, and a LevelMatrix is expanded to node rows one row at a time, so a
+level route holds no N x N matrix.  The dense routes serve every other
+poset and are the oracles the level forms are held to.
 """
 
 from __future__ import annotations
@@ -63,56 +67,53 @@ def zeta(P: GradedPoset, method: str = "closure") -> BlockMatrix:
         raise ValueError(f"unknown zeta method {method!r}")
     if not P.is_cobweb:
         raise PosetError(f"zeta method {method!r} is defined for cobwebs only")
-    builder = {"label_delta": _zeta_entry_delta,
-               "label_knuth": _zeta_entry_knuth,
-               "label_S": _zeta_entry_S}[method]
-    N = P.node_count
+    rows = {"label_delta": _rows_delta,
+            "label_knuth": _rows_knuth,
+            "label_S": _rows_S}[method]
     S = [P.S(m) for m in range(P.n_levels + 1)]
-    sizes = P.level_sizes
-    rows = [[builder(x, y, S, sizes, N) for y in range(1, N + 1)]
-            for x in range(1, N + 1)]
-    return BlockMatrix(P.level_sizes, rows, BOOL)
+    return BlockMatrix(P.level_sizes, rows(S, P.level_sizes, P.node_count), BOOL)
 
 
-def _zeta_entry_delta(x, y, S, sizes, N):
-    # zeta_1 floods the upper triangle with ones; zeta_0 carves out the
-    # same-level staircase.  All three sums are literal Kronecker deltas.
-    zeta1 = 0
-    for k in range(0, N):
-        if x + k == y:
-            zeta1 = 1
-            break
-    zeta0 = 0
-    for s in range(1, len(sizes) + 1):
-        for k in range(1, sizes[s - 1] + 1):
-            if x != S[s - 1] + k:
-                continue
-            for r in range(1, sizes[s - 1] - k + 1):
-                if x + r == y:
-                    zeta0 += 1
-    return zeta1 - zeta0
+# The formulas are 1-based in x and y and the row lists 0-based: column y
+# sits at index y - 1, so columns x+1..e are the slice [x:e].
+
+def _take_one(row, lo, hi):
+    row[lo:hi] = [v - 1 for v in row[lo:hi]]
 
 
-def _zeta_entry_knuth(x, y, S, sizes, N):
-    # Bracket form: the level window of x is (S(s-1), S(s-1) + s_F].
-    zeta1 = 1 if x <= y else 0
-    zeta0 = 0
-    if x < y:
+def _rows_delta(S, sizes, N):
+    # zeta_1 floods the upper triangle with ones: the terms delta(x+k, y),
+    # k = 0..N-x, set columns x..N, and larger k fall off the matrix.
+    # zeta_0 carves out the same-level staircase: the term (s, k) with
+    # delta(x, S(s-1)+k) = 1 takes 1 off columns x+1..x+s_F-k.
+    for x in range(1, N + 1):
+        row = [0] * (x - 1) + [1] * (N - x + 1)
         for s in range(1, len(sizes) + 1):
-            if x > S[s - 1] and y <= S[s - 1] + sizes[s - 1]:
-                zeta0 += 1
-    return zeta1 - zeta0
+            for k in range(1, sizes[s - 1] + 1):
+                if x == S[s - 1] + k:
+                    _take_one(row, x, x + sizes[s - 1] - k)
+        yield row
 
 
-def _zeta_entry_S(x, y, S, sizes, N):
-    # Prefix-sum form: scan windows (S(m), S(m+1)] from the bottom.
-    zeta1 = 1 if x <= y else 0
-    zeta0 = 0
-    if x < y:
+def _rows_knuth(S, sizes, N):
+    # Bracket form: each window (S(s-1), S(s-1) + s_F] with x inside or
+    # above it takes 1 off columns x+1..S(s-1) + s_F.
+    for x in range(1, N + 1):
+        row = [0] * (x - 1) + [1] * (N - x + 1)
+        for s in range(1, len(sizes) + 1):
+            if x > S[s - 1]:
+                _take_one(row, x, S[s - 1] + sizes[s - 1])
+        yield row
+
+
+def _rows_S(S, sizes, N):
+    # Prefix-sum form: the same with the windows (S(m), S(m+1)].
+    for x in range(1, N + 1):
+        row = [0] * (x - 1) + [1] * (N - x + 1)
         for m in range(0, len(sizes)):
-            if x > S[m] and y <= S[m + 1]:
-                zeta0 += 1
-    return zeta1 - zeta0
+            if x > S[m]:
+                _take_one(row, x, S[m + 1])
+        yield row
 
 
 # -- Kroton functions and the coding matrix --------------------------------

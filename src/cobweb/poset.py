@@ -32,6 +32,17 @@ def _freeze_block(block) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in block)
 
 
+def first_non_binary(blocks) -> Optional[Tuple[int, int, int, object]]:
+    """(block, row, column, value) of the first entry, 0-based and in
+    row-major order, that is not the int 0 or 1; None if there is none."""
+    for k, blk in enumerate(blocks):
+        for i, row in enumerate(blk):
+            for j, v in enumerate(row):
+                if type(v) is not int or v not in (0, 1):
+                    return k, i, j, v
+    return None
+
+
 class GradedPoset:
     """Levels 1..n with 0/1 cover blocks between adjacent levels."""
 
@@ -46,15 +57,19 @@ class GradedPoset:
         if len(blocks) != len(sizes) - 1:
             raise PosetError(
                 f"expected {len(sizes) - 1} blocks for {len(sizes)} levels, got {len(blocks)}")
+        # one C-level pass per row: every entry an int, and each 0 or 1
+        is_cobweb = True
         for k, blk in enumerate(blocks, start=1):
             if len(blk) != sizes[k - 1] or any(len(row) != sizes[k] for row in blk):
                 raise PosetError(
                     f"block {k} must be {sizes[k - 1]}x{sizes[k]}, got "
                     f"{len(blk)}x{len(blk[0]) if blk else 0}")
             for row in blk:
-                for v in row:
-                    if v not in (0, 1):
-                        raise PosetError(f"block {k} has non-binary entry {v!r}")
+                ones = row.count(1)
+                if ones + row.count(0) != len(row) or not set(map(type, row)) <= {int}:
+                    v = first_non_binary(blocks)[3]
+                    raise PosetError(f"block {k} has non-binary entry {v!r}")
+                is_cobweb = is_cobweb and ones == len(row)
         self.level_sizes = sizes
         self.blocks = blocks
         self.sequence_name = sequence_name
@@ -63,8 +78,7 @@ class GradedPoset:
         for s in sizes:
             off.append(off[-1] + s)
         self._offsets = tuple(off)
-        self.is_cobweb = all(all(all(v == 1 for v in row) for row in blk)
-                             for blk in blocks)
+        self.is_cobweb = is_cobweb
         self.has_mute_nodes = len(self.mute_nodes()) > 0
 
     # -- size bookkeeping ---------------------------------------------------

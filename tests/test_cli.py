@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import cobweb as cobweb_pkg
-from cobweb import cli, cobweb, fib, mobius, nat, root
+from cobweb import cli, cobweb, cobweb_of_sizes, fib, from_blocks, mobius, nat, \
+    root, zeta
 from cobweb.formats import poset_from_json, poset_to_json
 
 
@@ -290,6 +291,46 @@ def test_empty_or_ragged_blocks_are_a_diagnostic(tmp_path, blocks):
     code, _, err = run_cli_process("gen", "--blocks", str(path))
     assert_one_line_diagnostic(code, err)
     assert "rectangular" in err
+
+
+def test_gen_blocks_refuses_entries_other_than_the_ints_0_and_1(tmp_path):
+    path = tmp_path / "blocks.json"
+    path.write_text("[[[1.0, 1], [0, true]]]")
+    code, out, err = run_cli_process("gen", "--blocks", str(path))
+    assert_one_line_diagnostic(code, err)
+    assert out == "" and err == "cobweb: block 1 has non-binary entry 1.0\n"
+
+
+@pytest.mark.parametrize("argv", [["max"], ["mobius"], ["zeta"]])
+def test_poset_file_with_a_float_entry_is_refused(tmp_path, argv):
+    path = tmp_path / "p.json"
+    path.write_text(poset_to_json(cobweb(nat(), 3)).replace("[[1, 1]]", "[[1.0, 1]]"))
+    code, out, err = run_cli_process(argv[0], str(path))
+    assert_one_line_diagnostic(code, err)
+    assert out == "" and err == "cobweb: blocks[0][0][0]: expected 0 or 1, got 1.0\n"
+
+
+def dense_la_scala(P):
+    """The staircase drawn from the dense zeta closure, cell by cell."""
+    lines = []
+    for i, row in enumerate(zeta(P, "closure").rows):
+        lines.append(" ".join("1" if v else ("." if j > i else " ")
+                              for j, v in enumerate(row)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("make", [lambda: cobweb(fib(), 6), lambda: root(fib(), 5),
+                                  lambda: cobweb_of_sizes((3,)),
+                                  lambda: from_blocks([2, 3, 1], [[[1, 0, 1], [0, 1, 1]],
+                                                                  [[1], [1], [0]]])])
+@pytest.mark.parametrize("argv", [["lascala"], ["zeta", "--format", "ascii"]])
+def test_staircase_output_matches_dense_closure_bytes(tmp_path, capsys, make, argv):
+    P = make()
+    path = tmp_path / "p.json"
+    path.write_text(poset_to_json(P))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out == dense_la_scala(P)
 
 
 def test_prints_integers_past_the_default_digit_limit():

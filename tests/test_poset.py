@@ -38,6 +38,18 @@ def test_from_blocks_validation():
         from_blocks([2], [[[1]]])  # block for a single level
 
 
+@pytest.mark.parametrize("bad", [1.0, 0.0, True, False, 2, -1, "1", None])
+def test_block_entries_must_be_the_ints_0_and_1(bad):
+    # 1.0 and True compare equal to 1; a poset holding them would print
+    # 1.0 or -1.0 where the contract promises exact integers
+    with pytest.raises(PosetError) as e:
+        from_blocks([2, 2], [[[1, 1], [1, bad]]])
+    assert str(e.value) == f"block 1 has non-binary entry {bad!r}"
+    with pytest.raises(PosetError) as e:
+        from_blocks([1, 2, 2], [[[1, 1]], [[0, 1], [bad, 1]]])
+    assert str(e.value) == f"block 2 has non-binary entry {bad!r}"
+
+
 def test_flags():
     P = from_blocks([2, 2], [[[1, 1], [1, 1]]])
     assert P.is_cobweb

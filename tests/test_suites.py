@@ -44,6 +44,34 @@ def test_markov_failure_names_first_triple():
     assert res.detail == "(1,1,2): 6 != 4"
 
 
+def test_zeta_suite_builds_the_closure_once(monkeypatch):
+    calls = []
+    real = suites.zeta
+
+    def recording(Q, method="closure"):
+        calls.append(method)
+        return real(Q, method)
+
+    monkeypatch.setattr(suites, "zeta", recording)
+    assert all(r.passed for r in suites.suite_zeta(cobweb(nat(), 4)))
+    assert sorted(calls) == ["closure", "label_S", "label_delta", "label_knuth"]
+
+
+def test_zeta_method_agreement_names_the_disagreeing_label_routes(monkeypatch):
+    # a non-cobweb forced past the cobweb gate: every label formula draws
+    # the full cobweb, which the closure of the missing arc does not have
+    P = from_blocks([2, 2], [[[1, 0], [1, 1]]])
+    P.is_cobweb = True
+    res = {r.name: r for r in suites.suite_zeta(P)}
+    assert res["method-agreement"].detail == \
+        "methods disagree: ['label_delta', 'label_knuth', 'label_S']"
+    real = suites.zeta
+    monkeypatch.setattr(suites, "zeta", lambda Q, m="closure": corrupted(
+        real(Q, m), (1, 2)) if m == "label_knuth" else real(Q, m))
+    res = {r.name: r for r in suites.suite_zeta(cobweb(nat(), 3))}
+    assert res["method-agreement"].detail == "methods disagree: ['label_knuth']"
+
+
 def test_all_suites_pass_on_a_cobweb():
     results = run_checks(cobweb(nat(), 5))
     assert all(r.passed for r in results)
