@@ -6,14 +6,20 @@ Python ints (so integer arithmetic is unbounded); the ring object only fixes
 the meaning of + and *.  The Boolean semiring uses (or, and) and refuses
 negation outright rather than faking it.
 
-The closure of a cover matrix is computed band by band: the j-th power of a
-one-band matrix lives on the j-th block band, so the whole terminating series
-I + K + K^2 + ... costs O(n) block products instead of repeated full products.
+The closure I + K + K^2 + ... = (I - K)^-1 of a strictly upper K and the
+inverse of a unitriangular I + N are one triangular system, solved a row at a
+time from the bottom: row x of R is e_x plus (closure, R = I + K R) or minus
+(inverse, R = I - N R) the sum over k > x of N[x][k] * R[k].  Row k of R is
+zero left of its diagonal, and in a graded poset also across the rest of its
+own level and past its last comparable node, so each finished row is kept
+right of its diagonal from its first to its last nonzero: a coefficient adds
+only that trimmed span, with one C-level map of the ring's addition.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import Sequence, Tuple
 
 
@@ -193,96 +199,74 @@ def add(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
 
 
 def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
-    """Exact ring product of two full matrices; no triangular shape assumed."""
+    """Exact ring product of two full matrices; no triangular shape assumed.
+
+    Time is proportional to the nonzeros: each row of B is reduced once to
+    its nonzero (j, b) pairs, and each nonzero a of A walks only those.
+    """
     _check_compatible(A, B)
-    return BlockMatrix(A.level_sizes, _mul_block(A.rows, B.rows, A.ring), A.ring)
-
-
-def _mul_block(X, Y, ring):
-    """Product of rectangular row tuples over the ring, in time proportional
-    to the nonzeros: each row of Y is reduced once to its nonzero (j, y)
-    pairs, and each nonzero x of X walks only those."""
+    ring = A.ring
     zero, radd, rmul = ring.zero, ring.add, ring.mul
-    cols = len(Y[0]) if Y else 0
-    ynz = [[(j, y) for j, y in enumerate(yrow) if y != zero] for yrow in Y]
+    bnz = [[(j, b) for j, b in enumerate(brow) if b != zero] for brow in B.rows]
     out = []
-    for xr in X:
-        acc = [zero] * cols
-        for k, x in enumerate(xr):
-            if x != zero:
-                for j, y in ynz[k]:
-                    acc[j] = radd(acc[j], rmul(x, y))
+    for arow in A.rows:
+        acc = [zero] * A.size
+        for k, a in enumerate(arow):
+            if a != zero:
+                for j, b in bnz[k]:
+                    acc[j] = radd(acc[j], rmul(a, b))
         out.append(acc)
+    return BlockMatrix(A.level_sizes, out, ring)
+
+
+def _unit_solve(rows, ring, negate):
+    """Rows of R = I + N R (negate false) or R = I - N R (negate true),
+    where N is the part of `rows` right of the diagonal; nothing else of
+    `rows` is read."""
+    n = len(rows)
+    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    out = [None] * n
+    # parts[k] = (s, vals): row k of R right of its diagonal is zero outside
+    # columns s .. s + len(vals) - 1, where it holds vals
+    parts = [None] * n
+    for x in range(n - 1, -1, -1):
+        acc = [zero] * n
+        for k, c in enumerate(rows[x][x + 1:], x + 1):
+            if c != zero:
+                acc[k] = radd(acc[k], c)
+                s, vals = parts[k]
+                e = s + len(vals)
+                if c != one:
+                    vals = map(rmul, repeat(c), vals)
+                acc[s:e] = map(radd, acc[s:e], vals)
+        if negate:
+            acc[x + 1:] = map(ring.neg, acc[x + 1:])
+        s, e = x + 1, n
+        while s < e and acc[s] == zero:
+            s += 1
+        while e > s and acc[e - 1] == zero:
+            e -= 1
+        parts[x] = (s, acc[s:e])
+        acc[x] = one
+        out[x] = acc
     return out
 
 
 def nilpotent_closure(K: BlockMatrix) -> BlockMatrix:
-    """I + K + K^2 + ... for strictly upper block K; the series terminates.
-
-    When K is supported on the first block band (a cover matrix), power j
-    lives exactly on band j, so each band is filled by one chain of block
-    products.  Otherwise the terminating power series is summed directly.
-    """
+    """I + K + K^2 + ... for strictly upper block K; the series terminates."""
     if not K.is_strictly_upper_block():
         raise MatrixError("closure requires a strictly upper block matrix")
-    ring = K.ring
-    n = K.n_levels
-    if K.is_one_band():
-        R = BlockMatrix.identity(K.level_sizes, ring)
-        rows = [list(r) for r in R.rows]
-        off = R._offsets
-        band = {r: [list(row) for row in K.block(r, r + 1)] for r in range(1, n)}
-        for j in range(1, n):
-            for r in sorted(band):
-                blk = band[r]
-                r0, c0 = off[r - 1], off[r + j - 1]
-                for i, row in enumerate(blk):
-                    out = rows[r0 + i]
-                    for c, v in enumerate(row):
-                        out[c0 + c] = v
-            band = {r: _mul_block(band[r], K.block(r + j, r + j + 1), ring)
-                    for r in band if r + j < n}
-        return BlockMatrix(K.level_sizes, rows, ring)
-    R = BlockMatrix.identity(K.level_sizes, ring)
-    P = K
-    for _ in range(n):
-        if P.is_zero():
-            break
-        R = add(R, P)
-        P = mul(P, K)
-    if not P.is_zero():
-        raise MatrixError("matrix is not nilpotent")  # unreachable for strict upper
-    return R
+    return BlockMatrix(K.level_sizes, _unit_solve(K.rows, K.ring, False), K.ring)
 
 
 def unitriangular_inverse(M: BlockMatrix) -> BlockMatrix:
-    """Inverse of I + N with N strictly upper, over a ring with negation.
-
-    This is the terminating series sum over k of (-N)^k, evaluated one
-    column at a time by Horner steps, so mul(M, result) == I exactly.
-    """
+    """Inverse of I + N with N strictly upper, over a ring with negation,
+    so mul(M, result) == I exactly."""
     ring = M.ring
     ring.neg(ring.one)  # raises RingError over a ring without negation
     if not M.is_unitriangular():
         raise MatrixError("inverse requires a unitriangular matrix")
-    n = M.size
-    rows = M.rows
-    zero, radd, rmul, rneg = ring.zero, ring.add, ring.mul, ring.neg
-    inv = [[zero] * n for _ in range(n)]
-    for y in range(n):
-        inv[y][y] = ring.one
-        for x in range(y - 1, -1, -1):
-            acc = zero
-            mrow = rows[x]
-            for z in range(x + 1, y + 1):
-                m = mrow[z]
-                if m != zero:
-                    v = inv[z][y]
-                    if v != zero:
-                        acc = radd(acc, rmul(m, v))
-            if acc != zero:
-                inv[x][y] = rneg(acc)
-    return BlockMatrix(M.level_sizes, inv, ring)
+    return BlockMatrix(M.level_sizes, _unit_solve(M.rows, ring, True), ring)
 
 
 def natural_join(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:

@@ -42,7 +42,7 @@ def poset_from_json(text: str) -> GradedPoset:
             raise FormatError(f"{key}: missing field")
     sizes = obj["level_sizes"]
     if (not isinstance(sizes, list) or not sizes
-            or any(not isinstance(s, int) or s < 1 for s in sizes)):
+            or any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in sizes)):
         raise FormatError("level_sizes: expected a nonempty list of positive integers")
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or len(blocks) != len(sizes) - 1:

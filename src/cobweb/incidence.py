@@ -144,9 +144,9 @@ class CodingMatrix:
 
     def __post_init__(self):
         n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("coding matrix must be square")
         for r in range(n):
-            if any(len(row) != n for row in self.entries):
-                raise ValueError("coding matrix must be square")
             if self.entries[r][r] != 1:
                 raise ValueError("coding matrix diagonal must be 1")
             if r + 1 < n and self.entries[r][r + 1] != -1:
@@ -168,10 +168,14 @@ class CodingMatrix:
         return self.entries[r - 1][s - 1]
 
 
-def coding_matrix(F: FSequence, n: int) -> CodingMatrix:
-    """Closed form: c_(r,s) = (-1)^(s-r) * kroton(F, r, s), diagonal 1."""
+def _check_coding_levels(n: int) -> None:
     if n < 1:
         raise ValueError(f"coding matrix needs n >= 1, got {n}")
+
+
+def coding_matrix(F: FSequence, n: int) -> CodingMatrix:
+    """Closed form: c_(r,s) = (-1)^(s-r) * kroton(F, r, s), diagonal 1."""
+    _check_coding_levels(n)
     ent = []
     for r in range(1, n + 1):
         row = []
@@ -195,6 +199,7 @@ def coding_recurrence(F: FSequence, n: int) -> CodingMatrix:
     intermediate level contributes all i_F of its elements.  Solving this
     recurrence is the independent route the closed form is checked against.
     """
+    _check_coding_levels(n)
     ent = []
     for r in range(1, n + 1):
         row = [0] * n

@@ -48,7 +48,10 @@ class GradedPoset:
 
     def __init__(self, level_sizes: Sequence[int], blocks,
                  sequence_name: Optional[str] = None):
-        sizes = tuple(int(s) for s in level_sizes)
+        sizes = tuple(level_sizes)
+        for s in sizes:
+            if not isinstance(s, int) or isinstance(s, bool):
+                raise PosetError(f"level sizes must be ints, got {s!r}")
         if not sizes:
             raise PosetError("poset needs at least one level")
         if any(s < 1 for s in sizes):

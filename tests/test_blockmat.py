@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cobweb import BOOL, INT, BlockMatrix, MatrixError, RingError, add, mul, \
     nilpotent_closure, unitriangular_inverse
@@ -33,6 +33,32 @@ def rand_strictly_upper(rng, sizes, ring):
     rows = [[v if lvl[i] < lvl[j] else 0 for j, v in enumerate(row)]
             for i, row in enumerate(M.rows)]
     return BlockMatrix(sizes, rows, ring)
+
+
+@st.composite
+def strictly_upper(draw, ring, sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+                   by_level=True):
+    """K over drawn level sizes, zero at (x, y) unless x sits below y: by
+    level (a strictly upper block matrix) or, with by_level false, by node
+    index.  Entries are 0/1 over BOOL and -3..3 over INT, so coefficients
+    other than 1, and negative ones, occur."""
+    sizes = draw(sizes)
+    key = [k for k, s in enumerate(sizes) for _ in range(s)]
+    if not by_level:
+        key = list(range(len(key)))
+    entry = st.integers(0, 1) if ring is BOOL else st.integers(-3, 3)
+    rows = [[draw(entry) if a < b else 0 for b in key] for a in key]
+    return BlockMatrix(sizes, rows, ring)
+
+
+def series_closure(K):
+    """The literal sum I + K + K^2 + ..., which stops by the n-th power."""
+    expect = BlockMatrix.identity(K.level_sizes, K.ring)
+    P = K
+    for _ in range(K.n_levels):
+        expect = add(expect, P)
+        P = mul(P, K)
+    return expect
 
 
 def test_identity_is_neutral():
@@ -90,34 +116,25 @@ def test_integer_closure_counts_paths():
         assert C.rows[0][j] == 2  # brute force: 1->2->target and 1->3->target
 
 
-def test_banded_closure_equals_generic_series():
-    # a two-band matrix takes the generic path; band-1 takes the fast path;
-    # both must equal the literal series sum
-    rng = random.Random(42)
-    for sizes in ([1, 2, 3], [2, 2, 2, 2], [3, 1, 2]):
-        for ring in (INT, BOOL):
-            K = rand_strictly_upper(rng, sizes, ring)
-            expect = BlockMatrix.identity(sizes, ring)
-            P = K
-            for _ in range(len(sizes)):
-                expect = add(expect, P)
-                P = mul(P, K)
-            assert nilpotent_closure(K) == expect
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([INT, BOOL]).flatmap(strictly_upper))
+@example(BlockMatrix([1], [[0]], INT))
+@example(BlockMatrix([1, 1, 1], [[0, 1, 1], [0, 0, 1], [0, 0, 0]], BOOL))
+def test_banded_closure_equals_generic_series(K):
+    # the one row solve serves every strictly upper K, one-band or not, over
+    # either ring; it must equal the literal series sum
+    assert nilpotent_closure(K) == series_closure(K)
 
 
 def test_band1_closure_matches_generic_path():
+    # a cover matrix with coefficients 0, 1 and 2 on its one band
     rng = random.Random(3)
     sizes = [1, 3, 2, 4]
     blocks = [[[rng.randint(0, 2) for _ in range(sizes[k + 1])]
                for _ in range(sizes[k])] for k in range(3)]
     K = BlockMatrix.from_band_blocks(sizes, blocks, INT)
     assert K.is_one_band()
-    expect = BlockMatrix.identity(sizes, INT)
-    P = K
-    for _ in range(len(sizes)):
-        expect = add(expect, P)
-        P = mul(P, K)
-    assert nilpotent_closure(K) == expect
+    assert nilpotent_closure(K) == series_closure(K)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -145,8 +162,9 @@ def test_integer_closure_collapses_to_boolean():
 
 
 def test_unitriangular_inverse_identity():
-    I = BlockMatrix.identity([2, 2], INT)
-    assert unitriangular_inverse(I) == I
+    for sizes in ([1], [2, 2]):
+        I = BlockMatrix.identity(sizes, INT)
+        assert unitriangular_inverse(I) == I
 
 
 def test_unitriangular_inverse_pinned_3x3():
@@ -167,11 +185,14 @@ def test_unitriangular_inverse_refuses_non_unitriangular():
         unitriangular_inverse(M)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_unitriangular_inverse_against_gauss_jordan(seed):
-    rng = random.Random(seed)
-    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
-    N = rand_strictly_upper(rng, sizes, INT)
+@pytest.mark.parametrize("n_levels", range(1, 7))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_unitriangular_inverse_against_gauss_jordan(n_levels, data):
+    # N is strictly upper by node index, so entries inside a level occur too
+    sizes = st.lists(st.integers(1, 3), min_size=n_levels, max_size=n_levels)
+    N = data.draw(strictly_upper(INT, sizes, by_level=False))
+    sizes = N.level_sizes
     M = add(BlockMatrix.identity(sizes, INT), N)
     inv = unitriangular_inverse(M)
     oracle = fraction_inverse(M.rows)

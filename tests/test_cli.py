@@ -310,6 +310,16 @@ def test_poset_file_with_a_float_entry_is_refused(tmp_path, argv):
     assert out == "" and err == "cobweb: blocks[0][0][0]: expected 0 or 1, got 1.0\n"
 
 
+def test_poset_file_with_a_boolean_level_size_is_refused(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"level_sizes": [true, 2], "blocks": [[[1, 1]]], '
+                    '"flags": {"cobweb": true, "no_mute": true}, "sequence": null}')
+    code, out, err = run_cli_process("max", str(path))
+    assert_one_line_diagnostic(code, err)
+    assert out == "" and err == \
+        "cobweb: level_sizes: expected a nonempty list of positive integers\n"
+
+
 def dense_la_scala(P):
     """The staircase drawn from the dense zeta closure, cell by cell."""
     lines = []

@@ -45,6 +45,7 @@ def test_poset_json_roundtrip_preserves_flags(nat3):
     ('{"level_sizes": [1, 1], "blocks": [[[1]]], "flags": {}, "sequence": null}', "flags"),
     ('{"blocks": [], "flags": {}, "sequence": null}', "level_sizes"),
     ('not json', "JSON"),
+    ('{"level_sizes": [true, 2], "blocks": [[[1, 1]]], "flags": {"cobweb": true, "no_mute": true}, "sequence": null}', "level_sizes: expected a nonempty list of positive integers"),
 ])
 def test_poset_json_errors_name_the_path(broken, path):
     with pytest.raises(FormatError) as e:

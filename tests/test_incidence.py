@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cobweb import BOOL, INT, BlockMatrix, MatrixError, PosetError, antichain, \
-    cobweb, cobweb_of_sizes, coding_matrix, coding_recurrence, custom, eta, \
-    eta_inverse, fib, from_blocks, interval_mobius, kappa, kroton, logic_L, \
+from cobweb import BOOL, INT, BlockMatrix, CodingMatrix, MatrixError, PosetError, \
+    antichain, cobweb, cobweb_of_sizes, coding_matrix, coding_recurrence, custom, \
+    eta, eta_inverse, fib, from_blocks, interval_mobius, kappa, kroton, logic_L, \
     max_inverse, max_matrix, mobius, mobius_krot, mul, nat, natural_join, \
     reachable_sets, root, zeta
 from cobweb.blockmat import natural_join as mat_join
@@ -139,6 +139,11 @@ def test_coding_matrix_nat_rows():
 def test_coding_matrix_recurrence_route():
     for F in (nat(), fib(), EX11, EX12, custom([1, 3, 7, 15, 31, 63, 127, 255])):
         assert coding_recurrence(F, 8).entries == coding_matrix(F, 8).entries
+    # both routes refuse the same level counts, with the same message
+    for route in (coding_matrix, coding_recurrence):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=rf"^coding matrix needs n >= 1, got {n}$"):
+                route(nat(), n)
 
 
 def test_coding_matrix_structure_enforced():
@@ -153,6 +158,9 @@ def test_coding_matrix_structure_enforced():
         for s in range(r + 1, n + 1):
             v = C.c(r, s)
             assert v == 0 or (v > 0) == ((s - r) % 2 == 0)
+    for ragged in (((1, -1),), ((1, -1), (0,))):
+        with pytest.raises(ValueError, match="coding matrix must be square"):
+            CodingMatrix(ragged)
 
 
 # -- Moebius -------------------------------------------------------------------

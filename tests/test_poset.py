@@ -36,6 +36,10 @@ def test_from_blocks_validation():
         from_blocks([2, 2], [[[1, 2], [1, 1]]])  # non-binary entry
     with pytest.raises(PosetError):
         from_blocks([2], [[[1]]])  # block for a single level
+    for size in (2.7, True, "2"):  # a size is an int, never truncated or a bool
+        with pytest.raises(PosetError) as e:
+            from_blocks([size], [])
+        assert str(e.value) == f"level sizes must be ints, got {size!r}"
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.0, True, False, 2, -1, "1", None])
