@@ -22,6 +22,8 @@ import operator
 from itertools import repeat
 from typing import Sequence, Tuple
 
+from .poset import check_level_sizes
+
 
 class RingError(TypeError):
     """Operation not supported by the ring (for example Boolean negation)."""
@@ -63,7 +65,7 @@ class BlockMatrix:
     """Square matrix of size S(n) partitioned by level sizes."""
 
     def __init__(self, level_sizes: Sequence[int], rows, ring=INT):
-        sizes = tuple(int(s) for s in level_sizes)
+        sizes = check_level_sizes(level_sizes, MatrixError)
         n = sum(sizes)
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -164,22 +166,6 @@ class BlockMatrix:
                 if row[j] != self.ring.zero:
                     return False
         return True
-
-    def is_one_band(self) -> bool:
-        """Support only on blocks (k, k+1)."""
-        off, z, n = self._offsets, self.ring.zero, self.n_levels
-        for r in range(1, n + 1):
-            # rows of level r may be nonzero only in the columns of level r+1
-            lo = off[r]
-            hi = off[r + 1] if r < n else lo
-            for row in self.rows[off[r - 1]:lo]:
-                if any(v != z for v in row[:lo]) or any(v != z for v in row[hi:]):
-                    return False
-        return True
-
-    def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(v == z for row in self.rows for v in row)
 
 
 def _check_compatible(A: BlockMatrix, B: BlockMatrix):

@@ -20,17 +20,15 @@ both sides of a comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .fsequence import FSequence, f_factorial, fnomial
-from .poset import GradedPoset, NodeLabel, PosetError
+from .poset import GradedPoset, NodeLabel, PosetError, check_layer_bounds, cobweb
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """A maximal chain of a layer: one node per level from start_level up.
 
     positions[i] is the 1-based position at level start_level + i.
@@ -56,16 +54,10 @@ class Chain:
                     f"{lvl + 1}:{self.positions[i + 1]} is not a cover")
 
 
-def _check_layer_bounds(P: GradedPoset, k: int, n: int):
-    if not 1 <= k <= n <= P.n_levels:
-        raise PosetError(
-            f"layer bounds must satisfy 1 <= k <= n <= {P.n_levels}, got ({k},{n})")
-
-
 def iter_max_chain_positions(P: GradedPoset, k: int, n: int) -> Iterator[Tuple[int, ...]]:
     """Yield the position tuples of all maximal chains of levels k..n in
     lexicographic order."""
-    _check_layer_bounds(P, k, n)
+    check_layer_bounds(P, k, n)
     if k == n:
         for p in range(1, P.level_sizes[k - 1] + 1):
             yield (p,)
@@ -117,7 +109,7 @@ def _unit(P: GradedPoset, node: NodeLabel) -> List[int]:
 
 def count_layer_chains(P: GradedPoset, k: int, n: int) -> int:
     """Number of maximal chains spanning levels k..n, by memoized tallies."""
-    _check_layer_bounds(P, k, n)
+    check_layer_bounds(P, k, n)
     return sum(_tallies(P, [1] * P.level_sizes[n - 1], n, k)[0])
 
 
@@ -155,7 +147,7 @@ def interval_chain_column(P: GradedPoset, y: NodeLabel) -> List[int]:
 def layer_chain_counts(P: GradedPoset, s: int) -> List[int]:
     """count_layer_chains(P, r, s) for r = 1..s, at index r - 1, from a
     single sweep down from level s."""
-    _check_layer_bounds(P, 1, s)
+    check_layer_bounds(P, 1, s)
     return [sum(tally) for tally in _tallies(P, [1] * P.level_sizes[s - 1], s, 1)]
 
 
@@ -173,21 +165,27 @@ def markov_product(P: GradedPoset, r: int, k: int, s: int) -> Tuple[int, int]:
 
 # -- hyper-boxes -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperBox:
-    """Discrete box with one axis per level of a layer: the coordinate view
-    of the layer's maximal chains."""
+class _HyperBox(NamedTuple):
+    # a NamedTuple may not define __new__, so HyperBox checks the fields
     lo: int
     hi: int
     dims: Tuple[int, ...]
 
-    def __post_init__(self):
+
+class HyperBox(_HyperBox):
+    """Discrete box with one axis per level of a layer: the coordinate view
+    of the layer's maximal chains."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.dims) != self.hi - self.lo + 1:
             raise ValueError(
                 f"box over levels {self.lo}..{self.hi} needs {self.hi - self.lo + 1} "
                 f"dimensions, got {len(self.dims)}")
         if any(d < 1 for d in self.dims):
             raise ValueError(f"box dimensions must be positive, got {self.dims}")
+        return self
 
     @property
     def cardinality(self) -> int:
@@ -217,8 +215,7 @@ def box_join(A: HyperBox, B: HyperBox) -> HyperBox:
     return HyperBox(A.lo, B.hi, A.dims + B.dims[1:])
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     bijective: bool
     chain_count: int
     box_cardinality: int
@@ -229,7 +226,7 @@ def chain_box_bijection(P: GradedPoset, k: int, n: int) -> BijectionReport:
     box point exactly once.  The identification is stated for cobwebs."""
     if not P.is_cobweb:
         raise PosetError("the chain-box identification is stated for cobwebs only")
-    _check_layer_bounds(P, k, n)
+    check_layer_bounds(P, k, n)
     box = HyperBox(k, n, tuple(P.level_sizes[k - 1:n]))
     seen = set()
     count = 0
@@ -243,8 +240,7 @@ def chain_box_bijection(P: GradedPoset, k: int, n: int) -> BijectionReport:
 
 # -- combinatorial interpretation checks ------------------------------------
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Cardinality consequence of the chain-partition interpretation: the
     layer's chain count divided by the block chain count m_F! must equal the
     F-nomial exactly."""
@@ -263,12 +259,10 @@ def fnomial_partition_check(F: FSequence, n: int, k: int) -> PartitionReport:
     if k == n:
         layer_count = 1  # empty layer span: the single empty chain
     else:
-        from .poset import cobweb
         layer_count = count_layer_chains(cobweb(F, n), k + 1, n)
     if m == 0:
         block_count = 1
     else:
-        from .poset import cobweb
         block_count = count_layer_chains(cobweb(F, m), 1, m)
     assert block_count == f_factorial(F, m)
     ratio = Fraction(layer_count, block_count)
@@ -277,8 +271,7 @@ def fnomial_partition_check(F: FSequence, n: int, k: int) -> PartitionReport:
                            ratio, fn, ratio == fn)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Both sides of the conjectured fnomial / chain-count index relation,
     left to the caller to compare: the offsets do not work out for every
     sequence, so this is a probe, not an assertion."""
@@ -294,7 +287,6 @@ def fnomial_chain_probe(F: FSequence, l: int, k: int) -> ProbeReport:
         raise ValueError(f"probe needs k >= 2 so that level k-2 exists rooted, got {k}")
     if l < k:
         raise ValueError(f"probe needs l >= k, got l={l} k={k}")
-    from .poset import cobweb
     if k == 2:
         # level 0 is realized by rooting: a single bottom node
         from .invariants import root

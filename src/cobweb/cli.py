@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import formats
 from .blockmat import MatrixError, RingError
-from .chains import count_interval_chains, count_layer_chains, enumerate_max_chains
+from .chains import count_interval_chains, count_layer_chains
 from .fsequence import SequenceError, fnomial, is_cobweb_admissible, preset
 from .incidence import coding_matrix, eta, eta_inverse, kroton, level_eta, \
     level_eta_inverse, level_max, level_max_inverse, level_mobius, level_zeta, \
@@ -252,8 +252,7 @@ def _cmd_chains(args) -> int:
         if args.count_only:
             out.write(f"{count_layer_chains(P, args.from_level, args.to_level)}\n")
         else:
-            cs = enumerate_max_chains(P, args.from_level, args.to_level)
-            out.write(formats.chains_to_json(cs))
+            formats.write_chains_json(P, args.from_level, args.to_level, out)
             out.write("\n")
         return 0
 

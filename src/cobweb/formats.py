@@ -4,13 +4,13 @@ and the ASCII staircase view of the zeta matrix."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO, List, Tuple
+from typing import IO, List, NamedTuple, Tuple
 
 from .blockmat import BlockMatrix
 from .chains import Chain, HyperBox
 from .incidence import CodingMatrix, level_zeta, zeta
-from .poset import GradedPoset, PosetError, first_non_binary
+from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes, \
+    first_non_binary
 
 
 class FormatError(ValueError):
@@ -30,6 +30,15 @@ def poset_to_json(P: GradedPoset) -> str:
     return json.dumps(obj)
 
 
+def _level_sizes(obj) -> Tuple[int, ...]:
+    """obj["level_sizes"] through the poset's size check."""
+    sizes = obj["level_sizes"]
+    try:
+        return check_level_sizes(sizes if isinstance(sizes, list) else ())
+    except PosetError:
+        raise FormatError("level_sizes: expected a nonempty list of positive integers") from None
+
+
 def poset_from_json(text: str) -> GradedPoset:
     try:
         obj = json.loads(text)
@@ -40,10 +49,7 @@ def poset_from_json(text: str) -> GradedPoset:
     for key in ("level_sizes", "blocks", "flags", "sequence"):
         if key not in obj:
             raise FormatError(f"{key}: missing field")
-    sizes = obj["level_sizes"]
-    if (not isinstance(sizes, list) or not sizes
-            or any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in sizes)):
-        raise FormatError("level_sizes: expected a nonempty list of positive integers")
+    sizes = _level_sizes(obj)
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or len(blocks) != len(sizes) - 1:
         raise FormatError(f"blocks: expected {len(sizes) - 1} blocks")
@@ -122,7 +128,7 @@ def matrix_from_json(text: str, ring=None) -> BlockMatrix:
         raise FormatError(f"not valid JSON: {e}")
     if not isinstance(obj, dict) or "level_sizes" not in obj or "entries" not in obj:
         raise FormatError("expected {level_sizes, entries}")
-    return BlockMatrix(obj["level_sizes"], obj["entries"], ring or INT)
+    return BlockMatrix(_level_sizes(obj), obj["entries"], ring or INT)
 
 
 def coding_to_json(C: CodingMatrix) -> str:
@@ -134,6 +140,32 @@ def chains_to_json(chains: List[Chain]) -> str:
     """Chains as arrays of [level, position] pairs."""
     return json.dumps([[[c.start_level + i, p] for i, p in enumerate(c.positions)]
                        for c in chains])
+
+
+def write_chains_json(P: GradedPoset, k: int, n: int, out: IO[str]):
+    """The maximal chains of levels k..n in the order and the bytes of
+    chains_to_json(enumerate_max_chains(P, k, n)), built as text.  A depth-
+    first walk over the blocks carries each chain's prefix as text, and the
+    chains through one node of level n - 1 go out in one write."""
+    check_layer_bounds(P, k, n)
+    # frags[d][j]: the pair of position j + 1 on level k + d
+    frags = [[f"[{k + d}, {p}]" for p in range(1, size + 1)]
+             for d, size in enumerate(P.level_sizes[k - 1:n])]
+    ups = [[[j for j, v in enumerate(row) if v] for row in blk]
+           for blk in P.blocks[k - 1:n - 1]]
+    sep = "["
+
+    def walk(d, prefix, nodes):
+        nonlocal sep
+        if d < n - k:
+            for j in nodes:
+                walk(d + 1, prefix + frags[d][j] + ", ", ups[d][j])
+        elif nodes:
+            out.write(sep + ", ".join([prefix + frags[d][j] + "]" for j in nodes]))
+            sep = ", "
+
+    walk(0, "[", range(len(frags[0])))
+    out.write("[]" if sep == "[" else "]")
 
 
 def hyperbox_to_json(box: HyperBox, include_points: bool = False) -> str:
@@ -163,8 +195,7 @@ def to_dot(P: GradedPoset) -> str:
 
 # -- La Scala rendering --------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaScalaRender:
+class LaScalaRender(NamedTuple):
     """ASCII view of zeta: '1' where comparable, '.' for the staircase zeros
     above the diagonal, blank below it."""
     lines: Tuple[str, ...]

@@ -9,9 +9,8 @@ Python integers and fractions.Fraction, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class SequenceError(ValueError):
@@ -178,8 +177,7 @@ def fnomial(F: FSequence, n: int, k: int) -> Fraction:
     return Fraction(f_falling(F, n, k), f_factorial(F, k))
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(NamedTuple):
     admissible: bool
     first_failure: Optional[tuple] = None  # (n, k) of the first non-integer F-nomial
 

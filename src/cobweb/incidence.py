@@ -23,8 +23,7 @@ poset and are the oracles the level forms are held to.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, NamedTuple, Set, Tuple
 
 from .blockmat import BOOL, INT, BlockMatrix, MatrixError, add, \
     nilpotent_closure, unitriangular_inverse
@@ -136,13 +135,18 @@ def kroton(F: FSequence, r: int, s: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CodingMatrix:
-    """Level-indexed integer matrix c_(r,s) compressing the cobweb Moebius
-    matrix: block (r, s) of mu equals c_(r,s) times the all-ones block."""
+class _CodingMatrix(NamedTuple):
+    # a NamedTuple may not define __new__, so CodingMatrix checks the fields
     entries: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
+
+class CodingMatrix(_CodingMatrix):
+    """Level-indexed integer matrix c_(r,s) compressing the cobweb Moebius
+    matrix: block (r, s) of mu equals c_(r,s) times the all-ones block."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("coding matrix must be square")
@@ -158,6 +162,7 @@ class CodingMatrix:
                 v = self.entries[r][s]
                 if v != 0 and (v > 0) != ((s - r) % 2 == 0):
                     raise ValueError(f"sign violation at ({r + 1},{s + 1})")
+        return self
 
     @property
     def n(self) -> int:
@@ -338,8 +343,7 @@ def logic_L(M: BlockMatrix) -> BlockMatrix:
 
 # -- the level algebra of cobwebs ------------------------------------------
 
-@dataclass(frozen=True)
-class LevelMatrix:
+class LevelMatrix(NamedTuple):
     """A cobweb matrix stored by level pairs.
 
     Diagonal blocks are the identity (entries[r][r] == 1), block (r+1, s+1)

@@ -10,8 +10,7 @@ summation over recurrence Moebius values and the two must agree exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .fsequence import FSequence
 from .incidence import interval_mobius
@@ -117,15 +116,21 @@ def whitney_second(P: RootedPoset, r: int) -> int:
     return P.rank_size(r)
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Integer coefficients of the characteristic polynomial, highest
-    degree first; coefficient of t^(n-k) is the k-th Whitney number."""
+class _CharPoly(NamedTuple):
+    # a NamedTuple may not define __new__, so CharPoly checks the fields
     coefficients: Tuple[int, ...]
 
-    def __post_init__(self):
+
+class CharPoly(_CharPoly):
+    """Integer coefficients of the characteristic polynomial, highest
+    degree first; coefficient of t^(n-k) is the k-th Whitney number."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.coefficients or self.coefficients[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
+        return self
 
     @property
     def degree(self) -> int:

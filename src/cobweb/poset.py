@@ -8,8 +8,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fsequence import FSequence
 
@@ -18,14 +17,27 @@ class PosetError(ValueError):
     """Invalid poset construction or operation."""
 
 
-@dataclass(frozen=True)
-class NodeLabel:
+class NodeLabel(NamedTuple):
     """A vertex: its level, 1-based position within the level, and the
     global label under natural labeling (left to right along level 1, then
     level 2, and so on)."""
     level: int
     position: int
     global_label: int
+
+
+def check_level_sizes(level_sizes, error=PosetError) -> Tuple[int, ...]:
+    """The sizes as a tuple, or `error` unless they are a nonempty run of
+    positive ints; a bool is not an int here."""
+    sizes = tuple(level_sizes)
+    for s in sizes:
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise error(f"level sizes must be ints, got {s!r}")
+    if not sizes:
+        raise error("at least one level is needed")
+    if any(s < 1 for s in sizes):
+        raise error(f"level sizes must be positive, got {sizes}")
+    return sizes
 
 
 def _freeze_block(block) -> Tuple[Tuple[int, ...], ...]:
@@ -48,14 +60,7 @@ class GradedPoset:
 
     def __init__(self, level_sizes: Sequence[int], blocks,
                  sequence_name: Optional[str] = None):
-        sizes = tuple(level_sizes)
-        for s in sizes:
-            if not isinstance(s, int) or isinstance(s, bool):
-                raise PosetError(f"level sizes must be ints, got {s!r}")
-        if not sizes:
-            raise PosetError("poset needs at least one level")
-        if any(s < 1 for s in sizes):
-            raise PosetError(f"level sizes must be positive, got {sizes}")
+        sizes = check_level_sizes(level_sizes)
         blocks = tuple(_freeze_block(b) for b in blocks)
         if len(blocks) != len(sizes) - 1:
             raise PosetError(
@@ -189,9 +194,7 @@ def cobweb(F: FSequence, n: int) -> GradedPoset:
     """The cobweb poset on levels 1..n: sizes <1_F,...,n_F>, all-ones blocks."""
     if n < 1:
         raise PosetError(f"cobweb needs n >= 1, got {n}")
-    sizes = F.prefix(n)
-    blocks = [ones_block(sizes[k], sizes[k + 1]) for k in range(n - 1)]
-    return GradedPoset(sizes, blocks, sequence_name=F.name)
+    return cobweb_of_sizes(F.prefix(n), F.name)
 
 
 def cobweb_of_sizes(sizes: Sequence[int],
@@ -233,10 +236,14 @@ def ordinal_sum(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
     return GradedPoset(sizes, blocks)
 
 
-def layer(P: GradedPoset, k: int, n: int) -> GradedPoset:
-    """The sub-poset on consecutive levels k..n."""
+def check_layer_bounds(P: GradedPoset, k: int, n: int):
     if not 1 <= k <= n <= P.n_levels:
         raise PosetError(
             f"layer bounds must satisfy 1 <= k <= n <= {P.n_levels}, got ({k},{n})")
+
+
+def layer(P: GradedPoset, k: int, n: int) -> GradedPoset:
+    """The sub-poset on consecutive levels k..n."""
+    check_layer_bounds(P, k, n)
     return GradedPoset(P.level_sizes[k - 1:n], P.blocks[k - 1:n - 1],
                        sequence_name=P.sequence_name)

@@ -20,8 +20,7 @@ already built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple
 
 from .blockmat import INT, BlockMatrix, mul
 from .chains import interval_chain_column, layer_chain_counts
@@ -31,8 +30,7 @@ from .invariants import RootedPoset, char_poly, whitney_first, whitney_second
 from .poset import GradedPoset
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

@@ -75,6 +75,23 @@ def fraction_inverse(rows):
     return B
 
 
+def is_one_band(M) -> bool:
+    """M is zero outside the blocks (k, k+1)."""
+    off, z, n = M._offsets, M.ring.zero, M.n_levels
+    for r in range(1, n + 1):
+        # rows of level r may be nonzero only in the columns of level r+1
+        lo = off[r]
+        hi = off[r + 1] if r < n else lo
+        for row in M.rows[off[r - 1]:lo]:
+            if any(v != z for v in row[:lo]) or any(v != z for v in row[hi:]):
+                return False
+    return True
+
+
+def is_zero(M) -> bool:
+    return all(v == M.ring.zero for row in M.rows for v in row)
+
+
 def random_no_mute_blocks(rng: random.Random, rows: int, cols: int):
     """A 0/1 matrix with no zero row and no zero column."""
     while True:

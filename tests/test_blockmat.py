@@ -10,7 +10,7 @@ from cobweb import BOOL, INT, BlockMatrix, MatrixError, RingError, add, mul, \
     nilpotent_closure, unitriangular_inverse
 from cobweb.blockmat import natural_join as mat_join
 
-from conftest import fraction_inverse
+from conftest import fraction_inverse, is_one_band, is_zero
 
 
 def rand_matrix(rng, sizes, ring, lo=-3, hi=3):
@@ -78,6 +78,15 @@ def test_shape_and_ring_mismatch():
         mul(A, A.with_ring(BOOL))
 
 
+@pytest.mark.parametrize("sizes", [[True, 2], [2.9], [1, 2.0], [0, 2], [2, -1], []])
+def test_level_sizes_are_positive_ints(sizes):
+    # the poset's size check: a bool or a float is refused, not truncated to
+    # the int sizes these entries would fit
+    n = sum(int(s) for s in sizes)
+    with pytest.raises(MatrixError, match="level"):
+        BlockMatrix(sizes, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_strictly_upper_product_shifts_band():
     rng = random.Random(7)
     sizes = [2, 2, 2, 2]
@@ -133,7 +142,7 @@ def test_band1_closure_matches_generic_path():
     blocks = [[[rng.randint(0, 2) for _ in range(sizes[k + 1])]
                for _ in range(sizes[k])] for k in range(3)]
     K = BlockMatrix.from_band_blocks(sizes, blocks, INT)
-    assert K.is_one_band()
+    assert is_one_band(K)
     assert nilpotent_closure(K) == series_closure(K)
 
 
@@ -145,7 +154,7 @@ def test_nilpotency_index(n):
     P = BlockMatrix.identity(sizes, INT)
     for _ in range(n):
         P = mul(P, K)
-    assert P.is_zero()
+    assert is_zero(P)
 
 
 def test_integer_closure_collapses_to_boolean():

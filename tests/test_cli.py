@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import cobweb as cobweb_pkg
-from cobweb import cli, cobweb, cobweb_of_sizes, fib, from_blocks, mobius, nat, \
-    root, zeta
+from cobweb import cli, cobweb, cobweb_of_sizes, const, enumerate_max_chains, fib, \
+    from_blocks, mobius, nat, root, zeta
 from cobweb.formats import poset_from_json, poset_to_json
 
 
@@ -135,6 +135,31 @@ def test_chains_commands(nat5_file, capsys):
     assert out.strip() == "2"
     code, _, err = run_cli(capsys, "chains", nat5_file)
     assert code == 1
+
+
+def test_chains_listing_streams_the_json_bytes(tmp_path, capsys):
+    # all 5^6 maximal chains of const:5 on 6 levels, against the listing as
+    # json.dumps writes it from the enumerated chains
+    P = cobweb(const(5), 6)
+    path = tmp_path / "const5.json"
+    path.write_text(poset_to_json(P))
+    code, out, err = run_cli(capsys, "chains", str(path), "--from", "1", "--to", "6")
+    assert (code, err) == (0, "")
+    chains = enumerate_max_chains(P, 1, 6)
+    assert len(chains) == 15625
+    assert out == json.dumps([[[c.start_level + i, p] for i, p in enumerate(c.positions)]
+                              for c in chains]) + "\n"
+
+
+def test_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a fixed cost on
+    # every CLI call; -S keeps site hooks from loading them first
+    code = ("import sys, cobweb.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_fnomial_output(capsys):

@@ -4,12 +4,13 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BlockMatrix, INT, antichain, cobweb, coding_matrix, \
-    enumerate_max_chains, fib, from_blocks, gauss, hyperbox, nat, zeta
+from cobweb import BlockMatrix, INT, PosetError, antichain, cobweb, coding_matrix, \
+    const, enumerate_max_chains, fib, from_blocks, gauss, hyperbox, nat, zeta
 from cobweb.formats import FormatError, chains_to_json, coding_to_json, \
     hyperbox_to_json, la_scala, matrix_from_json, poset_from_json, \
-    poset_to_json, to_dot, write_matrix_csv, write_matrix_json
+    poset_to_json, to_dot, write_chains_json, write_matrix_csv, write_matrix_json
 
 from conftest import random_no_mute_poset
 
@@ -79,6 +80,15 @@ def test_matrix_json_roundtrip(nat3):
     assert M == Z
 
 
+@pytest.mark.parametrize("sizes", ["[true, 2]", "[2.9]", "[true, 2.9]", "[0, 3]",
+                                   "[3, -1]", "[]", '"12"'])
+def test_matrix_json_refuses_bad_level_sizes(sizes):
+    entries = json.dumps([[int(i == j) for j in range(3)] for i in range(3)])
+    with pytest.raises(FormatError) as e:
+        matrix_from_json(f'{{"level_sizes": {sizes}, "entries": {entries}}}')
+    assert str(e.value) == "level_sizes: expected a nonempty list of positive integers"
+
+
 def test_coding_json():
     C = coding_matrix(nat(), 3)
     assert coding_to_json(C) == '{"c":[[1,-1,1],[0,1,-1],[0,0,1]]}'
@@ -89,6 +99,47 @@ def test_chains_json(nat3):
     arr = json.loads(chains_to_json(cs))
     assert arr[0] == [[2, 1], [3, 1]]
     assert len(arr) == 6
+
+
+def literal_listing(P, k, n) -> str:
+    """The listing as json.dumps writes it, from the enumerated chains."""
+    return json.dumps([[[c.start_level + i, p] for i, p in enumerate(c.positions)]
+                       for c in enumerate_max_chains(P, k, n)])
+
+
+@st.composite
+def small_posets(draw):
+    """Graded posets of 1-5 levels, 1-4 nodes each, with any 0/1 blocks, so
+    nodes may be mute and a layer may have no maximal chain at all."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    bits = st.floats(0, 1).map(lambda u: int(u < density))
+    blocks = [draw(st.lists(st.lists(bits, min_size=b, max_size=b), min_size=a, max_size=a))
+              for a, b in zip(sizes, sizes[1:])]
+    return from_blocks(sizes, blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posets())
+@example(from_blocks([2, 2], [[[0, 0], [0, 0]]]))
+@example(from_blocks([1, 2, 1], [[[1, 1]], [[0], [0]]]))
+@example(cobweb(const(3), 4))
+def test_write_chains_json_is_the_literal_listing(P):
+    for k in range(1, P.n_levels + 1):
+        for n in range(k, P.n_levels + 1):
+            buf = io.StringIO()
+            write_chains_json(P, k, n, buf)
+            assert buf.getvalue() == literal_listing(P, k, n)
+
+
+def test_write_chains_json_empty_layer_and_bounds():
+    P = from_blocks([2, 1], [[[0], [0]]])
+    buf = io.StringIO()
+    write_chains_json(P, 1, 2, buf)
+    assert buf.getvalue() == "[]"
+    for k, n in [(0, 1), (2, 1), (1, 3)]:
+        with pytest.raises(PosetError):
+            write_chains_json(P, k, n, io.StringIO())
 
 
 def test_hyperbox_json():

@@ -1,0 +1,75 @@
+"""The package's result records: immutable named tuples that keep their
+field names, checks, repr, equality and hashing, and survive pickling."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from cobweb import INT, AdmissibilityVerdict, BijectionReport, Chain, CharPoly, \
+    CheckResult, CodingMatrix, HyperBox, LevelMatrix, NodeLabel, PartitionReport
+from cobweb.chains import ProbeReport
+from cobweb.formats import LaScalaRender
+
+
+def all_records():
+    """One valid instance of each record type."""
+    return [NodeLabel(1, 2, 2), Chain(1, (1, 2)), HyperBox(1, 2, (1, 2)),
+            BijectionReport(True, 2, 2),
+            PartitionReport(6, 2, True, Fraction(3), Fraction(3), True),
+            ProbeReport(Fraction(1), Fraction(1), True), AdmissibilityVerdict(True),
+            CodingMatrix(((1, -1), (0, 1))), LevelMatrix((1, 2), ((1, 1), (0, 1))),
+            CharPoly((1, -2)), LaScalaRender(("1 1", "  1")), CheckResult("zeta", "x", True)]
+
+
+# each bad input given positionally and by keyword
+CHECKED = [
+    (HyperBox, dict(lo=1, hi=2, dims=(3,)), "needs 2 dimensions"),
+    (HyperBox, dict(lo=1, hi=2, dims=(3, 0)), "must be positive"),
+    (CharPoly, dict(coefficients=()), "monic"),
+    (CharPoly, dict(coefficients=(2, 1)), "monic"),
+    (CodingMatrix, dict(entries=((1, -1),)), "square"),
+    (CodingMatrix, dict(entries=((1, 1), (0, 1))), "superdiagonal"),
+    (CodingMatrix, dict(entries=((1, -1), (1, 1))), "diagonal"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,message", CHECKED)
+def test_checked_records_refuse_bad_input(cls, fields, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*fields.values())
+    with pytest.raises(ValueError, match=message):
+        cls(**fields)
+
+
+@pytest.mark.parametrize("rec", all_records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable(rec):
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], None)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+@pytest.mark.parametrize("i", range(len(all_records())))
+def test_equal_records_are_equal_and_hash_alike(i):
+    a, b = all_records()[i], all_records()[i]
+    assert a is not b and a == b and hash(a) == hash(b)
+    # a named tuple equals the plain tuple of its fields, and iterates them
+    assert a == tuple(a) and list(a) == [getattr(a, f) for f in a._fields]
+
+
+def test_records_keep_their_repr_and_fields():
+    assert repr(NodeLabel(1, 2, 2)) == "NodeLabel(level=1, position=2, global_label=2)"
+    assert repr(HyperBox(1, 2, (1, 2))) == "HyperBox(lo=1, hi=2, dims=(1, 2))"
+    assert CheckResult("s", "n", True).detail == ""
+    assert LevelMatrix((1,), ((1,),)).ring is INT
+    assert AdmissibilityVerdict(False, (3, 1)).first_failure == (3, 1)
+
+
+# a LevelMatrix holds its ring, which pickles by value and so comes back as
+# a new ring object; every other record holds plain values
+@pytest.mark.parametrize("rec", [r for r in all_records() if not isinstance(r, LevelMatrix)],
+                         ids=lambda r: type(r).__name__)
+def test_records_pickle_round_trip(rec):
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is type(rec) and back == rec
