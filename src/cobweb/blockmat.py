@@ -13,13 +13,15 @@ time from the bottom: row x of R is e_x plus (closure, R = I + K R) or minus
 zero left of its diagonal, and in a graded poset also across the rest of its
 own level and past its last comparable node, so each finished row is kept
 right of its diagonal from its first to its last nonzero: a coefficient adds
-only that trimmed span, with one C-level map of the ring's addition.
+only that trimmed span, with one C-level map of the ring's addition.  The
+level algebra of cobwebs runs the same solve on its n x n table once each
+column is weighted by the size of its level (see incidence.py).
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Sequence, Tuple
 
 from .poset import check_level_sizes
@@ -43,6 +45,10 @@ class IntegerRing:
     mul = operator.mul
     neg = operator.neg
 
+    def __reduce__(self):
+        # pickled and copied by name, so `ring is INT` survives a round trip
+        return "INT"
+
 
 class BooleanSemiring:
     """Two-element semiring: add = or, mul = and, no additive inverse."""
@@ -55,6 +61,9 @@ class BooleanSemiring:
     @staticmethod
     def neg(a):
         raise RingError("the Boolean semiring has no negation")
+
+    def __reduce__(self):
+        return "BOOL"
 
 
 INT = IntegerRing()
@@ -73,10 +82,7 @@ class BlockMatrix:
         self.level_sizes = sizes
         self.rows = rows
         self.ring = ring
-        off = [0]
-        for s in sizes:
-            off.append(off[-1] + s)
-        self._offsets = tuple(off)
+        self._offsets = tuple(accumulate(sizes, initial=0))
 
     # -- constructors ---------------------------------------------------
 
@@ -100,17 +106,18 @@ class BlockMatrix:
         band_blocks[k] sits at block (k+1, k+2), the shape of a cover
         relation between adjacent levels.
         """
-        M = cls.zeros(level_sizes, ring)
-        rows = [list(r) for r in M.rows]
-        off = M._offsets
-        if len(band_blocks) != len(M.level_sizes) - 1:
+        sizes = check_level_sizes(level_sizes, MatrixError)
+        if len(band_blocks) != len(sizes) - 1:
             raise MatrixError("one band block per adjacent level pair required")
+        n = sum(sizes)
+        rows = [[ring.zero] * n for _ in range(n)]
+        r0 = 0
         for k, blk in enumerate(band_blocks):
-            r0, c0 = off[k], off[k + 1]
+            c0 = r0 + sizes[k]
             for i, row in enumerate(blk):
-                for j, v in enumerate(row):
-                    rows[r0 + i][c0 + j] = v
-        return cls(level_sizes, rows, ring)
+                rows[r0 + i][c0:c0 + len(row)] = row
+            r0 = c0
+        return cls(sizes, rows, ring)
 
     # -- bookkeeping ------------------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, product
+from math import prod
 from typing import Iterator, List, NamedTuple, Tuple
 
 from .fsequence import FSequence, f_factorial, fnomial
@@ -189,10 +190,7 @@ class HyperBox(_HyperBox):
 
     @property
     def cardinality(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return prod(self.dims)
 
     def points(self) -> Iterator[Tuple[int, ...]]:
         return product(*(range(1, d + 1) for d in self.dims))

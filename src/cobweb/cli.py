@@ -13,16 +13,17 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import formats
 from .blockmat import MatrixError, RingError
 from .chains import count_interval_chains, count_layer_chains
 from .fsequence import SequenceError, fnomial, is_cobweb_admissible, preset
-from .incidence import coding_matrix, eta, eta_inverse, kroton, level_eta, \
-    level_eta_inverse, level_max, level_max_inverse, level_mobius, level_zeta, \
-    max_inverse, max_matrix, mobius, zeta
-from .invariants import RootedPoset, char_poly, whitney_first, whitney_second
+from .incidence import MOBIUS_METHODS, ZETA_METHODS, coding_matrix, eta, \
+    eta_inverse, kroton, level_eta, level_eta_inverse, level_max, \
+    level_max_inverse, level_mobius, level_zeta, max_inverse, max_matrix, \
+    mobius, zeta
+from .invariants import RootedPoset, char_poly, root, whitney_first, \
+    whitney_second
 from .poset import GradedPoset, PosetError, cobweb, from_blocks, ones_block
 from .suites import run_checks
 
@@ -97,14 +98,8 @@ def _load_rooted(args, command: str) -> RootedPoset:
     return RootedPoset.from_poset(P)
 
 
-def _fraction_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-ZETA_FLAG_TO_METHOD = {"closure": "closure", "label-delta": "label_delta",
-                       "label-knuth": "label_knuth", "label-s": "label_S"}
-MOBIUS_FLAG_TO_METHOD = {"closed-form": "closed_form", "invert": "invert",
-                         "recurrence": "recurrence"}
+ZETA_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in ZETA_METHODS}
+MOBIUS_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in MOBIUS_METHODS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,6 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Exact incidence algebra of graded posets built "
                             "as natural joins of bipartite layers.")
     sub = p.add_subparsers(dest="command", metavar="command")
+    # parent parsers: the poset and -o of the commands that read a poset and
+    # write a result, and the --format of the csv/json matrix commands
+    poset_io = argparse.ArgumentParser(add_help=False)
+    poset_io.add_argument("poset")
+    poset_io.add_argument("-o", "--output")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
 
     g = sub.add_parser("gen", help="generate a poset and write its JSON")
     g.add_argument("--seq", help="sequence spec: nat|fib|gauss:q=<int>|const:<int>|file:<path>")
@@ -121,29 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--blocks", help="JSON file with explicit 0/1 blocks")
     g.add_argument("-o", "--output", help="output path (default stdout)")
 
-    z = sub.add_parser("zeta", help="zeta matrix of a poset")
-    z.add_argument("poset")
+    z = sub.add_parser("zeta", parents=[poset_io], help="zeta matrix of a poset")
     z.add_argument("--method", choices=sorted(ZETA_FLAG_TO_METHOD), default="closure")
     z.add_argument("--format", choices=["csv", "json", "ascii"], default="csv")
-    z.add_argument("-o", "--output")
 
-    m = sub.add_parser("mobius", help="Moebius matrix of a poset")
-    m.add_argument("poset")
+    m = sub.add_parser("mobius", parents=[poset_io, fmt], help="Moebius matrix of a poset")
     m.add_argument("--method", choices=sorted(MOBIUS_FLAG_TO_METHOD), default="invert")
-    m.add_argument("--format", choices=["csv", "json"], default="csv")
-    m.add_argument("-o", "--output")
 
-    x = sub.add_parser("max", help="maximal-chain counting matrix")
-    x.add_argument("poset")
+    x = sub.add_parser("max", parents=[poset_io, fmt], help="maximal-chain counting matrix")
     x.add_argument("--inverse", action="store_true")
-    x.add_argument("--format", choices=["csv", "json"], default="csv")
-    x.add_argument("-o", "--output")
 
-    e = sub.add_parser("eta", help="reflexive cover matrix")
-    e.add_argument("poset")
+    e = sub.add_parser("eta", parents=[poset_io, fmt], help="reflexive cover matrix")
     e.add_argument("--inverse", action="store_true")
-    e.add_argument("--format", choices=["csv", "json"], default="csv")
-    e.add_argument("-o", "--output")
 
     c = sub.add_parser("chains", help="maximal chains of a layer")
     c.add_argument("poset")
@@ -185,13 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--suite", default="all",
                     choices=["all", "zeta", "mobius", "max", "markov", "whitney"])
 
-    d = sub.add_parser("dot", help="DOT export of the Hasse digraph")
-    d.add_argument("poset")
-    d.add_argument("-o", "--output")
-
-    ls = sub.add_parser("lascala", help="ASCII staircase view of zeta")
-    ls.add_argument("poset")
-    ls.add_argument("-o", "--output")
+    sub.add_parser("dot", parents=[poset_io], help="DOT export of the Hasse digraph")
+    sub.add_parser("lascala", parents=[poset_io], help="ASCII staircase view of zeta")
     return p
 
 
@@ -205,7 +191,7 @@ def _cmd_gen(args) -> int:
         try:
             with open(args.blocks, "r", encoding="utf-8") as fh:
                 blocks = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, json.JSONDecodeError, RecursionError) as e:
             raise CliError(f"cannot read blocks file {args.blocks}: {e}")
         if not isinstance(blocks, list) or not blocks or not all(map(_is_matrix, blocks)):
             raise CliError("blocks file must hold a nonempty list of nonempty "
@@ -232,7 +218,6 @@ def _cmd_gen(args) -> int:
         _check_levels(args.levels + (1 if args.root else 0))
         F = preset(args.seq)
         if args.root:
-            from .invariants import root
             P = root(F, args.levels)
         else:
             P = cobweb(F, args.levels)
@@ -294,7 +279,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_fnomial(args) -> int:
-    print(_fraction_str(fnomial(preset(args.seq), args.n, args.k)))
+    print(fnomial(preset(args.seq), args.n, args.k))
     return 0
 
 

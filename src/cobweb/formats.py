@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from typing import IO, List, NamedTuple, Tuple
 
-from .blockmat import BlockMatrix
+from .blockmat import INT, BlockMatrix
 from .chains import Chain, HyperBox
 from .incidence import CodingMatrix, level_zeta, zeta
 from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes, \
@@ -22,8 +22,8 @@ class FormatError(ValueError):
 def poset_to_json(P: GradedPoset) -> str:
     """Canonical poset JSON, fields in fixed order."""
     obj = {
-        "level_sizes": list(P.level_sizes),
-        "blocks": [[list(row) for row in blk] for blk in P.blocks],
+        "level_sizes": P.level_sizes,
+        "blocks": P.blocks,
         "flags": {"cobweb": P.is_cobweb, "no_mute": not P.has_mute_nodes},
         "sequence": P.sequence_name,
     }
@@ -42,7 +42,7 @@ def _level_sizes(obj) -> Tuple[int, ...]:
 def poset_from_json(text: str) -> GradedPoset:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise FormatError("top level: expected an object")
@@ -98,7 +98,7 @@ def write_matrix_csv(M, out: IO[str]):
 
 
 def write_matrix_json(M, out: IO[str]):
-    out.write('{"level_sizes":%s,"entries":[' % json.dumps(list(M.level_sizes)))
+    out.write('{"level_sizes":%s,"entries":[' % json.dumps(M.level_sizes))
     for i, text in enumerate(_row_texts(M, ", ")):
         out.write("," if i else "")
         out.write("[" + text + "]")
@@ -121,10 +121,9 @@ def _row_texts(M, sep: str):
 
 
 def matrix_from_json(text: str, ring=None) -> BlockMatrix:
-    from .blockmat import INT
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"not valid JSON: {e}")
     if not isinstance(obj, dict) or "level_sizes" not in obj or "entries" not in obj:
         raise FormatError("expected {level_sizes, entries}")
@@ -132,7 +131,7 @@ def matrix_from_json(text: str, ring=None) -> BlockMatrix:
 
 
 def coding_to_json(C: CodingMatrix) -> str:
-    return json.dumps({"c": [list(row) for row in C.entries]},
+    return json.dumps({"c": C.entries},
                       separators=(",", ":"))
 
 
@@ -169,9 +168,9 @@ def write_chains_json(P: GradedPoset, k: int, n: int, out: IO[str]):
 
 
 def hyperbox_to_json(box: HyperBox, include_points: bool = False) -> str:
-    obj = {"lo": box.lo, "hi": box.hi, "dims": list(box.dims)}
+    obj = {"lo": box.lo, "hi": box.hi, "dims": box.dims}
     if include_points:
-        obj["points"] = [list(p) for p in box.points()]
+        obj["points"] = list(box.points())
     return json.dumps(obj)
 
 

@@ -10,6 +10,7 @@ Python integers and fractions.Fraction, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable, NamedTuple, Optional
 
 
@@ -154,20 +155,14 @@ def f_factorial(F: FSequence, n: int) -> int:
     """n_F! = 1_F * 2_F * ... * n_F, with 0_F! = 1."""
     if n < 0:
         raise SequenceError(f"factorial index must be >= 0, got {n}")
-    out = 1
-    for k in range(1, n + 1):
-        out *= F.value(k)
-    return out
+    return prod(F.value(k) for k in range(1, n + 1))
 
 
 def f_falling(F: FSequence, n: int, k: int) -> int:
     """Falling product n_F * (n-1)_F * ... * (n-k+1)_F; k = 0 gives 1."""
     if not 0 <= k <= n:
         raise SequenceError(f"falling factorial needs 0 <= k <= n, got n={n} k={k}")
-    out = 1
-    for j in range(n, n - k, -1):
-        out *= F.value(j)
-    return out
+    return prod(F.value(j) for j in range(n, n - k, -1))
 
 
 def fnomial(F: FSequence, n: int, k: int) -> Fraction:

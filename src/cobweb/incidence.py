@@ -14,18 +14,23 @@ costs O(N^2) for N nodes.
 In a cobweb every off-diagonal block of zeta, Moebius, max, eta and their
 inverses is constant and every diagonal block is the identity, so each fits
 in an n x n LevelMatrix: the reduced incidence algebra of Doubilet, Rota and
-Stanley.  Each level route keeps the algorithm of the dense route it stands
-for, and a LevelMatrix is expanded to node rows one row at a time, so a
-level route holds no N x N matrix.  The dense routes serve every other
-poset and are the oracles the level forms are held to.
+Stanley.  There (AB)(r, s) = sum over k of A(r, k) k_F B(k, s), so weighting
+every column s right of the diagonal by s_F turns the level product into
+the plain n x n product: level closure and inverse run the same row solve
+as the dense routes, blockmat._unit_solve, on the size-weighted n x n
+table.  Each level route solves what its dense route solves, and a
+LevelMatrix is expanded to node rows one row at a time, so a level route
+holds no N x N matrix.  The dense routes serve every other poset and are
+the oracles the level forms are held to.
 """
 
 from __future__ import annotations
 
 import warnings
+from math import prod
 from typing import List, NamedTuple, Set, Tuple
 
-from .blockmat import BOOL, INT, BlockMatrix, MatrixError, add, \
+from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, add, \
     nilpotent_closure, unitriangular_inverse
 from .fsequence import FSequence
 from .poset import GradedPoset, PosetError
@@ -129,10 +134,7 @@ def kroton(F: FSequence, r: int, s: int) -> int:
         raise ValueError(f"level labels must be >= 0, got r={r} s={s}")
     if s <= r:
         return 0
-    out = 1
-    for i in range(r + 1, s):
-        out *= F.value(i) - 1
-    return out
+    return prod(F.value(i) - 1 for i in range(r + 1, s))
 
 
 class _CodingMatrix(NamedTuple):
@@ -235,14 +237,10 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
     if method == "recurrence":
         return _mobius_recurrence(P)
     if method == "closed_form":
-        return _mobius_closed_form(P)
+        if not P.is_cobweb:
+            raise PosetError("closed form Moebius is defined for cobwebs only")
+        return level_mobius(P, "closed_form").to_block()
     raise ValueError(f"unknown mobius method {method!r}")
-
-
-def _mobius_closed_form(P: GradedPoset) -> BlockMatrix:
-    if not P.is_cobweb:
-        raise PosetError("closed form Moebius is defined for cobwebs only")
-    return level_mobius(P, "closed_form").to_block()
 
 
 def reachable_sets(P: GradedPoset) -> List[Set[int]]:
@@ -386,52 +384,31 @@ def _cobweb_sizes(P: GradedPoset) -> Tuple[int, ...]:
     return P.level_sizes
 
 
-def _unit(n: int) -> List[List[int]]:
-    return [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-
-
-def _frozen(sizes, ent, ring=INT) -> LevelMatrix:
-    return LevelMatrix(sizes, tuple(map(tuple, ent)), ring)
-
-
-def _level_closure(sizes, ring) -> LevelMatrix:
-    # I + K + K^2 + ... band by band: J_(a x b) J_(b x c) = b J_(a x c), so
-    # K^j(r, r+j) is the product of the j-1 intermediate level sizes, and
-    # over BOOL it is 1
-    n = len(sizes)
-    ent = _unit(n)
-    for j in range(1, n):
-        for r in range(n - j):
-            s = r + j
-            ent[r][s] = 1 if j == 1 or ring is BOOL else ent[r][s - 1] * sizes[s - 1]
-    return _frozen(sizes, ent, ring)
-
-
-def _level_inverse(sizes, f) -> LevelMatrix:
-    # the unit-triangular recurrence, column by column like the dense
-    # inverse: g(r,s) = -(f(r,s) + sum over r<k<s of k_F f(r,k) g(k,s))
-    n = len(sizes)
-    g = _unit(n)
-    for s in range(n):
-        for r in range(s - 1, -1, -1):
-            acc = f[r][s]
-            for k in range(r + 1, s):
-                acc += sizes[k] * f[r][k] * g[k][s]
-            g[r][s] = -acc
-    return _frozen(sizes, g)
+def _level_solve(sizes, entries, ring, negate) -> LevelMatrix:
+    # R = I + N R (negate false) or R = I - N R on the table with column s
+    # weighted by s_F, since J_(a x b) J_(b x c) = b J_(a x c); over BOOL
+    # J J = J, so the weight is 1.  Column s of R then carries the factor
+    # s_F right of the diagonal, and dividing it out is exact.
+    weights = [1] * len(sizes) if ring is BOOL else sizes
+    rows = [[v * weights[s] if s > r else v for s, v in enumerate(row)]
+            for r, row in enumerate(entries)]
+    solved = _unit_solve(rows, ring, negate)
+    return LevelMatrix(sizes, tuple(
+        tuple(v // weights[s] if s > r else v for s, v in enumerate(row))
+        for r, row in enumerate(solved)), ring)
 
 
 def _level_band(sizes, v) -> LevelMatrix:
     # identity plus v on the first block band
-    ent = _unit(len(sizes))
-    for r in range(len(sizes) - 1):
-        ent[r][r + 1] = v
-    return _frozen(sizes, ent)
+    n = len(sizes)
+    return LevelMatrix(sizes, tuple(
+        tuple(1 if s == r else v if s == r + 1 else 0 for s in range(n))
+        for r in range(n)))
 
 
 def level_zeta(P: GradedPoset) -> LevelMatrix:
     """Level form of zeta(P, "closure") for a cobweb, over BOOL."""
-    return _level_closure(_cobweb_sizes(P), BOOL)
+    return _level_solve(_cobweb_sizes(P), level_eta(P).entries, BOOL, False)
 
 
 def level_mobius(P: GradedPoset, method: str = "invert") -> LevelMatrix:
@@ -440,7 +417,7 @@ def level_mobius(P: GradedPoset, method: str = "invert") -> LevelMatrix:
     `closed_form` is coding_matrix."""
     sizes = _cobweb_sizes(P)
     if method == "invert":
-        return _level_inverse(sizes, level_zeta(P).entries)
+        return _level_solve(sizes, level_zeta(P).entries, INT, True)
     if method not in MOBIUS_METHODS:
         raise ValueError(f"unknown mobius method {method!r}")
     route = coding_recurrence if method == "recurrence" else coding_matrix
@@ -449,7 +426,7 @@ def level_mobius(P: GradedPoset, method: str = "invert") -> LevelMatrix:
 
 def level_max(P: GradedPoset) -> LevelMatrix:
     """Level form of max_matrix(P) for a cobweb."""
-    return _level_closure(_cobweb_sizes(P), INT)
+    return _level_solve(_cobweb_sizes(P), level_eta(P).entries, INT, False)
 
 
 def level_max_inverse(P: GradedPoset) -> LevelMatrix:
@@ -464,4 +441,4 @@ def level_eta(P: GradedPoset) -> LevelMatrix:
 
 def level_eta_inverse(P: GradedPoset) -> LevelMatrix:
     """Level form of eta_inverse(P), by inverting level eta."""
-    return _level_inverse(P.level_sizes, level_eta(P).entries)
+    return _level_solve(P.level_sizes, level_eta(P).entries, INT, True)

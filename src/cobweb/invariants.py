@@ -143,7 +143,7 @@ class CharPoly(_CharPoly):
         return acc
 
     def to_json(self) -> str:
-        return json.dumps(list(self.coefficients))
+        return json.dumps(self.coefficients)
 
     def __str__(self):
         n = self.degree

@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fsequence import FSequence
@@ -82,10 +83,7 @@ class GradedPoset:
         self.blocks = blocks
         self.sequence_name = sequence_name
         # prefix sums: _offsets[k] = S(k) = number of nodes in levels 1..k
-        off = [0]
-        for s in sizes:
-            off.append(off[-1] + s)
-        self._offsets = tuple(off)
+        self._offsets = tuple(accumulate(sizes, initial=0))
         self.is_cobweb = is_cobweb
         self.has_mute_nodes = len(self.mute_nodes()) > 0
 
@@ -140,12 +138,6 @@ class GradedPoset:
                 yield NodeLabel(level, pos, g)
 
     # -- cover relation -----------------------------------------------------
-
-    def covers(self, x: NodeLabel, y: NodeLabel) -> bool:
-        """True when y covers x (y one level up, arc present)."""
-        if y.level != x.level + 1:
-            return False
-        return self.blocks[x.level - 1][x.position - 1][y.position - 1] == 1
 
     def upper_covers(self, x: NodeLabel) -> List[NodeLabel]:
         if x.level == self.n_levels:

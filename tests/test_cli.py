@@ -345,6 +345,15 @@ def test_poset_file_with_a_boolean_level_size_is_refused(tmp_path):
         "cobweb: level_sizes: expected a nonempty list of positive integers\n"
 
 
+@pytest.mark.parametrize("argv", [["max"], ["gen", "--blocks"]])
+def test_deeply_nested_json_is_a_diagnostic(tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "\n")
+    code, out, err = run_cli_process(*argv, str(path))
+    assert_one_line_diagnostic(code, err)
+    assert out == "" and "recursion" in err
+
+
 def dense_la_scala(P):
     """The staircase drawn from the dense zeta closure, cell by cell."""
     lines = []

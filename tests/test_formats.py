@@ -89,6 +89,13 @@ def test_matrix_json_refuses_bad_level_sizes(sizes):
     assert str(e.value) == "level_sizes: expected a nonempty list of positive integers"
 
 
+def test_deeply_nested_json_is_a_format_error():
+    # the decoder gives up on deep nesting with RecursionError
+    for load in (matrix_from_json, poset_from_json):
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load("[" * 100000)
+
+
 def test_coding_json():
     C = coding_matrix(nat(), 3)
     assert coding_to_json(C) == '{"c":[[1,-1,1],[0,1,-1],[0,0,1]]}'

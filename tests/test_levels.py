@@ -1,6 +1,7 @@
 """Cobweb matrices in the level algebra, held to their dense routes."""
 
 import io
+import math
 import os
 import subprocess
 import sys
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cobweb as cobweb_pkg
-from cobweb import BOOL, INT, PosetError, cobweb, cobweb_of_sizes, eta, \
-    eta_inverse, fib, from_blocks, gauss, kroton, level_eta, level_eta_inverse, \
-    level_max, level_max_inverse, level_mobius, level_zeta, max_inverse, \
-    max_matrix, mobius, zeta
+from cobweb import BOOL, INT, FSequence, PosetError, cobweb, cobweb_of_sizes, \
+    coding_matrix, eta, eta_inverse, fib, from_blocks, gauss, kroton, level_eta, \
+    level_eta_inverse, level_max, level_max_inverse, level_mobius, level_zeta, \
+    max_inverse, max_matrix, mobius, zeta
 from cobweb import cli
 from cobweb.formats import poset_to_json, write_matrix_csv, write_matrix_json
 
@@ -63,6 +64,31 @@ def test_level_tables_pinned():
     assert level_eta_inverse(P).entries[0] == (1, -1, 2, -6)
     assert level_max_inverse(P).entries[1] == (0, 1, -1, 0)
     assert level_mobius(P).ring is INT
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8))
+def test_level_solve_matches_closed_forms(sizes):
+    # each level route against a formula that shares no code with the row solve
+    P = cobweb_of_sizes(sizes)
+    n = len(sizes)
+
+    def between(r, s):
+        return math.prod(sizes[r + 1:s])
+
+    tables = {
+        level_max: [[between(r, s) if s > r else int(r == s) for s in range(n)]
+                    for r in range(n)],
+        level_eta_inverse: [[(-1) ** (s - r) * between(r, s) if s > r else int(r == s)
+                             for s in range(n)] for r in range(n)],
+        lambda Q: level_mobius(Q, "invert"):
+            coding_matrix(FSequence(list(sizes)), n).entries,
+        level_zeta: [[int(s >= r) for s in range(n)] for r in range(n)],
+    }
+    for route, want in tables.items():
+        got = route(P).entries
+        for r in range(n):
+            assert list(got[r]) == list(want[r]), (sizes, r)
 
 
 def test_level_forms_refuse_non_cobwebs():

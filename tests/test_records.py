@@ -1,13 +1,15 @@
 """The package's result records: immutable named tuples that keep their
 field names, checks, repr, equality and hashing, and survive pickling."""
 
+import copy
 import pickle
 from fractions import Fraction
 
 import pytest
 
-from cobweb import INT, AdmissibilityVerdict, BijectionReport, Chain, CharPoly, \
-    CheckResult, CodingMatrix, HyperBox, LevelMatrix, NodeLabel, PartitionReport
+from cobweb import BOOL, INT, AdmissibilityVerdict, BijectionReport, Chain, CharPoly, \
+    CheckResult, CodingMatrix, HyperBox, LevelMatrix, NodeLabel, PartitionReport, \
+    cobweb_of_sizes, level_zeta, max_matrix, mul
 from cobweb.chains import ProbeReport
 from cobweb.formats import LaScalaRender
 
@@ -66,10 +68,18 @@ def test_records_keep_their_repr_and_fields():
     assert AdmissibilityVerdict(False, (3, 1)).first_failure == (3, 1)
 
 
-# a LevelMatrix holds its ring, which pickles by value and so comes back as
-# a new ring object; every other record holds plain values
-@pytest.mark.parametrize("rec", [r for r in all_records() if not isinstance(r, LevelMatrix)],
-                         ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("rec", all_records(), ids=lambda r: type(r).__name__)
 def test_records_pickle_round_trip(rec):
     back = pickle.loads(pickle.dumps(rec))
     assert type(back) is type(rec) and back == rec
+
+
+def test_rings_survive_pickling_and_copying():
+    P = cobweb_of_sizes((1, 2, 3))
+    L = pickle.loads(pickle.dumps(level_zeta(P)))
+    assert L == level_zeta(P) and L.ring is BOOL
+    M = pickle.loads(pickle.dumps(max_matrix(P)))
+    assert M.ring is INT
+    assert mul(M, max_matrix(P)) == mul(max_matrix(P), max_matrix(P))
+    for ring in (INT, BOOL):
+        assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
