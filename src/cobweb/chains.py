@@ -254,13 +254,10 @@ def fnomial_partition_check(F: FSequence, n: int, k: int) -> PartitionReport:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
     m = n - k
-    if k == n:
-        layer_count = 1  # empty layer span: the single empty chain
+    if m == 0:
+        layer_count = block_count = 1  # empty spans: the single empty chain
     else:
         layer_count = count_layer_chains(cobweb(F, n), k + 1, n)
-    if m == 0:
-        block_count = 1
-    else:
         block_count = count_layer_chains(cobweb(F, m), 1, m)
     assert block_count == f_factorial(F, m)
     ratio = Fraction(layer_count, block_count)
@@ -285,17 +282,10 @@ def fnomial_chain_probe(F: FSequence, l: int, k: int) -> ProbeReport:
         raise ValueError(f"probe needs k >= 2 so that level k-2 exists rooted, got {k}")
     if l < k:
         raise ValueError(f"probe needs l >= k, got l={l} k={k}")
-    if k == 2:
-        # level 0 is realized by rooting: a single bottom node
-        from .invariants import root
-        P = root(F, l + 1)
-        x = P.node(1, 1)
-        y = P.node(l + 2, 1)
-    else:
-        P = cobweb(F, l + 1)
-        x = P.node(k - 2, 1)
-        y = P.node(l + 1, 1)
-    count = count_interval_chains(P, x, y)
+    # level 0 is realized by rooting: a single bottom node, under which
+    # level j of F's cobweb is level j + 1
+    P = cobweb(F.rooted(), l + 2)
+    count = count_interval_chains(P, P.node(k - 1, 1), P.node(l + 2, 1))
     rhs = Fraction(count, f_factorial(F, l - k))
     lhs = fnomial(F, l, k)
     return ProbeReport(lhs, rhs, lhs == rhs)

@@ -136,14 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eta", parents=[poset_io, fmt], help="reflexive cover matrix")
     e.add_argument("--inverse", action="store_true")
 
-    c = sub.add_parser("chains", help="maximal chains of a layer")
-    c.add_argument("poset")
+    c = sub.add_parser("chains", parents=[poset_io], help="maximal chains of a layer")
     c.add_argument("--from", dest="from_level", type=int)
     c.add_argument("--to", dest="to_level", type=int)
     c.add_argument("--count-only", action="store_true")
     c.add_argument("--interval", nargs=2, type=int, metavar=("X", "Y"),
                    help="count chains between two global labels")
-    c.add_argument("-o", "--output")
 
     f = sub.add_parser("fnomial", help="F-nomial coefficient")
     f.add_argument("--seq", required=True)
@@ -160,10 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("charpoly", help="characteristic polynomial of a rooted poset")
     cp.add_argument("poset")
 
-    co = sub.add_parser("coding", help="coding matrix of a sequence")
+    co = sub.add_parser("coding", parents=[fmt], help="coding matrix of a sequence")
     co.add_argument("--seq", required=True)
     co.add_argument("--levels", type=int, required=True)
-    co.add_argument("--format", choices=["csv", "json"], default="csv")
     co.add_argument("-o", "--output")
 
     kr = sub.add_parser("kroton", help="coding entry magnitude between two levels")
@@ -206,12 +203,10 @@ def _cmd_gen(args) -> int:
             if F.prefix(len(sizes)) != sizes:
                 raise CliError("--seq level sizes disagree with the blocks file")
             name = F.name
+        if args.root:
+            sizes, blocks = [1] + sizes, [ones_block(1, sizes[0])] + blocks
         _check_levels(len(sizes))
         P = from_blocks(sizes, blocks, sequence_name=name)
-        if args.root:
-            P = from_blocks([1] + list(P.level_sizes),
-                            [ones_block(1, P.level_sizes[0])] + list(P.blocks),
-                            sequence_name=name)
     else:
         if not args.seq or args.levels is None:
             raise CliError("gen needs --seq and --levels (or --blocks)")
@@ -248,9 +243,11 @@ def _cmd_chains(args) -> int:
 
 def _cmd_zeta(args) -> int:
     P = _load_poset(args.poset)
-    if args.format == "ascii":
-        return _emit_text(args, formats.la_scala(P).text)
     method = ZETA_FLAG_TO_METHOD[args.method]
+    # every label route equals the closure where it is defined; elsewhere
+    # zeta() below refuses it, whatever the format
+    if args.format == "ascii" and (P.is_cobweb or method == "closure"):
+        return _emit_text(args, formats.la_scala(P).text)
     if P.is_cobweb and method == "closure":
         return _emit_matrix(level_zeta(P), args)
     return _emit_matrix(zeta(P, method), args)

@@ -120,14 +120,22 @@ def _row_texts(M, sep: str):
             yield zero * (before + i) + "1" + zsep * (size - 1 - i) + tail
 
 
-def matrix_from_json(text: str, ring=None) -> BlockMatrix:
+def matrix_from_json(text: str) -> BlockMatrix:
+    """An integer BlockMatrix; every entry must be a JSON integer."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"not valid JSON: {e}")
     if not isinstance(obj, dict) or "level_sizes" not in obj or "entries" not in obj:
         raise FormatError("expected {level_sizes, entries}")
-    return BlockMatrix(_level_sizes(obj), obj["entries"], ring or INT)
+    sizes, entries = _level_sizes(obj), obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise FormatError("entries: expected a list of rows, each a list of integers")
+    for i, row in enumerate(entries):
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise FormatError(f"entries[{i}][{j}]: expected an integer, got {v!r}")
+    return BlockMatrix(sizes, entries, INT)
 
 
 def coding_to_json(C: CodingMatrix) -> str:

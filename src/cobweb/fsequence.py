@@ -86,18 +86,14 @@ def preset(spec: str) -> FSequence:
         return FSequence([], name="nat", rule=lambda k: k)
     if spec == "fib":
         return FSequence([], name="fib", rule=_fib)
-    if spec.startswith("gauss:q="):
-        try:
-            q = int(spec[len("gauss:q="):])
-        except ValueError:
-            raise SequenceError(f"bad gauss spec {spec!r}")
-        return gauss(q)
-    if spec.startswith("const:"):
-        try:
-            c = int(spec[len("const:"):])
-        except ValueError:
-            raise SequenceError(f"bad const spec {spec!r}")
-        return const(c)
+    for prefix, build in (("gauss:q=", gauss), ("const:", const)):
+        if spec.startswith(prefix):
+            # parse here, build outside the try: SequenceError is a ValueError
+            try:
+                value = int(spec[len(prefix):])
+            except ValueError:
+                raise SequenceError(f"bad {prefix.split(':')[0]} spec {spec!r}")
+            return build(value)
     if spec.startswith("file:"):
         return from_file(spec[len("file:"):])
     raise SequenceError(f"unknown sequence spec {spec!r}")

@@ -181,19 +181,13 @@ def _check_coding_levels(n: int) -> None:
 
 
 def coding_matrix(F: FSequence, n: int) -> CodingMatrix:
-    """Closed form: c_(r,s) = (-1)^(s-r) * kroton(F, r, s), diagonal 1."""
+    """Closed form: c_(r,s) = interval_mobius(F, r, s) on and above the
+    diagonal, 0 below it."""
     _check_coding_levels(n)
     ent = []
     for r in range(1, n + 1):
-        row = []
-        for s in range(1, n + 1):
-            if s < r:
-                row.append(0)
-            elif s == r:
-                row.append(1)
-            else:
-                row.append((-1) ** (s - r) * kroton(F, r, s))
-        ent.append(tuple(row))
+        ent.append(tuple(interval_mobius(F, r, s) if s >= r else 0
+                         for s in range(1, n + 1)))
     return CodingMatrix(tuple(ent))
 
 

@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -117,14 +118,8 @@ class GradedPoset:
     def node_by_global(self, g: int) -> NodeLabel:
         if not 1 <= g <= self.node_count:
             raise PosetError(f"global label {g} out of range 1..{self.node_count}")
-        lo, hi = 0, self.n_levels  # find level k with S(k-1) < g <= S(k)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._offsets[mid] < g:
-                lo = mid
-            else:
-                hi = mid
-        return NodeLabel(hi, g - self._offsets[hi - 1], g)
+        k = bisect_left(self._offsets, g)  # the level k with S(k-1) < g <= S(k)
+        return NodeLabel(k, g - self._offsets[k - 1], g)
 
     def level_of(self, g: int) -> int:
         """Rank of a node given by global label."""
@@ -152,16 +147,12 @@ class GradedPoset:
         from its bipartite layers.
         """
         out: List[NodeLabel] = []
-        for level in range(1, self.n_levels + 1):
-            for pos in range(1, self.level_sizes[level - 1] + 1):
-                if level > 1:
-                    col = pos - 1
-                    if all(row[col] == 0 for row in self.blocks[level - 2]):
-                        out.append(self.node(level, pos))
-                        continue
-                if level < self.n_levels:
-                    if all(v == 0 for v in self.blocks[level - 1][pos - 1]):
-                        out.append(self.node(level, pos))
+        for x in self.nodes():
+            col = x.position - 1
+            no_lower = x.level > 1 and not any(row[col] for row in self.blocks[x.level - 2])
+            no_upper = x.level < self.n_levels and 1 not in self.blocks[x.level - 1][col]
+            if no_lower or no_upper:
+                out.append(x)
         return out
 
     # -- equality -----------------------------------------------------------

@@ -37,12 +37,9 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _ok(suite, name):
-    return CheckResult(suite, name, True)
-
-
-def _fail(suite, name, detail):
-    return CheckResult(suite, name, False, detail)
+def _verdict(suite, name, ok, detail=""):
+    """A pass, or a failure carrying detail."""
+    return CheckResult(suite, name, ok, "" if ok else detail)
 
 
 def _skip(suite, name, why):
@@ -59,9 +56,9 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
         for x, (got, want) in enumerate(zip(build(P).rows(), dense.rows), start=1):
             if tuple(got) != want:
                 y = next(j for j in range(len(want)) if got[j] != want[j])
-                return _fail(suite, name, f"{route}: entry ({x}, {y + 1}): "
-                                          f"level form has {got[y]}, dense has {want[y]}")
-    return _ok(suite, name)
+                return _verdict(suite, name, False, f"{route}: entry ({x}, {y + 1}): "
+                                f"level form has {got[y]}, dense has {want[y]}")
+    return _verdict(suite, name, True)
 
 
 def suite_zeta(P: GradedPoset) -> List[CheckResult]:
@@ -70,18 +67,16 @@ def suite_zeta(P: GradedPoset) -> List[CheckResult]:
     reach = reachable_sets(P)
     good = all((1 if (j + 1) in reach[i + 1] else 0) == Z.rows[i][j]
                for i in range(P.node_count) for j in range(P.node_count))
-    out.append(_ok("zeta", "closure-matches-reachability") if good else
-               _fail("zeta", "closure-matches-reachability",
-                     "zeta closure disagrees with graph reachability"))
+    out.append(_verdict("zeta", "closure-matches-reachability", good,
+                        "zeta closure disagrees with graph reachability"))
     if P.is_cobweb:
         # the closure route is Z itself; hold the three label routes to it
         bad = [m for m in ZETA_METHODS if m != "closure" and zeta(P, m).rows != Z.rows]
-        out.append(_ok("zeta", "method-agreement") if not bad else
-                   _fail("zeta", "method-agreement", f"methods disagree: {bad}"))
+        out.append(_verdict("zeta", "method-agreement", not bad, f"methods disagree: {bad}"))
     else:
         out.append(_skip("zeta", "method-agreement", "label formulas need a cobweb"))
-    out.append(_ok("zeta", "logic-of-max") if logic_L(max_matrix(P)).rows == Z.rows
-               else _fail("zeta", "logic-of-max", "L(max) differs from zeta"))
+    out.append(_verdict("zeta", "logic-of-max", logic_L(max_matrix(P)).rows == Z.rows,
+                        "L(max) differs from zeta"))
     out.append(_level_agreement("zeta", P, [("closure", level_zeta, Z)]))
     return out
 
@@ -90,20 +85,19 @@ def suite_mobius(P: GradedPoset) -> List[CheckResult]:
     out = []
     mu = mobius(P, "invert")
     rec = mobius(P, "recurrence")
-    out.append(_ok("mobius", "invert-vs-recurrence") if mu.rows == rec.rows else
-               _fail("mobius", "invert-vs-recurrence", "inversion and recurrence disagree"))
+    out.append(_verdict("mobius", "invert-vs-recurrence", mu.rows == rec.rows,
+                        "inversion and recurrence disagree"))
     if P.is_cobweb:
         cf = mobius(P, "closed_form")
-        out.append(_ok("mobius", "closed-form-agreement") if cf.rows == mu.rows else
-                   _fail("mobius", "closed-form-agreement",
-                         "closed form disagrees with inversion"))
+        out.append(_verdict("mobius", "closed-form-agreement", cf.rows == mu.rows,
+                            "closed form disagrees with inversion"))
     else:
         out.append(_skip("mobius", "closed-form-agreement", "closed form needs a cobweb"))
     zi = zeta(P, "closure").with_ring(INT)
     I = BlockMatrix.identity(P.level_sizes, INT)
     ok = mul(zi, mu) == I and mul(mu, zi) == I
-    out.append(_ok("mobius", "inverse-pair") if ok else
-               _fail("mobius", "inverse-pair", "mu is not an exact two-sided inverse of zeta"))
+    out.append(_verdict("mobius", "inverse-pair", ok,
+                        "mu is not an exact two-sided inverse of zeta"))
     if P.is_cobweb:
         rank_ok = True
         for r in range(1, P.n_levels + 1):
@@ -112,9 +106,8 @@ def suite_mobius(P: GradedPoset) -> List[CheckResult]:
                 vals = {v for row in blk for v in row}
                 if len(vals) > 1:
                     rank_ok = False
-        out.append(_ok("mobius", "rank-dependence") if rank_ok else
-                   _fail("mobius", "rank-dependence",
-                         "mu varies inside a level block of a cobweb"))
+        out.append(_verdict("mobius", "rank-dependence", rank_ok,
+                            "mu varies inside a level block of a cobweb"))
     else:
         out.append(_skip("mobius", "rank-dependence", "stated for cobwebs"))
     out.append(_level_agreement("mobius", P, [
@@ -137,17 +130,14 @@ def suite_max(P: GradedPoset) -> List[CheckResult]:
             if want != got:
                 bad = (i + 1, j + 1, want, got)
                 break
-    out.append(_ok("max", "chain-count-oracle") if bad is None else
-               _fail("max", "chain-count-oracle",
-                     f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
+    out.append(_verdict("max", "chain-count-oracle", bad is None,
+                        bad and f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
     I = BlockMatrix.identity(P.level_sizes, INT)
     inv = max_inverse(P)
     ok = mul(M, inv) == I and mul(inv, M) == I
-    out.append(_ok("max", "inverse-pair") if ok else
-               _fail("max", "inverse-pair", "identity minus cover is not the inverse"))
+    out.append(_verdict("max", "inverse-pair", ok, "identity minus cover is not the inverse"))
     diag_ok = all(M.rows[i][i] == 1 for i in range(P.node_count))
-    out.append(_ok("max", "unit-diagonal") if diag_ok else
-               _fail("max", "unit-diagonal", "diagonal entry differs from 1"))
+    out.append(_verdict("max", "unit-diagonal", diag_ok, "diagonal entry differs from 1"))
     out.append(_level_agreement("max", P, [("closure", level_max, M),
                                            ("inverse", level_max_inverse, inv)]))
     return out
@@ -166,13 +156,13 @@ def suite_markov(P: GradedPoset) -> List[CheckResult]:
                 c_rs = counts[s][r - 1]
                 lhs, rhs = c_rk * counts[s][k - 1], P.level_sizes[k - 1] * c_rs
                 if lhs != rhs:
-                    return [_fail("markov", "factorization",
-                                  f"({r},{k},{s}): {lhs} != {rhs}")]
+                    return [_verdict("markov", "factorization", False,
+                                     f"({r},{k},{s}): {lhs} != {rhs}")]
                 split_l = c_rk * counts[s][k]
                 if split_l != c_rs:
-                    return [_fail("markov", "split-form",
-                                  f"({r},{k},{s}): {split_l} != {c_rs}")]
-    return [_ok("markov", "factorization"), _ok("markov", "split-form")]
+                    return [_verdict("markov", "split-form", False,
+                                     f"({r},{k},{s}): {split_l} != {c_rs}")]
+    return [_verdict("markov", "factorization", True), _verdict("markov", "split-form", True)]
 
 
 def suite_whitney(P: GradedPoset) -> List[CheckResult]:
@@ -184,15 +174,14 @@ def suite_whitney(P: GradedPoset) -> List[CheckResult]:
         ws = [whitney_first(R, r) for r in range(R.top_rank + 1)]
         chi = char_poly(R)
     except ArithmeticError as e:
-        return [_fail("whitney", "closed-vs-direct", str(e))]
-    out.append(_ok("whitney", "closed-vs-direct"))
+        return [_verdict("whitney", "closed-vs-direct", False, str(e))]
+    out.append(_verdict("whitney", "closed-vs-direct", True))
     wsec_ok = all(whitney_second(R, r) == R.level_sizes[r]
                   for r in range(R.top_rank + 1))
-    out.append(_ok("whitney", "second-kind-sizes") if wsec_ok else
-               _fail("whitney", "second-kind-sizes", "W_r differs from the rank size"))
-    out.append(_ok("whitney", "sum-is-chi-at-one") if sum(ws) == chi.evaluate(1) else
-               _fail("whitney", "sum-is-chi-at-one",
-                     f"sum {sum(ws)} != chi(1) {chi.evaluate(1)}"))
+    out.append(_verdict("whitney", "second-kind-sizes", wsec_ok,
+                        "W_r differs from the rank size"))
+    out.append(_verdict("whitney", "sum-is-chi-at-one", sum(ws) == chi.evaluate(1),
+                        f"sum {sum(ws)} != chi(1) {chi.evaluate(1)}"))
     return out
 
 

@@ -73,6 +73,20 @@ def test_gen_with_blocks_file(tmp_path, capsys):
     assert P.level_sizes == (2, 2) and not P.is_cobweb
 
 
+@pytest.mark.parametrize("n_blocks, code, err", [
+    (10, 0, ""), (11, 1, "cobweb: levels 13 exceeds COBWEB_MAX_LEVELS=12\n")],
+    ids=["12-levels-rooted", "13-levels-rooted"])
+def test_gen_blocks_root_counts_the_root_against_the_level_cap(tmp_path, capsys, monkeypatch,
+                                                               n_blocks, code, err):
+    monkeypatch.delenv("COBWEB_MAX_LEVELS", raising=False)
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps([[[1]]] * n_blocks))
+    got_code, out, got_err = run_cli(capsys, "gen", "--blocks", str(blocks), "--root")
+    assert (got_code, got_err) == (code, err)
+    if code == 0:
+        assert poset_from_json(out) == cobweb_of_sizes([1] * (n_blocks + 2))
+
+
 def test_gen_blocks_seq_mismatch(tmp_path, capsys):
     blocks = tmp_path / "blocks.json"
     blocks.write_text(json.dumps([[[1, 1], [1, 1]]]))
@@ -154,12 +168,16 @@ def test_chains_listing_streams_the_json_bytes(tmp_path, capsys):
 def test_import_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, a fixed cost on
     # every CLI call; -S keeps site hooks from loading them first
+    # the runtime is stdlib-only: numpy and friends may be installed, so an
+    # accidental import of one would otherwise go unnoticed
     code = ("import sys, cobweb.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules))); "
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " - set(sys.stdlib_module_names) - {'__main__', 'cobweb'}))")
     env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
 
 
 def test_fnomial_output(capsys):
@@ -295,6 +313,16 @@ def test_outputs_are_byte_identical(nat5_file, capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method", ["label-delta", "label-knuth", "label-s"])
+def test_zeta_ascii_refuses_label_methods_on_a_non_cobweb(tmp_path, capsys, method):
+    path = tmp_path / "p.json"
+    path.write_text(poset_to_json(from_blocks([2, 2], [[[1, 0], [1, 1]]])))
+    as_csv = run_cli(capsys, "zeta", str(path), "--method", method)
+    as_ascii = run_cli(capsys, "zeta", str(path), "--method", method, "--format", "ascii")
+    assert as_csv[0] == 1 and as_csv[2].startswith("cobweb: zeta method ")
+    assert as_ascii == as_csv
 
 
 def test_output_into_missing_directory_is_a_diagnostic(tmp_path):

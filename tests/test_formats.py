@@ -89,6 +89,21 @@ def test_matrix_json_refuses_bad_level_sizes(sizes):
     assert str(e.value) == "level_sizes: expected a nonempty list of positive integers"
 
 
+@pytest.mark.parametrize("entries, message", [
+    ('[["x"]]', "entries[0][0]: expected an integer, got 'x'"),
+    ("[[1.5]]", "entries[0][0]: expected an integer, got 1.5"),
+    ("[[true]]", "entries[0][0]: expected an integer, got True"),
+    ("[[null]]", "entries[0][0]: expected an integer, got None"),
+    ("[[[1]]]", "entries[0][0]: expected an integer, got [1]"),
+    ('[{"a": 1}]', "entries: expected a list of rows, each a list of integers"),
+    ("5", "entries: expected a list of rows, each a list of integers"),
+    ("[5]", "entries: expected a list of rows, each a list of integers")])
+def test_matrix_json_refuses_entries_other_than_ints(entries, message):
+    with pytest.raises(FormatError) as e:
+        matrix_from_json(f'{{"level_sizes": [1], "entries": {entries}}}')
+    assert str(e.value) == message
+
+
 def test_deeply_nested_json_is_a_format_error():
     # the decoder gives up on deep nesting with RecursionError
     for load in (matrix_from_json, poset_from_json):

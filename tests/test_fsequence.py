@@ -55,10 +55,13 @@ def test_preset_spec_strings():
     assert preset("const:4").value(9) == 4
     with pytest.raises(SequenceError):
         preset("nope")
-    with pytest.raises(SequenceError):
-        preset("gauss:q=1")
-    with pytest.raises(SequenceError):
-        preset("const:0")
+    for spec, message in [("gauss:q=1", "gauss preset needs q >= 2, got 1"),
+                          ("const:0", "const preset needs c >= 1, got 0"),
+                          ("gauss:q=x", "bad gauss spec 'gauss:q=x'"),
+                          ("const:y", "bad const spec 'const:y'")]:
+        with pytest.raises(SequenceError) as e:
+            preset(spec)
+        assert str(e.value) == message
 
 
 def test_sequence_file_loading(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from cobweb import CharPoly, RootedPoset, char_poly, cobweb, custom, fib, \
-    gauss, mobius, mobius_from_root, nat, root, whitney_first, whitney_second
+    gauss, invariants, mobius, mobius_from_root, nat, root, whitney_first, whitney_second
 
 from conftest import preset_table
 
@@ -83,6 +83,15 @@ def test_char_poly_shape_and_sum():
             assert len(chi.coefficients) == n + 1
             total = sum(whitney_first(R, r) for r in range(n + 1))
             assert total == chi.evaluate(1), name
+
+
+def test_char_poly_raises_when_the_direct_sum_disagrees(monkeypatch):
+    R = root(nat(), 3)
+    row = invariants._root_mobius_row(R)
+    row[-1] += 1  # one node of the top rank
+    monkeypatch.setattr(invariants, "_root_mobius_row", lambda P: row)
+    with pytest.raises(ArithmeticError, match=r"whitney_first\(3\)"):
+        char_poly(R)
 
 
 def test_char_poly_evaluate():

@@ -1,5 +1,7 @@
 """Poset construction, natural join, ordinal sum, layers, labeling."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,6 +73,30 @@ def test_mute_nodes_reported():
     # second node of level 2 has in-degree 0
     assert [(m.level, m.position) for m in Q.mute_nodes()] == [(2, 2)]
     assert cobweb(nat(), 4).mute_nodes() == []
+
+
+def test_mute_nodes_match_their_definition_on_random_posets():
+    # a node is mute when it has no lower cover above level 1 or no upper
+    # cover below the top; both sets are read off the list of cover arcs
+    seen_mute = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        blocks = [[[int(rng.random() < 0.5) for _ in range(b)] for _ in range(a)]
+                  for a, b in zip(sizes, sizes[1:])]
+        arcs = [((k + 1, i + 1), (k + 2, j + 1)) for k, blk in enumerate(blocks)
+                for i, row in enumerate(blk) for j, v in enumerate(row) if v]
+        has_upper = {lo for lo, _ in arcs}
+        has_lower = {hi for _, hi in arcs}
+        want = [(level, pos) for level, size in enumerate(sizes, start=1)
+                for pos in range(1, size + 1)
+                if (level > 1 and (level, pos) not in has_lower)
+                or (level < len(sizes) and (level, pos) not in has_upper)]
+        P = from_blocks(sizes, blocks)
+        assert [(x.level, x.position) for x in P.mute_nodes()] == want, seed
+        assert P.has_mute_nodes == bool(want)
+        seen_mute += len(want)
+    assert seen_mute > 0
 
 
 def test_extremal_levels_are_never_mute():
