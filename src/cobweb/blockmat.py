@@ -13,9 +13,11 @@ time from the bottom: row x of R is e_x plus (closure, R = I + K R) or minus
 zero left of its diagonal, and in a graded poset also across the rest of its
 own level and past its last comparable node, so each finished row is kept
 right of its diagonal from its first to its last nonzero: a coefficient adds
-only that trimmed span, with one C-level map of the ring's addition.  The
-level algebra of cobwebs runs the same solve on its n x n table once each
-column is weighted by the size of its level (see incidence.py).
+only that trimmed span, with one C-level map of the ring's addition.  One
+value c across a whole higher level, as in zeta of a cobweb, adds c times the
+sum of that level's rows once; distributivity makes this exact in both
+rings.  The level algebra of cobwebs runs the same solve on its n x n table
+once each column is weighted by the size of its level (see incidence.py).
 """
 
 from __future__ import annotations
@@ -212,36 +214,53 @@ def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(A.level_sizes, out, ring)
 
 
-def _unit_solve(rows, ring, negate):
+def _unit_solve(rows, sizes, ring, negate):
     """Rows of R = I + N R (negate false) or R = I - N R (negate true),
-    where N is the part of `rows` right of the diagonal; nothing else of
-    `rows` is read."""
+    where N is the part of `rows` right of the diagonal and `sizes` are the
+    level sizes; nothing else of `rows` is read."""
     n = len(rows)
     zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    off = tuple(accumulate(sizes, initial=0))
     out = [None] * n
     # parts[k] = (s, vals): row k of R right of its diagonal is zero outside
     # columns s .. s + len(vals) - 1, where it holds vals
     parts = [None] * n
-    for x in range(n - 1, -1, -1):
-        acc = [zero] * n
-        for k, c in enumerate(rows[x][x + 1:], x + 1):
-            if c != zero:
-                acc[k] = radd(acc[k], c)
-                s, vals = parts[k]
+    sums = [None] * len(sizes)
+    for lvl in reversed(range(len(sizes))):
+        for x in reversed(range(off[lvl], off[lvl + 1])):
+            # N R = N + N (R - I): N[x] itself carries every diagonal term
+            row = rows[x]
+            acc = [zero] * (x + 1) + list(row[x + 1:])
+            terms = [(v, parts[k]) for k, v in enumerate(row[x + 1:off[lvl + 1]], x + 1)
+                     if v != zero]
+            for m in range(lvl + 1, len(sizes)):
+                a, b = off[m], off[m + 1]
+                c = row[a]
+                if row[a:b].count(c) < b - a:
+                    terms += [(v, parts[k]) for k, v in enumerate(row[a:b], a) if v != zero]
+                elif c != zero:
+                    # one c across level m: c times sums[m], its parts' sum
+                    if sums[m] is None:
+                        tot = [zero] * n
+                        for s, vals in parts[a:b]:
+                            tot[s:s + len(vals)] = map(radd, tot[s:s + len(vals)], vals)
+                        sums[m] = (a, tot[a:])
+                    terms.append((c, sums[m]))
+            for c, (s, vals) in terms:
                 e = s + len(vals)
                 if c != one:
                     vals = map(rmul, repeat(c), vals)
                 acc[s:e] = map(radd, acc[s:e], vals)
-        if negate:
-            acc[x + 1:] = map(ring.neg, acc[x + 1:])
-        s, e = x + 1, n
-        while s < e and acc[s] == zero:
-            s += 1
-        while e > s and acc[e - 1] == zero:
-            e -= 1
-        parts[x] = (s, acc[s:e])
-        acc[x] = one
-        out[x] = acc
+            if negate:
+                acc[x + 1:] = map(ring.neg, acc[x + 1:])
+            s, e = x + 1, n
+            while s < e and acc[s] == zero:
+                s += 1
+            while e > s and acc[e - 1] == zero:
+                e -= 1
+            parts[x] = (s, acc[s:e])
+            acc[x] = one
+            out[x] = acc
     return out
 
 
@@ -249,7 +268,7 @@ def nilpotent_closure(K: BlockMatrix) -> BlockMatrix:
     """I + K + K^2 + ... for strictly upper block K; the series terminates."""
     if not K.is_strictly_upper_block():
         raise MatrixError("closure requires a strictly upper block matrix")
-    return BlockMatrix(K.level_sizes, _unit_solve(K.rows, K.ring, False), K.ring)
+    return BlockMatrix(K.level_sizes, _unit_solve(K.rows, K.level_sizes, K.ring, False), K.ring)
 
 
 def unitriangular_inverse(M: BlockMatrix) -> BlockMatrix:
@@ -259,7 +278,7 @@ def unitriangular_inverse(M: BlockMatrix) -> BlockMatrix:
     ring.neg(ring.one)  # raises RingError over a ring without negation
     if not M.is_unitriangular():
         raise MatrixError("inverse requires a unitriangular matrix")
-    return BlockMatrix(M.level_sizes, _unit_solve(M.rows, ring, True), ring)
+    return BlockMatrix(M.level_sizes, _unit_solve(M.rows, M.level_sizes, ring, True), ring)
 
 
 def natural_join(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:

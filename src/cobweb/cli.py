@@ -22,8 +22,7 @@ from .incidence import MOBIUS_METHODS, ZETA_METHODS, coding_matrix, eta, \
     eta_inverse, kroton, level_eta, level_eta_inverse, level_max, \
     level_max_inverse, level_mobius, level_zeta, max_inverse, max_matrix, \
     mobius, zeta
-from .invariants import RootedPoset, char_poly, root, whitney_first, \
-    whitney_second
+from .invariants import RootedPoset, char_poly, root, whitney_second
 from .poset import GradedPoset, PosetError, cobweb, from_blocks, ones_block
 from .suites import run_checks
 
@@ -288,8 +287,8 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_whitney(args) -> int:
     R = _load_rooted(args, "whitney")
-    for r in range(R.top_rank + 1):
-        print(f"{r} {whitney_first(R, r)} {whitney_second(R, r)}")
+    for r, w in enumerate(char_poly(R).coefficients):
+        print(f"{r} {w} {whitney_second(R, r)}")
     return 0
 
 

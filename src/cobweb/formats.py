@@ -131,6 +131,9 @@ def matrix_from_json(text: str) -> BlockMatrix:
     sizes, entries = _level_sizes(obj), obj["entries"]
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise FormatError("entries: expected a list of rows, each a list of integers")
+    n = sum(sizes)
+    if len(entries) != n or any(len(row) != n for row in entries):
+        raise FormatError(f"entries: expected {n} rows of {n} integers")
     for i, row in enumerate(entries):
         for j, v in enumerate(row):
             if type(v) is not int:

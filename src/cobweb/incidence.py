@@ -254,22 +254,21 @@ def reachable_sets(P: GradedPoset) -> List[Set[int]]:
 
 
 def _mobius_recurrence(P: GradedPoset) -> BlockMatrix:
-    # mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, evaluated
-    # on global labels; independent of both zeta construction and inversion.
+    # mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, solved from
+    # the left over reachability alone, so it uses neither a zeta construction
+    # nor the inversion's row solve: walking the up-set of x in label order,
+    # mu(x, z) is final when z is reached and is taken off every y above z.
     N = P.node_count
     reach = reachable_sets(P)
+    strict = [sorted(y - 1 for y in reach[z] if y != z) for z in range(1, N + 1)]
     rows = [[0] * N for _ in range(N)]
-    for x in range(1, N + 1):
-        rows[x - 1][x - 1] = 1
-        above = sorted(reach[x])
-        for y in above:
-            if y == x:
-                continue
-            acc = 0
-            for z in above:
-                if z != y and y in reach[z]:
-                    acc += rows[x - 1][z - 1]
-            rows[x - 1][y - 1] = -acc
+    for x, row in enumerate(rows):
+        row[x] = 1
+        for z in [x] + strict[x]:
+            m = row[z]
+            if m:
+                for y in strict[z]:
+                    row[y] -= m
     return BlockMatrix(P.level_sizes, rows, INT)
 
 
@@ -386,7 +385,7 @@ def _level_solve(sizes, entries, ring, negate) -> LevelMatrix:
     weights = [1] * len(sizes) if ring is BOOL else sizes
     rows = [[v * weights[s] if s > r else v for s, v in enumerate(row)]
             for r, row in enumerate(entries)]
-    solved = _unit_solve(rows, ring, negate)
+    solved = _unit_solve(rows, (1,) * len(sizes), ring, negate)
     return LevelMatrix(sizes, tuple(
         tuple(v // weights[s] if s > r else v for s, v in enumerate(row))
         for r, row in enumerate(solved)), ring)

@@ -92,20 +92,10 @@ def _root_mobius_row(P: RootedPoset) -> List[int]:
 
 
 def whitney_first(P: RootedPoset, r: int) -> int:
-    """Whitney number of the first kind: sum of mu(root, x) over rank r.
-
-    Computed both from the closed form (rank size times the signed Kroton
-    value) and by direct summation of recurrence Moebius values; a mismatch
-    raises.
-    """
+    """Whitney number of the first kind: sum of mu(root, x) over rank r; see char_poly."""
     P = _require_rooted(P)
-    closed = P.rank_size(r) * interval_mobius(P.rooted_sequence(), 1, r + 1)
-    row = _root_mobius_row(P)
-    direct = sum(row[x.global_label] for x in P.nodes() if x.level - 1 == r)
-    if closed != direct:
-        raise ArithmeticError(
-            f"whitney_first({r}): closed form {closed} != direct sum {direct}")
-    return closed
+    P.rank_size(r)  # refuses a rank out of range
+    return char_poly(P).coefficients[r]
 
 
 def whitney_second(P: RootedPoset, r: int) -> int:
@@ -165,7 +155,17 @@ class CharPoly(_CharPoly):
 
 def char_poly(P: RootedPoset) -> CharPoly:
     """Characteristic polynomial: the coefficient of t^(n - r) is the Whitney
-    number of rank r.  whitney_first holds each one to the direct sum of
-    mu(root, x) over rank r, so the whole polynomial is cross-checked there."""
+    number of rank r.  Each is computed both from the closed form (rank size
+    times the signed Kroton value) and by direct summation of recurrence
+    Moebius values, all ranks from one row; a mismatch raises."""
     P = _require_rooted(P)
-    return CharPoly(tuple(whitney_first(P, r) for r in range(P.top_rank + 1)))
+    row = _root_mobius_row(P)
+    coeffs = []
+    for r in range(P.top_rank + 1):
+        closed = P.rank_size(r) * interval_mobius(P.rooted_sequence(), 1, r + 1)
+        direct = sum(row[P.S(r) + 1:P.S(r + 1) + 1])
+        if closed != direct:
+            raise ArithmeticError(
+                f"whitney_first({r}): closed form {closed} != direct sum {direct}")
+        coeffs.append(closed)
+    return CharPoly(tuple(coeffs))

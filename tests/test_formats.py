@@ -104,6 +104,15 @@ def test_matrix_json_refuses_entries_other_than_ints(entries, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("entries", ["[[1, 0]]", "[[1, 0], [0, 1], [0, 0]]",
+                                     "[[1, 0], [0]]", "[[1, 0], [0, 1, 0]]"])
+def test_matrix_json_refuses_entries_of_the_wrong_shape(entries):
+    # too few rows, too many rows, a short row and a long row
+    with pytest.raises(FormatError) as e:
+        matrix_from_json(f'{{"level_sizes": [2], "entries": {entries}}}')
+    assert str(e.value) == "entries: expected 2 rows of 2 integers"
+
+
 def test_deeply_nested_json_is_a_format_error():
     # the decoder gives up on deep nesting with RecursionError
     for load in (matrix_from_json, poset_from_json):

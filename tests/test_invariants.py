@@ -2,8 +2,10 @@
 
 import pytest
 
-from cobweb import CharPoly, RootedPoset, char_poly, cobweb, custom, fib, \
-    gauss, invariants, mobius, mobius_from_root, nat, root, whitney_first, whitney_second
+from cobweb import CharPoly, RootedPoset, char_poly, cli, cobweb, custom, fib, \
+    gauss, invariants, mobius, mobius_from_root, nat, root, run_checks, whitney_first, \
+    whitney_second
+from cobweb.formats import poset_to_json
 
 from conftest import preset_table
 
@@ -92,6 +94,25 @@ def test_char_poly_raises_when_the_direct_sum_disagrees(monkeypatch):
     monkeypatch.setattr(invariants, "_root_mobius_row", lambda P: row)
     with pytest.raises(ArithmeticError, match=r"whitney_first\(3\)"):
         char_poly(R)
+
+
+def test_each_whitney_query_builds_the_root_row_once(monkeypatch, tmp_path, capsys):
+    builds = []
+    real = invariants._root_mobius_row
+    monkeypatch.setattr(invariants, "_root_mobius_row",
+                        lambda P: builds.append(P) or real(P))
+    R = root(gauss(2), 6)
+    path = tmp_path / "rooted.json"
+    path.write_text(poset_to_json(R), encoding="utf-8")
+    queries = {"char_poly": lambda: char_poly(R),
+               "check --suite whitney": lambda: run_checks(R, "whitney"),
+               "cli whitney": lambda: cli.main(["whitney", str(path)]),
+               "cli charpoly": lambda: cli.main(["charpoly", str(path)])}
+    for name, query in queries.items():
+        builds.clear()
+        query()
+        assert len(builds) == 1, name
+    capsys.readouterr()
 
 
 def test_char_poly_evaluate():
