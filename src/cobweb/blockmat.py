@@ -133,6 +133,8 @@ class BlockMatrix:
 
     def block(self, r: int, s: int) -> Tuple[Tuple[int, ...], ...]:
         """The (r, s) block, levels 1-based."""
+        if not (1 <= r <= self.n_levels and 1 <= s <= self.n_levels):
+            raise MatrixError(f"block ({r}, {s}) out of range 1..{self.n_levels}")
         off = self._offsets
         return tuple(tuple(row[off[s - 1]:off[s]])
                      for row in self.rows[off[r - 1]:off[r]])

@@ -46,13 +46,13 @@ class Chain(NamedTuple):
                 for i, p in enumerate(self.positions)]
 
     def validate(self, P: GradedPoset):
-        """Check every step against the cover blocks."""
-        for i in range(len(self.positions) - 1):
-            lvl = self.start_level + i
-            if P.blocks[lvl - 1][self.positions[i] - 1][self.positions[i + 1] - 1] != 1:
-                raise PosetError(
-                    f"chain step {lvl}:{self.positions[i]} -> "
-                    f"{lvl + 1}:{self.positions[i + 1]} is not a cover")
+        """Check every node against the levels of P, then every step against
+        the cover blocks."""
+        nodes = self.nodes(P)
+        for x, y in zip(nodes, nodes[1:]):
+            if P.blocks[x.level - 1][x.position - 1][y.position - 1] != 1:
+                raise PosetError(f"chain step {x.level}:{x.position} -> "
+                                 f"{y.level}:{y.position} is not a cover")
 
 
 def iter_max_chain_positions(P: GradedPoset, k: int, n: int) -> Iterator[Tuple[int, ...]]:

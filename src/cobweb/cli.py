@@ -346,8 +346,7 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
+        parser.error("a command is required")
     return COMMANDS[args.command](args)
 
 

@@ -172,6 +172,8 @@ class CodingMatrix(_CodingMatrix):
 
     def c(self, r: int, s: int) -> int:
         """Entry for 1-based level pair (r, s)."""
+        if not (1 <= r <= self.n and 1 <= s <= self.n):
+            raise ValueError(f"level pair ({r}, {s}) out of range 1..{self.n}")
         return self.entries[r - 1][s - 1]
 
 

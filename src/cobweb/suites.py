@@ -16,6 +16,16 @@ independent of the matrix closure they are checking.
 On a cobweb the zeta, mobius and max suites also expand the level forms the
 CLI writes and hold them entry by entry to the dense matrices the suite has
 already built.
+
+Each inverse-pair law is one exact product: zeta * mu == I, and
+(I - cover) * max == I.  A one-sided inverse of a square matrix is
+two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
+Prop. 3.6.2) and over the integers alike, since det A * det B = 1; so the
+product in the other order could never change a verdict.  The side kept is
+the cheaper one on deep cobwebs.  On gauss:q=2 with 8 levels (502 nodes,
+best of 3 on one Xeon core) zeta * mu takes 0.54 s against 0.59 s for
+mu * zeta, and (I - cover) * max 0.34 s against 0.57 s for
+max * (I - cover).
 """
 
 from __future__ import annotations
@@ -95,8 +105,7 @@ def suite_mobius(P: GradedPoset) -> List[CheckResult]:
         out.append(_skip("mobius", "closed-form-agreement", "closed form needs a cobweb"))
     zi = zeta(P, "closure").with_ring(INT)
     I = BlockMatrix.identity(P.level_sizes, INT)
-    ok = mul(zi, mu) == I and mul(mu, zi) == I
-    out.append(_verdict("mobius", "inverse-pair", ok,
+    out.append(_verdict("mobius", "inverse-pair", mul(zi, mu) == I,
                         "mu is not an exact two-sided inverse of zeta"))
     if P.is_cobweb:
         rank_ok = True
@@ -134,8 +143,8 @@ def suite_max(P: GradedPoset) -> List[CheckResult]:
                         bad and f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
     I = BlockMatrix.identity(P.level_sizes, INT)
     inv = max_inverse(P)
-    ok = mul(M, inv) == I and mul(inv, M) == I
-    out.append(_verdict("max", "inverse-pair", ok, "identity minus cover is not the inverse"))
+    out.append(_verdict("max", "inverse-pair", mul(inv, M) == I,
+                        "identity minus cover is not the inverse"))
     diag_ok = all(M.rows[i][i] == 1 for i in range(P.node_count))
     out.append(_verdict("max", "unit-diagonal", diag_ok, "diagonal entry differs from 1"))
     out.append(_level_agreement("max", P, [("closure", level_max, M),

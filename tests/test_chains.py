@@ -43,6 +43,18 @@ def test_enumeration_respects_blocks():
         Chain(1, (1, 1, 2)).validate(P)  # 2:1 -> 3:2 arc is absent
 
 
+@pytest.mark.parametrize("chain, message", [
+    (Chain(0, (1, 1)), "level 0 out of range 1..3"),
+    (Chain(-1, (1, 1, 1)), "level -1 out of range 1..3"),
+    (Chain(3, (1, 1)), "level 4 out of range 1..3"),
+    (Chain(1, (1, 3)), "position 3 out of range 1..2 at level 2")])
+def test_validate_refuses_nodes_outside_the_poset(nat3, chain, message):
+    # a level below 1 must not wrap to the top block through blocks[-1]
+    with pytest.raises(PosetError) as err:
+        chain.validate(nat3)
+    assert str(err.value) == message
+
+
 def test_chain_nodes_view(nat3):
     c = enumerate_max_chains(nat3, 2, 3)[0]
     nodes = c.nodes(nat3)

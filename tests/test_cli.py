@@ -280,6 +280,7 @@ def test_unknown_subcommand_and_flags(capsys):
     assert code == 1
     code, _, err = run_cli(capsys)
     assert code == 1
+    assert err.splitlines() == ["usage: cobweb [-h] command ...", "cobweb: a command is required"]
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

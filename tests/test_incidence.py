@@ -136,6 +136,20 @@ def test_coding_matrix_nat_rows():
     assert C.c(4, 6) == 4
 
 
+@pytest.mark.parametrize("r, s", [(1, 0), (0, 1), (5, 1), (1, 5), (-1, 2)])
+def test_coding_entry_refuses_levels_out_of_range(r, s):
+    # c(1, 0) must not wrap to entries[0][-1], the entry (1, 4)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+        coding_matrix(nat(), 4).c(r, s)
+
+
+@pytest.mark.parametrize("r, s", [(-1, 2), (0, 1), (4, 1), (1, 4)])
+def test_block_refuses_levels_out_of_range(nat3, r, s):
+    # a level below 1 must not wrap or slice to a zero or empty block
+    with pytest.raises(MatrixError, match=r"out of range 1\.\.3"):
+        max_matrix(nat3).block(r, s)
+
+
 def test_coding_matrix_recurrence_route():
     for F in (nat(), fib(), EX11, EX12, custom([1, 3, 7, 15, 31, 63, 127, 255])):
         assert coding_recurrence(F, 8).entries == coding_matrix(F, 8).entries

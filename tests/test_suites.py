@@ -34,6 +34,36 @@ def test_max_oracle_reports_lower_row_in_an_earlier_column(monkeypatch):
     assert res["chain-count-oracle"].detail == "entry (1, 2): counted 1, matrix has 8"
 
 
+def test_mobius_inverse_pair_fails_on_a_consistently_wrong_mu(monkeypatch):
+    # every dense route returns the same corrupted mu, so only the product
+    # with zeta and the level forms can tell
+    P = cobweb(nat(), 4)
+    real = suites.mobius
+    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(real(Q, m), (2, 2)))
+    failed = {r.name: r.detail for r in suites.suite_mobius(P) if not r.passed}
+    assert failed == {"inverse-pair": "mu is not an exact two-sided inverse of zeta",
+                      "level-form-agreement":
+                          "invert: entry (2, 2): level form has 1, dense has 8"}
+
+
+def test_each_inverse_pair_costs_one_product(monkeypatch):
+    calls = []
+    real = suites.mul
+
+    def counting(A, B):
+        calls.append((A, B))
+        return real(A, B)
+
+    monkeypatch.setattr(suites, "mul", counting)
+    non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
+    for P in (cobweb(nat(), 4), non_cobweb):
+        calls.clear()
+        assert all(r.passed for r in run_checks(P))
+        zi, mu = suites.zeta(P).with_ring(suites.INT), suites.mobius(P, "invert")
+        inv, M = suites.max_inverse(P), suites.max_matrix(P)
+        assert calls == [(zi, mu), (inv, M)]
+
+
 def test_markov_failure_names_first_triple():
     # a non-cobweb forced past the cobweb gate: C(1,1) * C(2,2) = 6 chains
     # against C(1,2) = 4, caught by the split form at the first triple
