@@ -156,27 +156,19 @@ class BlockMatrix:
                 f"{self.size}x{self.size})")
 
     # -- structure predicates ----------------------------------------------
+    # each row is one C-level count of the zeros where zeros must stand
 
     def is_strictly_upper_block(self) -> bool:
         """Zero at every (x, y) with level(x) >= level(y)."""
-        off = self._offsets
-        for r in range(1, self.n_levels + 1):
-            for i in range(off[r - 1], off[r]):
-                row = self.rows[i]
-                for j in range(0, off[r]):
-                    if row[j] != self.ring.zero:
-                        return False
-        return True
+        zero, off = self.ring.zero, self._offsets
+        return all(row[:end].count(zero) == end
+                   for start, end in zip(off, off[1:]) for row in self.rows[start:end])
 
     def is_unitriangular(self) -> bool:
         """Ones on the diagonal, zeros strictly below."""
-        for i, row in enumerate(self.rows):
-            if row[i] != self.ring.one:
-                return False
-            for j in range(i):
-                if row[j] != self.ring.zero:
-                    return False
-        return True
+        zero, one = self.ring.zero, self.ring.one
+        return all(row[i] == one and row[:i].count(zero) == i
+                   for i, row in enumerate(self.rows))
 
 
 def _check_compatible(A: BlockMatrix, B: BlockMatrix):

@@ -89,6 +89,15 @@ def poset_from_json(text: str) -> GradedPoset:
 #
 # Both writers stream one row at a time and take a dense BlockMatrix or a
 # cobweb LevelMatrix; the latter is expanded here and never held densely.
+# Dense entries are plain ints (see blockmat).  A row of entries 0..9 goes out
+# without one str() per entry: bytes(row) checks range and type in C, a
+# translation makes each byte its digit (any other byte becomes '?'), and the
+# digits are laid over a template "0<sep>0<sep>...0".  Any other row converts
+# each distinct value once; +v writes a bool as 1 or 0 there too, as the
+# digit path does, and leaves every other number as str() writes it.
+
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"?" * 246)
+
 
 def write_matrix_csv(M, out: IO[str]):
     """Row-major CSV, plain decimal integers, streamed row by row."""
@@ -110,8 +119,20 @@ def _row_texts(M, sep: str):
     put together from text built once per level: the zeros left of the
     diagonal 1, and the constant tail right of the diagonal block."""
     if isinstance(M, BlockMatrix):
+        template = (("0" + sep) * (M.size - 1) + "0").encode()
+        step = len(sep) + 1
         for row in M.rows:
-            yield sep.join(map(str, row))
+            try:
+                digits = bytes(row).translate(_DIGITS)
+            except (ValueError, TypeError):  # an entry outside 0..255, or not an int
+                digits = b"?"
+            if b"?" in digits:
+                texts = {v: str(+v) for v in set(row)}
+                yield sep.join(map(texts.__getitem__, row))
+            else:
+                text = bytearray(template)
+                text[::step] = digits
+                yield text.decode()
         return
     zero, zsep = "0" + sep, sep + "0"
     for before, size, runs in M.level_rows():
@@ -218,19 +239,18 @@ class LaScalaRender(NamedTuple):
         return self.text
 
 
+# zeta entries are 0 or 1: a zero is blank at or left of the diagonal and '.'
+# right of it, and a nonzero is '1'
+_LEFT = bytes.maketrans(bytes(range(256)), b" " + b"1" * 255)
+_RIGHT = bytes.maketrans(bytes(range(256)), b"." + b"1" * 255)
+
+
 def la_scala(P: GradedPoset) -> LaScalaRender:
     """A cobweb is drawn from the rows of its level zeta, any other poset
     from its dense zeta closure."""
     rows = level_zeta(P).rows() if P.is_cobweb else zeta(P, "closure").rows
     out = []
     for i, row in enumerate(rows):
-        cells = []
-        for j, v in enumerate(row):
-            if v:
-                cells.append("1")
-            elif j > i:
-                cells.append(".")
-            else:
-                cells.append(" ")
-        out.append(" ".join(cells))
+        cells = bytes(row[:i + 1]).translate(_LEFT) + bytes(row[i + 1:]).translate(_RIGHT)
+        out.append(" ".join(cells.decode()))
     return LaScalaRender(tuple(out))

@@ -264,3 +264,60 @@ def test_matrix_natural_join():
     assert J.rows[1][3] == 1
     with pytest.raises(MatrixError):
         mat_join(A, BlockMatrix.identity([3, 1], INT))
+
+
+# -- the structure predicates against the entry-by-entry loops they replaced ----
+
+def loop_is_strictly_upper_block(M):
+    off = M._offsets
+    for r in range(1, M.n_levels + 1):
+        for i in range(off[r - 1], off[r]):
+            row = M.rows[i]
+            for j in range(0, off[r]):
+                if row[j] != M.ring.zero:
+                    return False
+    return True
+
+
+def loop_is_unitriangular(M):
+    for i, row in enumerate(M.rows):
+        if row[i] != M.ring.one:
+            return False
+        for j in range(i):
+            if row[j] != M.ring.zero:
+                return False
+    return True
+
+
+@st.composite
+def near_triangular(draw):
+    """Zero below the diagonal by node index, ones or zeros on it, and then
+    possibly one nonzero below the diagonal, inside a diagonal block or on
+    the diagonal, so each predicate is drawn true and false."""
+    ring = draw(st.sampled_from([INT, BOOL]))
+    K = draw(strictly_upper(ring, by_level=False))
+    rows = [list(row) for row in K.rows]
+    n = K.size
+    diag = draw(st.sampled_from([0, 1]))
+    for i in range(n):
+        rows[i][i] = diag
+    level = [k for k, s in enumerate(K.level_sizes) for _ in range(s)]
+    spots = {"below": [(i, j) for i in range(n) for j in range(i)],
+             "in-block": [(i, j) for i in range(n) for j in range(n) if level[i] == level[j]],
+             "diagonal": [(i, i) for i in range(n)]}
+    where = draw(st.sampled_from(["none"] + [w for w in spots if spots[w]]))
+    if where != "none":
+        i, j = draw(st.sampled_from(spots[where]))
+        rows[i][j] = draw(st.sampled_from([1] if ring is BOOL else [1, -2, 5]))
+    return BlockMatrix(K.level_sizes, rows, ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_triangular())
+@example(BlockMatrix([1], [[0]], INT))
+@example(BlockMatrix([1], [[1]], BOOL))
+@example(BlockMatrix([2, 1], [[0, 1, 1], [0, 0, 1], [0, 0, 0]], BOOL))
+@example(BlockMatrix([2, 1], [[1, 1, 1], [0, 1, 1], [0, -2, 1]], INT))
+def test_structure_predicates_match_the_entry_loops(M):
+    assert M.is_strictly_upper_block() == loop_is_strictly_upper_block(M)
+    assert M.is_unitriangular() == loop_is_unitriangular(M)

@@ -41,8 +41,8 @@ def _random_blocks(rng, sizes):
 
 
 def block_posets():
-    """Three seeded 0/1-block posets: a plain one, one with mute nodes and
-    one whose middle block is zero."""
+    """Four seeded 0/1-block posets: a plain one, one with mute nodes, one
+    whose middle block is zero, and a deep one of 6 levels x 4 nodes."""
     rng = random.Random(20)
     plain = from_blocks([2, 3, 2, 3], _random_blocks(rng, [2, 3, 2, 3]))
     mute = from_blocks([3, 2, 3], [[[1, 0], [0, 0], [1, 1]], [[0, 0, 0], [1, 0, 1]]])
@@ -50,8 +50,9 @@ def block_posets():
     sizes = [2, 2, 3, 1]
     blocks = _random_blocks(rng, sizes)
     blocks[1] = [[0] * 3 for _ in range(2)]
+    deep = from_blocks([4] * 6, _random_blocks(random.Random(22), [4] * 6))
     return {"blocks-plain": plain, "blocks-mute": mute,
-            "blocks-zero": from_blocks(sizes, blocks)}
+            "blocks-zero": from_blocks(sizes, blocks), "blocks-deep": deep}
 
 
 def posets():
@@ -76,6 +77,14 @@ FULL_SWEEP = ("nat-4", "fib-3-root", "gauss2-5", "const2-2-root",
 
 def light_calls(f):
     return [["check", f], ["zeta", f], ["mobius", f, "--format", "json"], ["max", f, "--inverse"]]
+
+
+def general_calls(f):
+    """Dense rows that mix multi-digit, negative and one-digit entries:
+    chain counts up to 18, Moebius values -3..2, eta inverse -18..13."""
+    calls = [["max", f], ["eta", f, "--inverse"]]
+    calls += [["mobius", f, "--method", method] for method in ("invert", "recurrence")]
+    return [argv + ["--format", fmt] for argv in calls for fmt in ("csv", "json")]
 
 
 def full_calls(f, P):
@@ -156,6 +165,7 @@ def all_calls(table):
     for name, P in table.items():
         f = f"{name}.json"
         calls += light_calls(f) + (full_calls(f, P) if name in FULL_SWEEP else [])
+    calls += general_calls("blocks-deep.json")
     return calls + sequence_calls() + ERROR_CALLS
 
 

@@ -2,11 +2,13 @@
 
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BlockMatrix, INT, PosetError, antichain, cobweb, coding_matrix, \
+from cobweb import BOOL, BlockMatrix, INT, PosetError, antichain, cobweb, coding_matrix, \
     const, enumerate_max_chains, fib, from_blocks, gauss, hyperbox, nat, zeta
 from cobweb.formats import FormatError, chains_to_json, coding_to_json, \
     hyperbox_to_json, la_scala, matrix_from_json, poset_from_json, \
@@ -70,6 +72,92 @@ def test_matrix_csv_plain_decimal():
     text = buf.getvalue()
     assert text == f"1,{big}\n0,1\n"
     assert "e" not in text and "E" not in text
+
+
+# -- the dense writers against one str() per entry -----------------------------
+
+def literal_row_texts(M, sep):
+    """The dense rows as written before digit rows, kept verbatim."""
+    for row in M.rows:
+        yield sep.join(map(str, row))
+
+
+def literal_csv(M):
+    return "".join(text + "\n" for text in literal_row_texts(M, ","))
+
+
+def literal_json(M):
+    rows = ",".join("[" + text + "]" for text in literal_row_texts(M, ", "))
+    return '{"level_sizes":%s,"entries":[%s]}' % (json.dumps(M.level_sizes), rows)
+
+
+def written(write, M):
+    buf = io.StringIO()
+    write(M, buf)
+    return buf.getvalue()
+
+
+# one-digit values, the digits, values either side of them, and values
+# outside a byte
+POOLS = [st.sampled_from([0, 1]), st.integers(0, 9), st.integers(-3, 12),
+         st.sampled_from([255, 256, -1, 10 ** 30, -10 ** 30])]
+
+
+@st.composite
+def dense_matrices(draw):
+    """INT or BOOL matrices whose rows are all zero, drawn from one pool, or
+    mix every pool, so one-digit and other values share rows."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    ring = draw(st.sampled_from([INT, BOOL]))
+    pools = POOLS[:1] if ring is BOOL else POOLS
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "pool", "mixed"]))
+        entry = {"zero": st.just(0), "pool": draw(st.sampled_from(pools)),
+                 "mixed": st.one_of(pools)}[kind]
+        rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return BlockMatrix(sizes, rows, ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_matrices())
+@example(BlockMatrix([1], [[0]], INT))
+@example(BlockMatrix([1], [[7]], BOOL))
+@example(BlockMatrix([1], [[-10 ** 30]], INT))
+@example(BlockMatrix([1, 2], [[1, 9, 10], [0, 0, 0], [255, 256, -1]], INT))
+def test_dense_writers_match_one_str_per_entry(M):
+    assert written(write_matrix_csv, M) == literal_csv(M)
+    assert written(write_matrix_json, M) == literal_json(M)
+
+
+def test_dense_writers_send_non_int_entries_through_str():
+    # a Fraction is not an int, so bytes() refuses it even where it is one digit
+    M = BlockMatrix([2], [[Fraction(1, 2), 3], [Fraction(1), 0]], INT)
+    assert written(write_matrix_csv, M) == literal_csv(M) == "1/2,3\n1,0\n"
+    assert written(write_matrix_json, M) == literal_json(M)
+
+
+def test_dense_writers_write_a_bool_entry_as_its_digit():
+    # no route puts a bool in a BlockMatrix; if one does, it is written 1 or
+    # 0 in every row, where str() would write True or False
+    M = BlockMatrix([3], [[True, False, 0], [True, 1, 10], [1, True, -2]], INT)
+    assert written(write_matrix_csv, M) == "1,0,0\n1,1,10\n1,1,-2\n"
+    assert literal_csv(M).startswith("True,False,0\n")
+
+
+def test_digit_rows_write_faster_than_one_str_per_entry():
+    Z = zeta(cobweb(gauss(2), 9), "label_S")
+    assert Z.size == 1013
+    fast, literal = [], []
+    for _ in range(3):
+        for times, write in ((fast, lambda: written(write_matrix_csv, Z)),
+                             (literal, lambda: literal_csv(Z))):
+            start = time.process_time()
+            write()
+            times.append(time.process_time() - start)
+    assert min(fast) <= 0.4 * min(literal)
+    assert written(write_matrix_csv, Z) == literal_csv(Z)
 
 
 def test_matrix_json_roundtrip(nat3):

@@ -1,7 +1,7 @@
 """Check suites: failure details name the same entry as a pair-by-pair scan."""
 
 from cobweb import BlockMatrix, LevelMatrix, cobweb, cobweb_of_sizes, from_blocks, \
-    nat, run_checks, suites
+    invariants, nat, run_checks, suites
 
 
 def corrupted(M, *entries):
@@ -155,3 +155,92 @@ def test_level_form_failures_in_max_and_zeta(monkeypatch):
     monkeypatch.setattr(suites, "level_zeta", suites.level_max)
     (res,) = [r for r in suites.suite_zeta(P) if r.name == "level-form-agreement"]
     assert res.detail == "closure: entry (1, 4): level form has 2, dense has 1"
+
+
+# -- one fault per check that no other test makes fail ---------------------------
+
+def failures(results):
+    return {r.name: r.detail for r in results if not r.passed}
+
+
+def test_closure_matches_reachability_fails_on_a_missing_pair(monkeypatch):
+    P = cobweb(nat(), 4)
+    real = suites.reachable_sets
+
+    def dropped(Q):
+        reach = real(Q)
+        reach[2] = reach[2] - {5}
+        return reach
+
+    monkeypatch.setattr(suites, "reachable_sets", dropped)
+    assert failures(suites.suite_zeta(P)) == {
+        "closure-matches-reachability": "zeta closure disagrees with graph reachability"}
+
+
+def test_logic_of_max_fails_on_a_chain_count_below_the_diagonal(monkeypatch):
+    P = cobweb(nat(), 4)
+    real = suites.max_matrix
+    monkeypatch.setattr(suites, "max_matrix", lambda Q: corrupted(real(Q), (5, 2)))
+    assert failures(suites.suite_zeta(P)) == {"logic-of-max": "L(max) differs from zeta"}
+
+
+def test_invert_vs_recurrence_fails_on_a_wrong_recurrence(monkeypatch):
+    P = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
+    real = suites.mobius
+    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(
+        real(Q, m), (1, 6)) if m == "recurrence" else real(Q, m))
+    assert failures(suites.suite_mobius(P)) == {
+        "invert-vs-recurrence": "inversion and recurrence disagree"}
+
+
+def test_closed_form_agreement_fails_on_a_wrong_closed_form(monkeypatch):
+    P = cobweb(nat(), 4)
+    real = suites.mobius
+    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(
+        real(Q, m), (1, 10)) if m == "closed_form" else real(Q, m))
+    assert failures(suites.suite_mobius(P)) == {
+        "closed-form-agreement": "closed form disagrees with inversion"}
+
+
+def test_rank_dependence_fails_on_a_mu_that_varies_inside_a_block(monkeypatch):
+    # every dense route returns the same corrupted mu at (2, 4), inside
+    # level block (2, 3); the product with zeta and the level forms see it too
+    P = cobweb(nat(), 4)
+    real = suites.mobius
+    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(real(Q, m), (2, 4)))
+    assert failures(suites.suite_mobius(P)) == {
+        "inverse-pair": "mu is not an exact two-sided inverse of zeta",
+        "rank-dependence": "mu varies inside a level block of a cobweb",
+        "level-form-agreement": "invert: entry (2, 4): level form has -1, dense has 6"}
+
+
+def test_unit_diagonal_fails_on_a_wrong_diagonal_entry(monkeypatch):
+    # one chain from a node to itself: the oracle, the inverse and the level
+    # form all disagree with the corrupted diagonal as well
+    P = cobweb(nat(), 4)
+    real = suites.max_matrix
+    monkeypatch.setattr(suites, "max_matrix", lambda Q: corrupted(real(Q), (3, 3)))
+    assert failures(suites.suite_max(P)) == {
+        "chain-count-oracle": "entry (3, 3): counted 1, matrix has 8",
+        "inverse-pair": "identity minus cover is not the inverse",
+        "unit-diagonal": "diagonal entry differs from 1",
+        "level-form-agreement": "closure: entry (3, 3): level form has 1, dense has 8"}
+
+
+def test_markov_factorization_fails_on_a_wrong_chain_count(monkeypatch):
+    # C(1, 1) read as 8: C(1, 1) * C(1, 2) = 16 against |level 1| * C(1, 2) = 2
+    P = cobweb(nat(), 4)
+    real = suites.layer_chain_counts
+    monkeypatch.setattr(suites, "layer_chain_counts", lambda Q, s: [
+        c + 7 * (s == 1) for c in real(Q, s)])
+    (res,) = suites.suite_markov(P)
+    assert (res.name, res.passed, res.detail) == ("factorization", False, "(1,1,2): 16 != 2")
+
+
+def test_whitney_closed_vs_direct_fails_on_a_wrong_closed_form(monkeypatch):
+    P = cobweb(nat(), 4)
+    real = invariants.interval_mobius
+    monkeypatch.setattr(invariants, "interval_mobius", lambda F, a, b: real(F, a, b) + (b == 3))
+    (res,) = suites.suite_whitney(P)
+    assert (res.name, res.passed) == ("closed-vs-direct", False)
+    assert res.detail == "whitney_first(2): closed form 6 != direct sum 3"
