@@ -6,18 +6,28 @@ Python ints (so integer arithmetic is unbounded); the ring object only fixes
 the meaning of + and *.  The Boolean semiring uses (or, and) and refuses
 negation outright rather than faking it.
 
+One level rule serves the product and the row solve: where row x of A holds
+one value c across a whole level, the sum over that level's k of
+A[x][k] * B[k] is c times the sum of B's rows of that level, added once.
+Distributivity makes this exact in both rings; it is the reduced incidence
+algebra of Doubilet, Rota and Stanley, and zeta, mu and max of a cobweb hold
+one value across every level above a row's own.
+
+mul applies it to every level of more than one node, building each level's
+sum on first use; every other nonzero a of A walks the nonzero (j, b) pairs
+of its row of B.  No triangular shape is assumed.
+
 The closure I + K + K^2 + ... = (I - K)^-1 of a strictly upper K and the
 inverse of a unitriangular I + N are one triangular system, solved a row at a
 time from the bottom: row x of R is e_x plus (closure, R = I + K R) or minus
-(inverse, R = I - N R) the sum over k > x of N[x][k] * R[k].  Row k of R is
-zero left of its diagonal, and in a graded poset also across the rest of its
-own level and past its last comparable node, so each finished row is kept
-right of its diagonal from its first to its last nonzero: a coefficient adds
-only that trimmed span, with one C-level map of the ring's addition.  One
-value c across a whole higher level, as in zeta of a cobweb, adds c times the
-sum of that level's rows once; distributivity makes this exact in both
-rings.  The level algebra of cobwebs runs the same solve on its n x n table
-once each column is weighted by the size of its level (see incidence.py).
+(inverse, R = I - N R) the sum over k > x of N[x][k] * R[k], with the level
+rule on every higher level.  Row k of R is zero left of its diagonal, and in
+a graded poset also across the rest of its own level and past its last
+comparable node, so each finished row is kept right of its diagonal from its
+first to its last nonzero: a coefficient adds only that trimmed span, with
+one C-level map of the ring's addition.  The level algebra of cobwebs runs
+the same solve on its n x n table once each column is weighted by the size
+of its level (see incidence.py).
 """
 
 from __future__ import annotations
@@ -188,24 +198,51 @@ def add(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
 
 
 def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
-    """Exact ring product of two full matrices; no triangular shape assumed.
-
-    Time is proportional to the nonzeros: each row of B is reduced once to
-    its nonzero (j, b) pairs, and each nonzero a of A walks only those.
-    """
+    """Exact ring product of two full matrices, by the level rule (see the
+    module docstring); nonzero pairs and level sums of B are built on first
+    use, once per product."""
     _check_compatible(A, B)
     ring = A.ring
-    zero, radd, rmul = ring.zero, ring.add, ring.mul
-    bnz = [[(j, b) for j, b in enumerate(brow) if b != zero] for brow in B.rows]
+    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    n, off = A.size, A._offsets
+    bnz = [None] * n
+    sums = {}
     out = []
     for arow in A.rows:
-        acc = [zero] * A.size
-        for k, a in enumerate(arow):
-            if a != zero:
-                for j, b in bnz[k]:
-                    acc[j] = radd(acc[j], rmul(a, b))
+        acc = [zero] * n
+        for a, b in zip(off, off[1:]):
+            c = arow[a]
+            if b - a > 1 and arow[a:b].count(c) == b - a:
+                if c != zero:
+                    if a not in sums:
+                        tot = [zero] * n
+                        for brow in B.rows[a:b]:
+                            tot = list(map(radd, tot, brow))
+                        sums[a] = _span(tot, 0, zero)
+                    s, vals = sums[a]
+                    e = s + len(vals)
+                    if c != one:
+                        vals = map(rmul, repeat(c), vals)
+                    acc[s:e] = map(radd, acc[s:e], vals)
+                continue
+            for k, v in enumerate(arow[a:b], a):
+                if v != zero:
+                    if bnz[k] is None:
+                        bnz[k] = [(j, x) for j, x in enumerate(B.rows[k]) if x != zero]
+                    for j, x in bnz[k]:
+                        acc[j] = radd(acc[j], rmul(v, x))
         out.append(acc)
     return BlockMatrix(A.level_sizes, out, ring)
+
+
+def _span(acc, s, zero):
+    """(s', acc[s':e]): acc from column s on is zero outside s' .. e - 1."""
+    e = len(acc)
+    while s < e and acc[s] == zero:
+        s += 1
+    while e > s and acc[e - 1] == zero:
+        e -= 1
+    return s, acc[s:e]
 
 
 def _unit_solve(rows, sizes, ring, negate):
@@ -247,12 +284,7 @@ def _unit_solve(rows, sizes, ring, negate):
                 acc[s:e] = map(radd, acc[s:e], vals)
             if negate:
                 acc[x + 1:] = map(ring.neg, acc[x + 1:])
-            s, e = x + 1, n
-            while s < e and acc[s] == zero:
-                s += 1
-            while e > s and acc[e - 1] == zero:
-                e -= 1
-            parts[x] = (s, acc[s:e])
+            parts[x] = _span(acc, x + 1, zero)
             acc[x] = one
             out[x] = acc
     return out

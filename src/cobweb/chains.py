@@ -20,13 +20,15 @@ both sides of a comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, product
 from math import prod
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Tuple
 
 from .fsequence import FSequence, f_factorial, fnomial
 from .poset import GradedPoset, NodeLabel, PosetError, check_layer_bounds, cobweb
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Chain(NamedTuple):
@@ -260,6 +262,7 @@ def fnomial_partition_check(F: FSequence, n: int, k: int) -> PartitionReport:
         layer_count = count_layer_chains(cobweb(F, n), k + 1, n)
         block_count = count_layer_chains(cobweb(F, m), 1, m)
     assert block_count == f_factorial(F, m)
+    from fractions import Fraction  # imported on first use, as in fnomial
     ratio = Fraction(layer_count, block_count)
     fn = fnomial(F, n, k)
     return PartitionReport(layer_count, block_count, ratio.denominator == 1,
@@ -286,6 +289,7 @@ def fnomial_chain_probe(F: FSequence, l: int, k: int) -> ProbeReport:
     # level j of F's cobweb is level j + 1
     P = cobweb(F.rooted(), l + 2)
     count = count_interval_chains(P, P.node(k - 1, 1), P.node(l + 2, 1))
+    from fractions import Fraction  # imported on first use, as in fnomial
     rhs = Fraction(count, f_factorial(F, l - k))
     lhs = fnomial(F, l, k)
     return ProbeReport(lhs, rhs, lhs == rhs)

@@ -101,11 +101,23 @@ ZETA_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in ZETA_METHODS}
 MOBIUS_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in MOBIUS_METHODS}
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _NotBuilt:
+    """Stands in for a subparser that one call does not need."""
+    def add_argument(self, *args, **kwargs):
+        pass
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` only, or with all of them
+    when `command` is None."""
     p = _Parser(prog="cobweb",
                 description="Exact incidence algebra of graded posets built "
                             "as natural joins of bipartite layers.")
     sub = p.add_subparsers(dest="command", metavar="command")
+
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, **kwargs) if command in (None, name) else _NotBuilt()
+
     # parent parsers: the poset and -o of the commands that read a poset and
     # write a result, and the --format of the csv/json matrix commands
     poset_io = argparse.ArgumentParser(add_help=False)
@@ -114,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    g = sub.add_parser("gen", help="generate a poset and write its JSON")
+    g = add_parser("gen", help="generate a poset and write its JSON")
     g.add_argument("--seq", help="sequence spec: nat|fib|gauss:q=<int>|const:<int>|file:<path>")
     g.add_argument("--levels", type=int, help="number of levels")
     g.add_argument("--root", action="store_true",
@@ -122,58 +134,58 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--blocks", help="JSON file with explicit 0/1 blocks")
     g.add_argument("-o", "--output", help="output path (default stdout)")
 
-    z = sub.add_parser("zeta", parents=[poset_io], help="zeta matrix of a poset")
+    z = add_parser("zeta", parents=[poset_io], help="zeta matrix of a poset")
     z.add_argument("--method", choices=sorted(ZETA_FLAG_TO_METHOD), default="closure")
     z.add_argument("--format", choices=["csv", "json", "ascii"], default="csv")
 
-    m = sub.add_parser("mobius", parents=[poset_io, fmt], help="Moebius matrix of a poset")
+    m = add_parser("mobius", parents=[poset_io, fmt], help="Moebius matrix of a poset")
     m.add_argument("--method", choices=sorted(MOBIUS_FLAG_TO_METHOD), default="invert")
 
-    x = sub.add_parser("max", parents=[poset_io, fmt], help="maximal-chain counting matrix")
+    x = add_parser("max", parents=[poset_io, fmt], help="maximal-chain counting matrix")
     x.add_argument("--inverse", action="store_true")
 
-    e = sub.add_parser("eta", parents=[poset_io, fmt], help="reflexive cover matrix")
+    e = add_parser("eta", parents=[poset_io, fmt], help="reflexive cover matrix")
     e.add_argument("--inverse", action="store_true")
 
-    c = sub.add_parser("chains", parents=[poset_io], help="maximal chains of a layer")
+    c = add_parser("chains", parents=[poset_io], help="maximal chains of a layer")
     c.add_argument("--from", dest="from_level", type=int)
     c.add_argument("--to", dest="to_level", type=int)
     c.add_argument("--count-only", action="store_true")
     c.add_argument("--interval", nargs=2, type=int, metavar=("X", "Y"),
                    help="count chains between two global labels")
 
-    f = sub.add_parser("fnomial", help="F-nomial coefficient")
+    f = add_parser("fnomial", help="F-nomial coefficient")
     f.add_argument("--seq", required=True)
     f.add_argument("n", type=int)
     f.add_argument("k", type=int)
 
-    a = sub.add_parser("admissible", help="cobweb admissibility verdict")
+    a = add_parser("admissible", help="cobweb admissibility verdict")
     a.add_argument("--seq", required=True)
     a.add_argument("--up-to", dest="up_to", type=int, required=True)
 
-    w = sub.add_parser("whitney", help="Whitney numbers of a rooted poset")
+    w = add_parser("whitney", help="Whitney numbers of a rooted poset")
     w.add_argument("poset")
 
-    cp = sub.add_parser("charpoly", help="characteristic polynomial of a rooted poset")
+    cp = add_parser("charpoly", help="characteristic polynomial of a rooted poset")
     cp.add_argument("poset")
 
-    co = sub.add_parser("coding", parents=[fmt], help="coding matrix of a sequence")
+    co = add_parser("coding", parents=[fmt], help="coding matrix of a sequence")
     co.add_argument("--seq", required=True)
     co.add_argument("--levels", type=int, required=True)
     co.add_argument("-o", "--output")
 
-    kr = sub.add_parser("kroton", help="coding entry magnitude between two levels")
+    kr = add_parser("kroton", help="coding entry magnitude between two levels")
     kr.add_argument("--seq", required=True)
     kr.add_argument("r", type=int)
     kr.add_argument("s", type=int)
 
-    ch = sub.add_parser("check", help="run invariant suites on a poset")
+    ch = add_parser("check", help="run invariant suites on a poset")
     ch.add_argument("poset")
     ch.add_argument("--suite", default="all",
                     choices=["all", "zeta", "mobius", "max", "markov", "whitney"])
 
-    sub.add_parser("dot", parents=[poset_io], help="DOT export of the Hasse digraph")
-    sub.add_parser("lascala", parents=[poset_io], help="ASCII staircase view of zeta")
+    add_parser("dot", parents=[poset_io], help="DOT export of the Hasse digraph")
+    add_parser("lascala", parents=[poset_io], help="ASCII staircase view of zeta")
     return p
 
 
@@ -343,7 +355,9 @@ COMMANDS = {"gen": _cmd_gen, "zeta": _cmd_zeta, "mobius": _cmd_mobius,
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    # only the named command's subparser is built; -h, an unknown command or
+    # none at all get every one, for the full usage and the list of choices
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("a command is required")

@@ -9,9 +9,11 @@ Python integers and fractions.Fraction, never floats.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SequenceError(ValueError):
@@ -165,6 +167,7 @@ def fnomial(F: FSequence, n: int, k: int) -> Fraction:
     """The F-nomial coefficient n_F! / (k_F! (n-k)_F!) as an exact rational."""
     if not 0 <= k <= n:
         raise SequenceError(f"fnomial needs 0 <= k <= n, got n={n} k={k}")
+    from fractions import Fraction  # imported on first use: it loads decimal
     return Fraction(f_falling(F, n, k), f_factorial(F, k))
 
 

@@ -27,6 +27,7 @@ the oracles the level forms are held to.
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 from math import prod
 from typing import List, NamedTuple, Set, Tuple
 
@@ -241,17 +242,13 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
 
 def reachable_sets(P: GradedPoset) -> List[Set[int]]:
     """reachable_sets(P)[x] is the set of global labels y with x <= y,
-    computed by graph traversal of the cover digraph (no matrix algebra)."""
-    N = P.node_count
-    up: List[List[int]] = [[] for _ in range(N + 1)]
-    for x in P.nodes():
-        up[x.global_label] = [y.global_label for y in P.upper_covers(x)]
-    reach: List[Set[int]] = [set() for _ in range(N + 1)]
-    for g in range(N, 0, -1):
-        acc = {g}
-        for h in up[g]:
-            acc |= reach[h]
-        reach[g] = acc
+    computed by graph traversal of the cover digraph (no matrix algebra).
+    The up-covers of node g are its row of the cover block, read as labels."""
+    reach: List[Set[int]] = [set()] + [{g} for g in range(1, P.node_count + 1)]
+    for k in range(P.n_levels - 1, 0, -1):
+        above = range(P.S(k) + 1, P.S(k + 1) + 1)
+        for g, row in enumerate(P.blocks[k - 1], P.S(k - 1) + 1):
+            reach[g].update(*map(reach.__getitem__, compress(above, row)))
     return reach
 
 

@@ -21,16 +21,23 @@ Each inverse-pair law is one exact product: zeta * mu == I, and
 (I - cover) * max == I.  A one-sided inverse of a square matrix is
 two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
 Prop. 3.6.2) and over the integers alike, since det A * det B = 1; so the
-product in the other order could never change a verdict.  The side kept is
-the cheaper one on deep cobwebs.  On gauss:q=2 with 8 levels (502 nodes,
-best of 3 on one Xeon core) zeta * mu takes 0.54 s against 0.59 s for
-mu * zeta, and (I - cover) * max 0.34 s against 0.57 s for
-max * (I - cover).
+product in the other order could never change a verdict.  With the level
+rule of blockmat.mul the two sides cost about the same.  On gauss:q=2 with
+8 levels (502 nodes, best of 7 on one Xeon core) zeta * mu takes 0.060 s
+against 0.066 s for mu * zeta, and (I - cover) * max 0.056 s against
+0.048 s for max * (I - cover): 8 ms of a ~1.2 s check, so the sides kept do
+not change.
+
+Every suite takes the poset and a Dense, which builds zeta(P, "closure")
+and max_matrix(P) on first use: run_checks hands one Dense to all the
+suites it runs, so neither is built twice, and a suite called alone builds
+its own.  The markov and whitney suites read neither.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple
+from functools import cached_property
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .blockmat import INT, BlockMatrix, mul
 from .chains import interval_chain_column, layer_chain_counts
@@ -71,12 +78,35 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
     return _verdict(suite, name, True)
 
 
-def suite_zeta(P: GradedPoset) -> List[CheckResult]:
+class Dense:
+    """zeta(P, "closure") and max_matrix(P), each built on first use."""
+
+    def __init__(self, P: GradedPoset):
+        self.P = P
+
+    @cached_property
+    def closure(self) -> BlockMatrix:
+        return zeta(self.P, "closure")
+
+    @cached_property
+    def max(self) -> BlockMatrix:
+        return max_matrix(self.P)
+
+
+def _indicator(labels, n: int) -> tuple:
+    """The 0/1 row of length n with a 1 at each 1-based label."""
+    row = [0] * n
+    for y in labels:
+        row[y - 1] = 1
+    return tuple(row)
+
+
+def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     out = []
-    Z = zeta(P, "closure")
+    dense = dense or Dense(P)
+    Z = dense.closure
     reach = reachable_sets(P)
-    good = all((1 if (j + 1) in reach[i + 1] else 0) == Z.rows[i][j]
-               for i in range(P.node_count) for j in range(P.node_count))
+    good = all(_indicator(reach[x], P.node_count) == row for x, row in enumerate(Z.rows, 1))
     out.append(_verdict("zeta", "closure-matches-reachability", good,
                         "zeta closure disagrees with graph reachability"))
     if P.is_cobweb:
@@ -85,13 +115,13 @@ def suite_zeta(P: GradedPoset) -> List[CheckResult]:
         out.append(_verdict("zeta", "method-agreement", not bad, f"methods disagree: {bad}"))
     else:
         out.append(_skip("zeta", "method-agreement", "label formulas need a cobweb"))
-    out.append(_verdict("zeta", "logic-of-max", logic_L(max_matrix(P)).rows == Z.rows,
+    out.append(_verdict("zeta", "logic-of-max", logic_L(dense.max).rows == Z.rows,
                         "L(max) differs from zeta"))
     out.append(_level_agreement("zeta", P, [("closure", level_zeta, Z)]))
     return out
 
 
-def suite_mobius(P: GradedPoset) -> List[CheckResult]:
+def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     out = []
     mu = mobius(P, "invert")
     rec = mobius(P, "recurrence")
@@ -103,7 +133,7 @@ def suite_mobius(P: GradedPoset) -> List[CheckResult]:
                             "closed form disagrees with inversion"))
     else:
         out.append(_skip("mobius", "closed-form-agreement", "closed form needs a cobweb"))
-    zi = zeta(P, "closure").with_ring(INT)
+    zi = (dense or Dense(P)).closure.with_ring(INT)
     I = BlockMatrix.identity(P.level_sizes, INT)
     out.append(_verdict("mobius", "inverse-pair", mul(zi, mu) == I,
                         "mu is not an exact two-sided inverse of zeta"))
@@ -125,9 +155,9 @@ def suite_mobius(P: GradedPoset) -> List[CheckResult]:
     return out
 
 
-def suite_max(P: GradedPoset) -> List[CheckResult]:
+def suite_max(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     out = []
-    M = max_matrix(P)
+    M = (dense or Dense(P)).max
     # one oracle sweep per column y; the first mismatch in row-major order is
     # the smallest (x, y) over the columns' first mismatches
     bad = None
@@ -152,7 +182,7 @@ def suite_max(P: GradedPoset) -> List[CheckResult]:
     return out
 
 
-def suite_markov(P: GradedPoset) -> List[CheckResult]:
+def suite_markov(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     if not P.is_cobweb:
         return [_skip("markov", "factorization", "stated for cobwebs")]
     n = P.n_levels
@@ -174,7 +204,7 @@ def suite_markov(P: GradedPoset) -> List[CheckResult]:
     return [_verdict("markov", "factorization", True), _verdict("markov", "split-form", True)]
 
 
-def suite_whitney(P: GradedPoset) -> List[CheckResult]:
+def suite_whitney(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     if P.level_sizes[0] != 1 or not P.is_cobweb:
         return [_skip("whitney", "closed-vs-direct", "needs a rooted cobweb")]
     R = P if isinstance(P, RootedPoset) else RootedPoset.from_poset(P)
@@ -193,7 +223,7 @@ def suite_whitney(P: GradedPoset) -> List[CheckResult]:
     return out
 
 
-SUITES: Dict[str, Callable[[GradedPoset], List[CheckResult]]] = {
+SUITES: Dict[str, Callable[[GradedPoset, Dense], List[CheckResult]]] = {
     "zeta": suite_zeta,
     "mobius": suite_mobius,
     "max": suite_max,
@@ -209,7 +239,8 @@ def run_checks(P: GradedPoset, suite: str = "all") -> List[CheckResult]:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; pick all|{'|'.join(SUITES)}")
+    dense = Dense(P)
     out: List[CheckResult] = []
     for name in names:
-        out.extend(SUITES[name](P))
+        out.extend(SUITES[name](P, dense))
     return out

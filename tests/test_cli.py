@@ -168,16 +168,34 @@ def test_chains_listing_streams_the_json_bytes(tmp_path, capsys):
 def test_import_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, a fixed cost on
     # every CLI call; -S keeps site hooks from loading them first
+    # fractions imports decimal; both load only where a Fraction is made
     # the runtime is stdlib-only: numpy and friends may be installed, so an
     # accidental import of one would otherwise go unnoticed
     code = ("import sys, cobweb.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules))); "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'fractions', 'decimal'}"
+            " & set(sys.modules))); "
             "print(sorted({m.split('.')[0] for m in sys.modules}"
             " - set(sys.stdlib_module_names) - {'__main__', 'cobweb'}))")
     env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seq", "nat", "--levels", "3", "--root"],
+    ["zeta", "p.json", "--method", "label-s", "--format", "ascii", "-o", "z.csv"],
+    ["mobius", "p.json", "--method", "closed-form", "--format", "json"],
+    ["max", "p.json", "--inverse"],
+    ["chains", "p.json", "--interval", "1", "3"],
+    ["fnomial", "--seq", "fib", "4", "2"],
+    ["coding", "--seq", "nat", "--levels", "4", "--format", "json"],
+    ["check", "p.json", "--suite", "markov"],
+    ["lascala", "p.json"],
+])
+def test_one_subparser_parses_as_the_full_parser(argv):
+    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == \
+        vars(cli.build_parser().parse_args(argv))
 
 
 def test_fnomial_output(capsys):

@@ -64,6 +64,31 @@ def test_each_inverse_pair_costs_one_product(monkeypatch):
         assert calls == [(zi, mu), (inv, M)]
 
 
+def test_run_checks_builds_the_closure_and_the_max_matrix_once(monkeypatch):
+    calls = []
+    real_zeta, real_max = suites.zeta, suites.max_matrix
+
+    def zeta(Q, method="closure"):
+        calls.append(method)
+        return real_zeta(Q, method)
+
+    def max_matrix(Q):
+        calls.append("max")
+        return real_max(Q)
+
+    monkeypatch.setattr(suites, "zeta", zeta)
+    monkeypatch.setattr(suites, "max_matrix", max_matrix)
+    non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
+    for P in (cobweb(nat(), 4), non_cobweb):
+        calls.clear()
+        assert all(r.passed for r in run_checks(P))
+        assert (calls.count("closure"), calls.count("max")) == (1, 1)
+    # a suite that reads neither builds neither
+    calls.clear()
+    run_checks(cobweb(nat(), 4), "markov")
+    assert calls == []
+
+
 def test_markov_failure_names_first_triple():
     # a non-cobweb forced past the cobweb gate: C(1,1) * C(2,2) = 6 chains
     # against C(1,2) = 4, caught by the split form at the first triple
