@@ -6,34 +6,47 @@ Python ints (so integer arithmetic is unbounded); the ring object only fixes
 the meaning of + and *.  The Boolean semiring uses (or, and) and refuses
 negation outright rather than faking it.
 
+The product and the row solve hold a whole row as one Python int, the sum
+of entry y times 2^(w*y), so that adding a multiple of one row to another
+is one big-int operation in C (Kronecker substitution).  Over BOOL, w = 8
+and | is the ring's add, so every field stays 0 or 1.  Over INT, w is a
+multiple of 64 and an entry is signed: a negative one borrows from the
+field above it.  Packing is linear, so a sum of packed rows is exactly the
+packed sum, whatever the fields hold on the way; the result reads back
+right when each of its entries is below 2^(w-1) in absolute value.  The
+product takes w from a bound computed up front: the largest |B| entry
+times the largest row sum of |A|, or 1 if that is larger, since the fields
+hold B too.  The row solve keeps bound(x) = sum over k of |N[x][k]| *
+bound(k), at least 1, for row x of R, and where a bound reaches 2^(w-2) it
+starts over at 2w, so every entry fits its field whatever its size.  Rows
+are unpacked once, at the end: adding the word with every field's top bit
+set lifts each field into 0 .. 2^w - 1 without a carry out of it, and an
+xor with the same word leaves each in two's complement, read as native
+64-bit words when w = 64 on a little-endian machine and field by field
+otherwise.  A BOOL row is its bytes.
+
 One level rule serves the product and the row solve: where row x of A holds
 one value c across a whole level, the sum over that level's k of
-A[x][k] * B[k] is c times the sum of B's rows of that level, added once.
-Distributivity makes this exact in both rings; it is the reduced incidence
-algebra of Doubilet, Rota and Stanley, and zeta, mu and max of a cobweb hold
-one value across every level above a row's own.
-
-mul applies it to every level of more than one node, building each level's
-sum on first use; every other nonzero a of A walks the nonzero (j, b) pairs
-of its row of B.  No triangular shape is assumed.
+A[x][k] * B[k] is c times the sum of B's rows of that level, one packed int
+added once.  Distributivity makes this exact in both rings; it is the
+reduced incidence algebra of Doubilet, Rota and Stanley, and zeta, mu and
+max of a cobweb hold one value across every level above a row's own.
 
 The closure I + K + K^2 + ... = (I - K)^-1 of a strictly upper K and the
 inverse of a unitriangular I + N are one triangular system, solved a row at a
 time from the bottom: row x of R is e_x plus (closure, R = I + K R) or minus
 (inverse, R = I - N R) the sum over k > x of N[x][k] * R[k], with the level
-rule on every higher level.  Row k of R is zero left of its diagonal, and in
-a graded poset also across the rest of its own level and past its last
-comparable node, so each finished row is kept right of its diagonal from its
-first to its last nonzero: a coefficient adds only that trimmed span, with
-one C-level map of the ring's addition.  The level algebra of cobwebs runs
-the same solve on its n x n table once each column is weighted by the size
-of its level (see incidence.py).
+rule on every higher level.  No triangular shape is assumed of a product.
+The level algebra of cobwebs runs the same solve on its n x n table once
+each column is weighted by the size of its level (see incidence.py).
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, repeat
+import sys
+from functools import reduce
+from itertools import accumulate, compress
 from typing import Sequence, Tuple
 
 from .poset import check_level_sizes
@@ -80,6 +93,9 @@ class BooleanSemiring:
 
 INT = IntegerRing()
 BOOL = BooleanSemiring()
+
+# the 64-bit fields of a packed row are read as native machine words
+_LITTLE = sys.byteorder == "little"
 
 
 class BlockMatrix:
@@ -198,96 +214,142 @@ def add(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
 
 
 def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
-    """Exact ring product of two full matrices, by the level rule (see the
-    module docstring); nonzero pairs and level sums of B are built on first
-    use, once per product."""
+    """Exact ring product of two full matrices: B's rows are packed, and
+    each row of the product is one sum of packed rows and level sums of B
+    (see the module docstring)."""
     _check_compatible(A, B)
-    ring = A.ring
-    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
-    n, off = A.size, A._offsets
-    bnz = [None] * n
-    sums = {}
+    n, off, boolean = A.size, A._offsets, A.ring is BOOL
+    if boolean:
+        w = 8
+        packed = [int.from_bytes(bytes(row), "little") for row in B.rows]
+    else:
+        # the fields hold B, and |(AB)[x][y]| is at most the sum over k of
+        # |A[x][k]| times the largest |B| entry
+        bound = (max(max(sum(map(abs, row)) for row in A.rows), 1)
+                 * max(max(map(max, B.rows)), -min(map(min, B.rows))))
+        w = 64
+        while bound >> (w - 2):
+            w *= 2
+        packed = _pack(B.rows, w)
+    spans = tuple(zip(off, off[1:]))
+    sums = [None] * len(spans)
     out = []
     for arow in A.rows:
-        acc = [zero] * n
-        for a, b in zip(off, off[1:]):
-            c = arow[a]
-            if b - a > 1 and arow[a:b].count(c) == b - a:
-                if c != zero:
-                    if a not in sums:
-                        tot = [zero] * n
-                        for brow in B.rows[a:b]:
-                            tot = list(map(radd, tot, brow))
-                        sums[a] = _span(tot, 0, zero)
-                    s, vals = sums[a]
-                    e = s + len(vals)
-                    if c != one:
-                        vals = map(rmul, repeat(c), vals)
-                    acc[s:e] = map(radd, acc[s:e], vals)
-                continue
-            for k, v in enumerate(arow[a:b], a):
-                if v != zero:
-                    if bnz[k] is None:
-                        bnz[k] = [(j, x) for j, x in enumerate(B.rows[k]) if x != zero]
-                    for j, x in bnz[k]:
-                        acc[j] = radd(acc[j], rmul(v, x))
-        out.append(acc)
-    return BlockMatrix(A.level_sizes, out, ring)
+        cs, vs = [], []
+        for m, (a, b) in enumerate(spans):
+            seg = arow[a:b]
+            c = seg[0]
+            if seg.count(c) < b - a:
+                cs += compress(seg, seg)
+                vs += compress(packed[a:b], seg)
+            elif c:
+                if sums[m] is None:
+                    sums[m] = reduce(operator.or_, packed[a:b]) if boolean else sum(packed[a:b])
+                cs.append(c)
+                vs.append(sums[m])
+        out.append(reduce(operator.or_, vs, 0) if boolean else _dot(cs, vs))
+    return BlockMatrix(A.level_sizes, _unpack(out, n, w), A.ring)
 
 
-def _span(acc, s, zero):
-    """(s', acc[s':e]): acc from column s on is zero outside s' .. e - 1."""
-    e = len(acc)
-    while s < e and acc[s] == zero:
-        s += 1
-    while e > s and acc[e - 1] == zero:
-        e -= 1
-    return s, acc[s:e]
+def _dot(cs, vs):
+    """The sum of c * v over the pairs; where every c is 1, of v alone."""
+    return sum(vs) if cs.count(1) == len(cs) else sum(map(operator.mul, cs, vs))
+
+
+def _top(n, w):
+    """n fields of width w, each holding only its top bit."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(rows, w):
+    """Each row of ints as one int with entry y in the field at bit w*y;
+    every entry must fit a signed field of width w."""
+    import struct  # kept off the import path of every CLI call
+    n = len(rows[0])
+    top = _top(n, w)
+    if w == 64:
+        fmt = struct.Struct(f"<{n}q")
+        raw = [int.from_bytes(fmt.pack(*row), "little") for row in rows]
+    else:
+        raw = [int.from_bytes(b"".join(v.to_bytes(w // 8, "little", signed=True)
+                                       for v in row), "little") for row in rows]
+    # raw holds each field in two's complement; flipping the top bits gives
+    # the field plus 2^(w-1), and taking top off again leaves the signed sum
+    return [(v ^ top) - top for v in raw]
+
+
+def _unpack(packed, n, w):
+    """Rows of n entries from packed rows of field width w: the inverse of
+    _pack over INT, and one byte per entry over BOOL (w = 8)."""
+    if w == 8:
+        return [list(v.to_bytes(n, "little")) for v in packed]
+    top = _top(n, w)
+    size, step = n * w // 8, w // 8
+    rows = []
+    for v in packed:
+        # adding top lifts every field into 0 .. 2^w - 1 without a carry out
+        # of it, and the xor flips its top bit back: each field in two's
+        # complement
+        raw = ((v + top) ^ top).to_bytes(size, "little")
+        rows.append(memoryview(raw).cast("q").tolist() if w == 64 and _LITTLE else
+                    [int.from_bytes(raw[i:i + step], "little", signed=True)
+                     for i in range(0, size, step)])
+    return rows
 
 
 def _unit_solve(rows, sizes, ring, negate):
     """Rows of R = I + N R (negate false) or R = I - N R (negate true),
     where N is the part of `rows` right of the diagonal and `sizes` are the
     level sizes; nothing else of `rows` is read."""
-    n = len(rows)
-    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    w = 8 if ring is BOOL else 64
+    while (packed := _packed_solve(rows, sizes, negate, w)) is None:
+        w *= 2
+    return _unpack(packed, len(rows), w)
+
+
+def _packed_solve(rows, sizes, negate, w):
+    """The packed rows of R at field width w (8 means BOOL), or None once
+    the bound on some row's entries reaches 2^(w-2)."""
+    boolean = w == 8
+    limit = 1 << (w - 2)
     off = tuple(accumulate(sizes, initial=0))
-    out = [None] * n
-    # parts[k] = (s, vals): row k of R right of its diagonal is zero outside
-    # columns s .. s + len(vals) - 1, where it holds vals
-    parts = [None] * n
+    packed = [0] * len(rows)
+    # bound[k] >= every |R[k][y]|; a level's sum carries the sum of bounds
+    bound = [1] * len(rows)
     sums = [None] * len(sizes)
     for lvl in reversed(range(len(sizes))):
         for x in reversed(range(off[lvl], off[lvl + 1])):
-            # N R = N + N (R - I): N[x] itself carries every diagonal term
             row = rows[x]
-            acc = [zero] * (x + 1) + list(row[x + 1:])
-            terms = [(v, parts[k]) for k, v in enumerate(row[x + 1:off[lvl + 1]], x + 1)
-                     if v != zero]
+            e = off[lvl + 1]
+            seg = row[x + 1:e]
+            cs = list(compress(seg, seg))
+            vs = list(compress(packed[x + 1:e], seg))
+            bs = list(compress(bound[x + 1:e], seg))
             for m in range(lvl + 1, len(sizes)):
                 a, b = off[m], off[m + 1]
-                c = row[a]
-                if row[a:b].count(c) < b - a:
-                    terms += [(v, parts[k]) for k, v in enumerate(row[a:b], a) if v != zero]
-                elif c != zero:
-                    # one c across level m: c times sums[m], its parts' sum
+                seg = row[a:b]
+                c = seg[0]
+                if seg.count(c) < b - a:
+                    cs += compress(seg, seg)
+                    vs += compress(packed[a:b], seg)
+                    bs += compress(bound[a:b], seg)
+                elif c:
+                    # one c across level m: c times the sum of its rows
                     if sums[m] is None:
-                        tot = [zero] * n
-                        for s, vals in parts[a:b]:
-                            tot[s:s + len(vals)] = map(radd, tot[s:s + len(vals)], vals)
-                        sums[m] = (a, tot[a:])
-                    terms.append((c, sums[m]))
-            for c, (s, vals) in terms:
-                e = s + len(vals)
-                if c != one:
-                    vals = map(rmul, repeat(c), vals)
-                acc[s:e] = map(radd, acc[s:e], vals)
-            if negate:
-                acc[x + 1:] = map(ring.neg, acc[x + 1:])
-            parts[x] = _span(acc, x + 1, zero)
-            acc[x] = one
-            out[x] = acc
-    return out
+                        sums[m] = (reduce(operator.or_, packed[a:b]) if boolean
+                                   else sum(packed[a:b]), sum(bound[a:b]))
+                    cs.append(c)
+                    vs.append(sums[m][0])
+                    bs.append(sums[m][1])
+            if boolean:
+                packed[x] = reduce(operator.or_, vs, 1 << 8 * x)
+                continue
+            bound[x] = _dot(list(map(abs, cs)), bs) or 1
+            if bound[x] >= limit:
+                return None
+            acc = _dot(cs, vs)
+            packed[x] = (1 << w * x) + (-acc if negate else acc)
+    return packed
 
 
 def nilpotent_closure(K: BlockMatrix) -> BlockMatrix:

@@ -6,6 +6,12 @@ three label-formula constructions for cobwebs, and the Moebius matrix has a
 closed form (cobwebs), a series inversion, and the textbook recurrence.
 Tests and the check suites hold all routes to exact agreement.
 
+The recurrence reads reachability alone.  It solves each row of mu from
+the left, and where the strict up-set of a node ends in whole levels, as it
+does on every cobweb and above the first few levels of a dense random
+poset, it takes a finished value off those levels with one pending total
+per level instead of one subtraction per node.
+
 Each label route evaluates its own formula from the prefix sums S and the
 level sizes alone, one row at a time: every term is taken once and adds
 its contribution to the whole run of columns it covers, so a label route
@@ -27,7 +33,7 @@ the oracles the level forms are held to.
 from __future__ import annotations
 
 import warnings
-from itertools import compress
+from itertools import chain, compress
 from math import prod
 from typing import List, NamedTuple, Set, Tuple
 
@@ -257,17 +263,49 @@ def _mobius_recurrence(P: GradedPoset) -> BlockMatrix:
     # the left over reachability alone, so it uses neither a zeta construction
     # nor the inversion's row solve: walking the up-set of x in label order,
     # mu(x, z) is final when z is reached and is taken off every y above z.
-    N = P.node_count
-    reach = reachable_sets(P)
-    strict = [sorted(y - 1 for y in reach[z] if y != z) for z in range(1, N + 1)]
+    # The strict up-set of z is a head of single nodes below a suffix of
+    # whole levels.  Only the head is walked; mu(x, z) joins a total pending
+    # for the suffix's first level, taken off every node the walk reaches
+    # from that level on, so on a cobweb, where every head is empty, a row
+    # costs its up-set.  Levels and nodes are 0-based here; reachable_sets
+    # gives 1-based labels.
+    N, n, off = P.node_count, P.n_levels, P._offsets
+    level = [k for k, size in enumerate(P.level_sizes) for _ in range(size)]
+    # the suffix of z is the levels suffix[z] .. n - 1, empty at n
+    head, suffix = [], []
+    for z, up in enumerate(reachable_sets(P)[1:]):
+        strict = sorted(up)[1:]
+        # levels L - 1 .. n - 1 lie whole in the up-set when its last
+        # N - off[L - 1] labels, all distinct and at most N, start at
+        # off[L - 1] + 1
+        L = n
+        while L > level[z] + 1 and len(strict) >= N - off[L - 1] \
+                and strict[off[L - 1] - N] == off[L - 1] + 1:
+            L -= 1
+        head.append([y - 1 for y in strict[:len(strict) - (N - off[L])]])
+        suffix.append(L)
     rows = [[0] * N for _ in range(N)]
     for x, row in enumerate(rows):
         row[x] = 1
-        for z in [x] + strict[x]:
+        # pending[k]: the sum still to be taken off every node of level k
+        # and above.  A suffix of z lies whole in the up-set of x, so it
+        # starts inside the suffix of x: the head of x needs no carry
+        pending = [0] * (n + 1)
+        for z in chain((x,), head[x]):
             m = row[z]
             if m:
-                for y in strict[z]:
+                for y in head[z]:
                     row[y] -= m
+                pending[suffix[z]] -= m
+        carry = 0
+        for k in range(suffix[x], n):
+            carry += pending[k]
+            for z in range(off[k], off[k + 1]):
+                row[z] = m = row[z] + carry
+                if m:
+                    for y in head[z]:
+                        row[y] -= m
+                    pending[suffix[z]] -= m
     return BlockMatrix(P.level_sizes, rows, INT)
 
 

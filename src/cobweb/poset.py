@@ -86,7 +86,9 @@ class GradedPoset:
         # prefix sums: _offsets[k] = S(k) = number of nodes in levels 1..k
         self._offsets = tuple(accumulate(sizes, initial=0))
         self.is_cobweb = is_cobweb
-        self.has_mute_nodes = len(self.mute_nodes()) > 0
+        # all-ones blocks between levels of at least one node leave no node
+        # without a lower and an upper cover, so a cobweb skips the scan
+        self.has_mute_nodes = not is_cobweb and len(self.mute_nodes()) > 0
 
     # -- size bookkeeping ---------------------------------------------------
 

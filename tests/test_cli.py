@@ -169,11 +169,12 @@ def test_import_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, a fixed cost on
     # every CLI call; -S keeps site hooks from loading them first
     # fractions imports decimal; both load only where a Fraction is made
+    # array and struct load only where blockmat packs the rows of a product
     # the runtime is stdlib-only: numpy and friends may be installed, so an
     # accidental import of one would otherwise go unnoticed
     code = ("import sys, cobweb.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'fractions', 'decimal'}"
-            " & set(sys.modules))); "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'fractions', 'decimal',"
+            " 'array', 'struct'} & set(sys.modules))); "
             "print(sorted({m.split('.')[0] for m in sys.modules}"
             " - set(sys.stdlib_module_names) - {'__main__', 'cobweb'}))")
     env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))

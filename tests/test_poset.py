@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cobweb import PosetError, antichain, cobweb, cobweb_of_sizes, custom, \
-    fib, from_blocks, layer, nat, natural_join, ordinal_sum
+from cobweb import GradedPoset, PosetError, antichain, cobweb, cobweb_of_sizes, custom, \
+    fib, from_blocks, gauss, layer, nat, natural_join, ordinal_sum
+from cobweb.formats import FormatError, poset_from_json, poset_to_json
 
 from conftest import random_no_mute_poset
 
@@ -97,6 +98,21 @@ def test_mute_nodes_match_their_definition_on_random_posets():
         assert P.has_mute_nodes == bool(want)
         seen_mute += len(want)
     assert seen_mute > 0
+
+
+def test_a_cobweb_is_built_without_the_mute_scan(monkeypatch):
+    # all-ones blocks between levels of at least one node leave no mute
+    # node, so has_mute_nodes needs no scan; a stored no_mute flag that says
+    # otherwise is still refused on load
+    def scan(self):
+        raise AssertionError("mute_nodes called for a cobweb")
+    monkeypatch.setattr(GradedPoset, "mute_nodes", scan)
+    P = cobweb(gauss(2), 5)
+    assert P.is_cobweb and not P.has_mute_nodes
+    text = poset_to_json(P)
+    assert poset_from_json(text) == P
+    with pytest.raises(FormatError, match="flags.no_mute: stored False, recomputed True"):
+        poset_from_json(text.replace('"no_mute": true', '"no_mute": false'))
 
 
 def test_extremal_levels_are_never_mute():

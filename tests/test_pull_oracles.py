@@ -1,27 +1,33 @@
 """The row solve, the product, reachability and the Moebius recurrence, held
 to the versions they replaced.
 
-blockmat._unit_solve adds c times a level's row sum once wherever a row holds
-one value c across a whole higher level, blockmat.mul does the same across
-any level of more than one node, incidence.reachable_sets reads the up-covers
-straight from the cover blocks, and incidence._mobius_recurrence pushes each
-finished mu(x, z) into the sums still pending above z.  The functions below
-are the earlier forms, kept verbatim: a solve that adds one row per nonzero
-column, a product that walks every nonzero pair, a traversal over node
-labels, and a recurrence that pulls each mu(x, y) from every z below y.  The
-new routes must reproduce them exactly.
+blockmat._unit_solve and blockmat.mul hold each row as one packed int and add
+c times a level's row sum once wherever a row holds one value c across a
+whole level, incidence.reachable_sets reads the up-covers straight from the
+cover blocks, and incidence._mobius_recurrence takes each finished mu(x, z)
+off the whole levels above z with one pending total per level.  The
+functions below are the earlier forms, kept verbatim: two generations of
+each.  The list forms hold a row as a list of entries, with the same level
+rule, and push mu(x, z) into every node above z; the older ones add one row
+per nonzero column, walk every nonzero pair, traverse node labels, and pull
+each mu(x, y) from every z below y.  The new routes must reproduce them
+exactly, at every field width the packed rows need.
 """
 
+import random
 import time
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
+from itertools import accumulate, repeat
 from typing import List, Set
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BOOL, INT, BlockMatrix, cobweb, from_blocks, gauss, mobius, mul, \
+from cobweb import BOOL, INT, BlockMatrix, cobweb, from_blocks, gauss, incidence, mobius, mul, \
     reachable_sets, zeta
-from cobweb.blockmat import _check_compatible, _unit_solve
+from cobweb.blockmat import _check_compatible, _packed_solve, _unit_solve
+from cobweb.incidence import kappa, level_eta_inverse, level_max, level_mobius, level_zeta
 from cobweb.poset import GradedPoset
 
 from conftest import fraction_inverse
@@ -119,20 +125,143 @@ def pull_mobius_recurrence(P):
     return BlockMatrix(P.level_sizes, rows, INT)
 
 
+# the list forms: each row of R a list of entries, kept right of its
+# diagonal from its first to its last nonzero, and a push recurrence that
+# walks the whole strict up-set of every z
+
+def list_mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
+    """Exact ring product of two full matrices, by the level rule (see the
+    module docstring); nonzero pairs and level sums of B are built on first
+    use, once per product."""
+    _check_compatible(A, B)
+    ring = A.ring
+    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    n, off = A.size, A._offsets
+    bnz = [None] * n
+    sums = {}
+    out = []
+    for arow in A.rows:
+        acc = [zero] * n
+        for a, b in zip(off, off[1:]):
+            c = arow[a]
+            if b - a > 1 and arow[a:b].count(c) == b - a:
+                if c != zero:
+                    if a not in sums:
+                        tot = [zero] * n
+                        for brow in B.rows[a:b]:
+                            tot = list(map(radd, tot, brow))
+                        sums[a] = _span(tot, 0, zero)
+                    s, vals = sums[a]
+                    e = s + len(vals)
+                    if c != one:
+                        vals = map(rmul, repeat(c), vals)
+                    acc[s:e] = map(radd, acc[s:e], vals)
+                continue
+            for k, v in enumerate(arow[a:b], a):
+                if v != zero:
+                    if bnz[k] is None:
+                        bnz[k] = [(j, x) for j, x in enumerate(B.rows[k]) if x != zero]
+                    for j, x in bnz[k]:
+                        acc[j] = radd(acc[j], rmul(v, x))
+        out.append(acc)
+    return BlockMatrix(A.level_sizes, out, ring)
+
+
+def _span(acc, s, zero):
+    """(s', acc[s':e]): acc from column s on is zero outside s' .. e - 1."""
+    e = len(acc)
+    while s < e and acc[s] == zero:
+        s += 1
+    while e > s and acc[e - 1] == zero:
+        e -= 1
+    return s, acc[s:e]
+
+
+def list_unit_solve(rows, sizes, ring, negate):
+    """Rows of R = I + N R (negate false) or R = I - N R (negate true),
+    where N is the part of `rows` right of the diagonal and `sizes` are the
+    level sizes; nothing else of `rows` is read."""
+    n = len(rows)
+    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    off = tuple(accumulate(sizes, initial=0))
+    out = [None] * n
+    # parts[k] = (s, vals): row k of R right of its diagonal is zero outside
+    # columns s .. s + len(vals) - 1, where it holds vals
+    parts = [None] * n
+    sums = [None] * len(sizes)
+    for lvl in reversed(range(len(sizes))):
+        for x in reversed(range(off[lvl], off[lvl + 1])):
+            # N R = N + N (R - I): N[x] itself carries every diagonal term
+            row = rows[x]
+            acc = [zero] * (x + 1) + list(row[x + 1:])
+            terms = [(v, parts[k]) for k, v in enumerate(row[x + 1:off[lvl + 1]], x + 1)
+                     if v != zero]
+            for m in range(lvl + 1, len(sizes)):
+                a, b = off[m], off[m + 1]
+                c = row[a]
+                if row[a:b].count(c) < b - a:
+                    terms += [(v, parts[k]) for k, v in enumerate(row[a:b], a) if v != zero]
+                elif c != zero:
+                    # one c across level m: c times sums[m], its parts' sum
+                    if sums[m] is None:
+                        tot = [zero] * n
+                        for s, vals in parts[a:b]:
+                            tot[s:s + len(vals)] = map(radd, tot[s:s + len(vals)], vals)
+                        sums[m] = (a, tot[a:])
+                    terms.append((c, sums[m]))
+            for c, (s, vals) in terms:
+                e = s + len(vals)
+                if c != one:
+                    vals = map(rmul, repeat(c), vals)
+                acc[s:e] = map(radd, acc[s:e], vals)
+            if negate:
+                acc[x + 1:] = map(ring.neg, acc[x + 1:])
+            parts[x] = _span(acc, x + 1, zero)
+            acc[x] = one
+            out[x] = acc
+    return out
+
+
+def push_mobius_recurrence(P: GradedPoset) -> BlockMatrix:
+    # mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, solved from
+    # the left over reachability alone, so it uses neither a zeta construction
+    # nor the inversion's row solve: walking the up-set of x in label order,
+    # mu(x, z) is final when z is reached and is taken off every y above z.
+    N = P.node_count
+    reach = reachable_sets(P)
+    strict = [sorted(y - 1 for y in reach[z] if y != z) for z in range(1, N + 1)]
+    rows = [[0] * N for _ in range(N)]
+    for x, row in enumerate(rows):
+        row[x] = 1
+        for z in [x] + strict[x]:
+            m = row[z]
+            if m:
+                for y in strict[z]:
+                    row[y] -= m
+    return BlockMatrix(P.level_sizes, rows, INT)
+
+
 # -- the row solve ----------------------------------------------------------------
 
 SIZES = st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=5)
+BIG = 10 ** 30
 
 
 @st.composite
-def block_upper(draw, ring):
+def block_upper(draw, ring, big=False):
     """(sizes, rows): each block above the diagonal is constant 0, 1, 2 or -3
-    (over BOOL, 0 or 1) or mixed, and a diagonal block is zero or carries
-    entries above its diagonal, which the inverse accepts.  The diagonal and
-    everything below it are junk, since the solve must not read them."""
+    (over BOOL, 0 or 1; with `big`, also +-10**30) or mixed, and a diagonal
+    block is zero or carries entries above its diagonal, which the inverse
+    accepts.  The diagonal and everything below it are junk, since the solve
+    must not read them."""
     sizes = draw(SIZES)
-    consts = [0, 1] if ring is BOOL else [0, 1, 2, -3]
-    entry = st.integers(0, 1) if ring is BOOL else st.integers(-3, 3)
+    if ring is BOOL:
+        consts, entry = [0, 1], st.integers(0, 1)
+    else:
+        consts, entry = [0, 1, 2, -3], st.integers(-3, 3)
+        if big:
+            consts += [BIG, -BIG]
+            entry |= st.sampled_from([BIG, -BIG])
     level = [r for r, size in enumerate(sizes) for _ in range(size)]
     n = len(level)
     fill = {(r, s): draw(st.sampled_from([0, "mixed"] if s == r else consts + ["mixed"]))
@@ -142,23 +271,28 @@ def block_upper(draw, ring):
     return tuple(sizes), rows
 
 
-@settings(max_examples=150, deadline=None)
-@given(block_upper(INT), st.booleans())
+@settings(max_examples=200, deadline=None)
+@given(block_upper(INT) | block_upper(INT, big=True), st.booleans())
 @example(((1,), [[5]]), True)
 @example(((2, 1, 3), [[9, 0, 2, 2, 2, 2], [0, 9, 2, 2, 2, 2], [0, 0, 9, -3, -3, -3],
                       [0, 0, 0, 9, 0, 0], [0, 0, 0, 0, 9, 0], [0, 0, 0, 0, 0, 9]]), True)
 @example(((1, 1, 1), [[1, 1, 1], [0, 1, 1], [0, 0, 1]]), False)
+@example(((1, 2, 1), [[0, BIG, -BIG, 0], [0, 0, 0, BIG], [0, 0, 0, BIG], [0, 0, 0, 0]]), False)
 def test_row_solve_matches_the_pull_solve_over_int(case, negate):
     sizes, rows = case
-    assert _unit_solve(rows, sizes, INT, negate) == pull_unit_solve(rows, INT, negate)
+    got = _unit_solve(rows, sizes, INT, negate)
+    assert got == list_unit_solve(rows, sizes, INT, negate) == pull_unit_solve(rows, INT, negate)
 
 
 @settings(max_examples=150, deadline=None)
 @given(block_upper(BOOL))
+@example(((1,), [[1]]))
 @example(((2, 2), [[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]]))
+@example(((2, 2), [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
 def test_row_solve_matches_the_pull_solve_over_bool(case):
     sizes, rows = case
-    assert _unit_solve(rows, sizes, BOOL, False) == pull_unit_solve(rows, BOOL, False)
+    got = _unit_solve(rows, sizes, BOOL, False)
+    assert got == list_unit_solve(rows, sizes, BOOL, False) == pull_unit_solve(rows, BOOL, False)
 
 
 def test_constant_blocks_add_the_level_sum_with_its_diagonal_and_coefficient():
@@ -176,6 +310,53 @@ def test_constant_blocks_add_the_level_sum_with_its_diagonal_and_coefficient():
         assert got == pull_unit_solve(rows, INT, negate)
     # R = I + N R: row 0 = e_0 + 2 (R[1] + R[2]) - 3 (R[3] + R[4])
     assert _unit_solve(rows, sizes, INT, False)[0] == [1, 2, 2, -1, 7]
+
+
+@pytest.mark.parametrize("n, widths", [(60, (64,)), (70, (64, 128)), (200, (64, 128, 256))])
+def test_long_chains_restart_the_solve_at_twice_the_field_width(n, widths):
+    # N all ones above the diagonal of a chain of one-node levels: the
+    # closure holds 2^(y-x-1), and the bound on the inverse, whose true
+    # entries are 1 and -1, doubles with every row as well
+    sizes = (1,) * n
+    rows = [[int(j > i) for j in range(n)] for i in range(n)]
+    for w in widths[:-1]:
+        assert _packed_solve(rows, sizes, False, w) is None
+    assert _packed_solve(rows, sizes, False, widths[-1]) is not None
+    closure = _unit_solve(rows, sizes, INT, False)
+    assert closure == list_unit_solve(rows, sizes, INT, False)
+    assert closure[0][1:] == [2 ** (y - 1) for y in range(1, n)]
+    inverse = _unit_solve(rows, sizes, INT, True)
+    assert inverse == list_unit_solve(rows, sizes, INT, True)
+    assert inverse[0][:3] == [1, -1, 0] and inverse[n - 2][n - 2:] == [1, -1]
+
+
+def test_level_routes_past_64_bits_match_the_list_solve(monkeypatch):
+    # the level tables of gauss:q=2 on 12 levels pass 2^64, so the INT
+    # solves restart with 128-bit fields
+    P = cobweb(gauss(2), 12)
+    routes = (level_zeta, level_max, level_eta_inverse, partial(level_mobius, method="invert"))
+    got = [route(P) for route in routes]
+    assert max(abs(v) for row in got[1].entries for v in row) >= 2 ** 64
+    monkeypatch.setattr(incidence, "_unit_solve", list_unit_solve)
+    assert [route(P) for route in routes] == got
+
+
+def test_packed_closure_is_faster_than_the_list_solve_on_sparse_covers():
+    # BOOL closure of the cover matrix of 260 nodes on 7 levels at density
+    # 0.1, where a row is rarely constant across a level; best of 3 CPU
+    # times, taken in turn so that a slow spell of the machine hits both
+    rng = random.Random(9)
+    sizes = (37,) * 6 + (38,)
+    P = from_blocks(sizes, [[[int(rng.random() < 0.1) for _ in range(b)] for _ in range(a)]
+                            for a, b in zip(sizes, sizes[1:])])
+    rows = kappa(P, BOOL).rows
+    best = {_unit_solve: float("inf"), list_unit_solve: float("inf")}
+    for _ in range(3):
+        for f in best:
+            t = time.process_time()
+            f(rows, sizes, BOOL, False)
+            best[f] = min(best[f], time.process_time() - t)
+    assert best[_unit_solve] <= 0.5 * best[list_unit_solve], best
 
 
 # -- the Moebius recurrence ---------------------------------------------------------
@@ -200,9 +381,12 @@ def zero_one_posets(draw):
 @example(from_blocks([3], []))
 @example(from_blocks([1, 1, 1], [[[1]], [[0]]]))
 @example(from_blocks([2, 2, 2], [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]))
+@example(from_blocks([2, 3, 1, 2], [[[1, 0, 0], [0, 1, 1]], [[1], [1], [0]],
+                                    [[1, 1]]]))
+@example(from_blocks([1, 2, 2, 2], [[[1, 1]], [[1, 0], [1, 1]], [[1, 1], [0, 0]]]))
 def test_mobius_recurrence_matches_the_pull_recurrence_and_gauss_jordan(P):
     mu = mobius(P, "recurrence")
-    assert mu == pull_mobius_recurrence(P)
+    assert mu == push_mobius_recurrence(P) == pull_mobius_recurrence(P)
     oracle = fraction_inverse(zeta(P, "closure").rows)
     assert [[Fraction(v) for v in row] for row in mu.rows] == oracle
 
@@ -236,9 +420,12 @@ def factor_pairs(draw, ring):
 @example((BlockMatrix([1], [[-3]]), BlockMatrix([1], [[10 ** 30]])))
 @example((BlockMatrix([1, 2], [[0, 2, 2], [1, 1, 1], [5, -1, -1]]),
           BlockMatrix([1, 2], [[7, 0, 0], [1, 2, 3], [-1, 10 ** 30, 0]])))
+@example((BlockMatrix([1], [[2 ** 70]]), BlockMatrix([1], [[-2 ** 60]])))
+@example((BlockMatrix([1, 1], [[2 ** 63, 2 ** 63], [0, 0]]),
+          BlockMatrix([1, 1], [[2 ** 63, 0], [2 ** 63, 1]])))
 def test_product_matches_the_pair_walk_over_int(pair):
     A, B = pair
-    assert mul(A, B) == walk_mul(A, B)
+    assert mul(A, B) == list_mul(A, B) == walk_mul(A, B)
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,7 +435,7 @@ def test_product_matches_the_pair_walk_over_int(pair):
           BlockMatrix([2, 1], [[0, 1, 1], [1, 0, 1], [0, 0, 0]], BOOL)))
 def test_product_matches_the_pair_walk_over_bool(pair):
     A, B = pair
-    assert mul(A, B) == walk_mul(A, B)
+    assert mul(A, B) == list_mul(A, B) == walk_mul(A, B)
 
 
 def test_level_sum_product_is_faster_than_the_pair_walk():
