@@ -13,32 +13,34 @@ and | is the ring's add, so every field stays 0 or 1.  Over INT, w is a
 multiple of 64 and an entry is signed: a negative one borrows from the
 field above it.  Packing is linear, so a sum of packed rows is exactly the
 packed sum, whatever the fields hold on the way; the result reads back
-right when each of its entries is below 2^(w-1) in absolute value.  The
-product takes w from a bound computed up front: the largest |B| entry
-times the largest row sum of |A|, or 1 if that is larger, since the fields
-hold B too.  The row solve keeps bound(x) = sum over k of |N[x][k]| *
-bound(k), at least 1, for row x of R, and where a bound reaches 2^(w-2) it
-starts over at 2w, so every entry fits its field whatever its size.  Rows
+right when each of its entries is below 2^(w-1) in absolute value.  Rows
 are unpacked once, at the end: adding the word with every field's top bit
 set lifts each field into 0 .. 2^w - 1 without a carry out of it, and an
 xor with the same word leaves each in two's complement, read as native
 64-bit words when w = 64 on a little-endian machine and field by field
 otherwise.  A BOOL row is its bytes.
 
-One level rule serves the product and the row solve: where row x of A holds
-one value c across a whole level, the sum over that level's k of
-A[x][k] * B[k] is c times the sum of B's rows of that level, one packed int
-added once.  Distributivity makes this exact in both rings; it is the
-reduced incidence algebra of Doubilet, Rota and Stanley, and zeta, mu and
-max of a cobweb hold one value across every level above a row's own.
+One pass makes both, a row x at a time: the sum of c * V[k] over the
+entries c = A[x][k], where V is B in the product and the finished rows of
+R in the row solve.  It takes A[x] column by column up to a start level,
+then level by level: where A[x] holds one value c across a whole level,
+that level adds c times the sum of its rows V[k], one packed int.  This
+level rule is exact in both rings by distributivity; it is the reduced
+incidence algebra of Doubilet, Rota and Stanley, and zeta, mu and max of a
+cobweb hold one value across every level above a row's own.  One width
+rule serves both: w = 8 over BOOL, and over INT w = 64, doubled until the
+pass succeeds.  The pass keeps bound(x) = sum of |c| * bound(k), at least
+1 in the solve, with bound(k) the largest |B[k]| entry in the product, and
+fails once a bound reaches 2^(w-2), so every entry fits its field.
 
 The closure I + K + K^2 + ... = (I - K)^-1 of a strictly upper K and the
-inverse of a unitriangular I + N are one triangular system, solved a row at a
-time from the bottom: row x of R is e_x plus (closure, R = I + K R) or minus
-(inverse, R = I - N R) the sum over k > x of N[x][k] * R[k], with the level
-rule on every higher level.  No triangular shape is assumed of a product.
-The level algebra of cobwebs runs the same solve on its n x n table once
-each column is weighted by the size of its level (see incidence.py).
+inverse of a unitriangular I + N are one triangular system, solved a row at
+a time from the bottom: row x of R is e_x plus (closure, R = I + K R) or
+minus (inverse, R = I - N R) the sum over k > x of N[x][k] * R[k], which
+the pass takes column by column on the level of x.  The product starts at
+level 1 and assumes no triangular shape.  The level algebra of cobwebs
+runs the same solve on its n x n table once each column is weighted by the
+size of its level (see incidence.py).
 """
 
 from __future__ import annotations
@@ -214,41 +216,10 @@ def add(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
 
 
 def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
-    """Exact ring product of two full matrices: B's rows are packed, and
-    each row of the product is one sum of packed rows and level sums of B
-    (see the module docstring)."""
+    """Exact ring product of two full matrices: each row of A B is one sum
+    of B's packed rows and level sums (see the module docstring)."""
     _check_compatible(A, B)
-    n, off, boolean = A.size, A._offsets, A.ring is BOOL
-    if boolean:
-        w = 8
-        packed = [int.from_bytes(bytes(row), "little") for row in B.rows]
-    else:
-        # the fields hold B, and |(AB)[x][y]| is at most the sum over k of
-        # |A[x][k]| times the largest |B| entry
-        bound = (max(max(sum(map(abs, row)) for row in A.rows), 1)
-                 * max(max(map(max, B.rows)), -min(map(min, B.rows))))
-        w = 64
-        while bound >> (w - 2):
-            w *= 2
-        packed = _pack(B.rows, w)
-    spans = tuple(zip(off, off[1:]))
-    sums = [None] * len(spans)
-    out = []
-    for arow in A.rows:
-        cs, vs = [], []
-        for m, (a, b) in enumerate(spans):
-            seg = arow[a:b]
-            c = seg[0]
-            if seg.count(c) < b - a:
-                cs += compress(seg, seg)
-                vs += compress(packed[a:b], seg)
-            elif c:
-                if sums[m] is None:
-                    sums[m] = reduce(operator.or_, packed[a:b]) if boolean else sum(packed[a:b])
-                cs.append(c)
-                vs.append(sums[m])
-        out.append(reduce(operator.or_, vs, 0) if boolean else _dot(cs, vs))
-    return BlockMatrix(A.level_sizes, _unpack(out, n, w), A.ring)
+    return BlockMatrix(A.level_sizes, _packed_rows(A.rows, A.level_sizes, A.ring, B.rows), A.ring)
 
 
 def _dot(cs, vs):
@@ -263,7 +234,10 @@ def _top(n, w):
 
 def _pack(rows, w):
     """Each row of ints as one int with entry y in the field at bit w*y;
-    every entry must fit a signed field of width w."""
+    every entry must fit a signed field of width w, and one byte per entry
+    over BOOL (w = 8)."""
+    if w == 8:
+        return [int.from_bytes(bytes(row), "little") for row in rows]
     import struct  # kept off the import path of every CLI call
     n = len(rows[0])
     top = _top(n, w)
@@ -280,7 +254,7 @@ def _pack(rows, w):
 
 def _unpack(packed, n, w):
     """Rows of n entries from packed rows of field width w: the inverse of
-    _pack over INT, and one byte per entry over BOOL (w = 8)."""
+    _pack."""
     if w == 8:
         return [list(v.to_bytes(n, "little")) for v in packed]
     top = _top(n, w)
@@ -301,55 +275,74 @@ def _unit_solve(rows, sizes, ring, negate):
     """Rows of R = I + N R (negate false) or R = I - N R (negate true),
     where N is the part of `rows` right of the diagonal and `sizes` are the
     level sizes; nothing else of `rows` is read."""
+    return _packed_rows(rows, sizes, ring, None, negate)
+
+
+def _packed_rows(rows, sizes, ring, B, negate=False):
+    """The rows of _packed_pass, at w = 8 over BOOL and over INT at w = 64
+    doubled until the pass succeeds."""
     w = 8 if ring is BOOL else 64
-    while (packed := _packed_solve(rows, sizes, negate, w)) is None:
+    while (packed := _packed_pass(rows, sizes, w, B, negate)) is None:
         w *= 2
     return _unpack(packed, len(rows), w)
 
 
-def _packed_solve(rows, sizes, negate, w):
-    """The packed rows of R at field width w (8 means BOOL), or None once
-    the bound on some row's entries reaches 2^(w-2)."""
-    boolean = w == 8
-    limit = 1 << (w - 2)
+def _packed_pass(rows, sizes, w, B=None, negate=False):
+    """The packed rows of the product rows * B, or where B is None of the
+    row solve R = I + N R (I - N R if negate), at field width w (8 means
+    BOOL); None once the bound on some row's entries reaches 2^(w-2)."""
+    boolean, limit, n = w == 8, 1 << (w - 2), len(rows)
     off = tuple(accumulate(sizes, initial=0))
-    packed = [0] * len(rows)
-    # bound[k] >= every |R[k][y]|; a level's sum carries the sum of bounds
-    bound = [1] * len(rows)
+    # bound[k] >= every |V[k][y]| of the rows V read, a level's sum carries
+    # the sum of its bounds; the solve reads its own rows, filled from the
+    # bottom up
+    if B is None:
+        vals = out = [0] * n
+        bound = [1] * n
+    else:
+        bound = [1] * n if boolean else [max(max(row), -min(row)) for row in B]
+        if max(bound) >= limit:
+            return None
+        vals, out = _pack(B, w), [0] * n
     sums = [None] * len(sizes)
     for lvl in reversed(range(len(sizes))):
         for x in reversed(range(off[lvl], off[lvl + 1])):
             row = rows[x]
-            e = off[lvl + 1]
-            seg = row[x + 1:e]
+            # the solve takes its own level column by column right of the
+            # diagonal, and the level rule from the next level on
+            s, e, first = (x + 1, off[lvl + 1], lvl + 1) if B is None else (0, 0, 0)
+            seg = row[s:e]
             cs = list(compress(seg, seg))
-            vs = list(compress(packed[x + 1:e], seg))
-            bs = list(compress(bound[x + 1:e], seg))
-            for m in range(lvl + 1, len(sizes)):
+            vs = list(compress(vals[s:e], seg))
+            bs = [] if boolean else list(compress(bound[s:e], seg))
+            for m in range(first, len(sizes)):
                 a, b = off[m], off[m + 1]
                 seg = row[a:b]
                 c = seg[0]
                 if seg.count(c) < b - a:
                     cs += compress(seg, seg)
-                    vs += compress(packed[a:b], seg)
-                    bs += compress(bound[a:b], seg)
+                    vs += compress(vals[a:b], seg)
+                    if not boolean:
+                        bs += compress(bound[a:b], seg)
                 elif c:
                     # one c across level m: c times the sum of its rows
                     if sums[m] is None:
-                        sums[m] = (reduce(operator.or_, packed[a:b]) if boolean
-                                   else sum(packed[a:b]), sum(bound[a:b]))
+                        sums[m] = (reduce(operator.or_, vals[a:b]) if boolean
+                                   else sum(vals[a:b]), sum(bound[a:b]))
                     cs.append(c)
                     vs.append(sums[m][0])
                     bs.append(sums[m][1])
             if boolean:
-                packed[x] = reduce(operator.or_, vs, 1 << 8 * x)
+                out[x] = reduce(operator.or_, vs, 1 << 8 * x if B is None else 0)
                 continue
-            bound[x] = _dot(list(map(abs, cs)), bs) or 1
-            if bound[x] >= limit:
+            acc, bx = _dot(cs, vs), _dot(list(map(abs, cs)), bs)
+            if bx >= limit:
                 return None
-            acc = _dot(cs, vs)
-            packed[x] = (1 << w * x) + (-acc if negate else acc)
-    return packed
+            if B is None:
+                bound[x] = bx or 1
+                acc = (1 << w * x) + (-acc if negate else acc)
+            out[x] = acc
+    return out
 
 
 def nilpotent_closure(K: BlockMatrix) -> BlockMatrix:

@@ -87,7 +87,10 @@ def preset(spec: str) -> FSequence:
     if spec == "nat":
         return FSequence([], name="nat", rule=lambda k: k)
     if spec == "fib":
-        return FSequence([], name="fib", rule=_fib)
+        # each new value adds the two stored before it
+        F = FSequence([], name="fib",
+                      rule=lambda k: 1 if k < 3 else F.value(k - 1) + F.value(k - 2))
+        return F
     for prefix, build in (("gauss:q=", gauss), ("const:", const)):
         if spec.startswith(prefix):
             # parse here, build outside the try: SequenceError is a ValueError
@@ -107,13 +110,6 @@ def nat() -> FSequence:
 
 def fib() -> FSequence:
     return preset("fib")
-
-
-def _fib(k: int) -> int:
-    a, b = 1, 1
-    for _ in range(k - 1):
-        a, b = b, a + b
-    return a
 
 
 def gauss(q: int) -> FSequence:

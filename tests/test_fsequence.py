@@ -1,5 +1,6 @@
 """Sequences, F-factorials, F-nomials, admissibility."""
 
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -136,3 +137,22 @@ def test_admissibility_scans_lexicographically():
     # 2_F/1_F fails at (2,1) before any later pair does
     v = is_cobweb_admissible(custom([2, 3, 4, 5]), 4)
     assert v.first_failure == (2, 1)
+
+
+def test_fib_prefix_matches_a_two_term_loop():
+    want, a, b = [], 1, 1
+    for _ in range(300):
+        want.append(a)
+        a, b = b, a + b
+    F = fib()
+    assert F.prefix(300) == want
+    assert F.name == "fib" and repr(F) == "FSequence(fib: <1,1,2,3,5,8,...>)"
+
+
+def test_fib_grows_in_linear_time():
+    # each new index adds the two stored values before it; recomputing
+    # every value from index 1 took ~30 s of CPU on one Xeon core
+    t = time.process_time()
+    v = fnomial(fib(), 20000, 3)
+    assert time.process_time() - t < 2.0
+    assert v.denominator == 1

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cobweb import BOOL, INT, BlockMatrix, cobweb, from_blocks, gauss, incidence, mobius, mul, \
     reachable_sets, zeta
-from cobweb.blockmat import _check_compatible, _packed_solve, _unit_solve
+from cobweb.blockmat import _check_compatible, _packed_pass, _unit_solve
 from cobweb.incidence import kappa, level_eta_inverse, level_max, level_mobius, level_zeta
 from cobweb.poset import GradedPoset
 
@@ -320,14 +320,27 @@ def test_long_chains_restart_the_solve_at_twice_the_field_width(n, widths):
     sizes = (1,) * n
     rows = [[int(j > i) for j in range(n)] for i in range(n)]
     for w in widths[:-1]:
-        assert _packed_solve(rows, sizes, False, w) is None
-    assert _packed_solve(rows, sizes, False, widths[-1]) is not None
+        assert _packed_pass(rows, sizes, w) is None
+    assert _packed_pass(rows, sizes, widths[-1]) is not None
     closure = _unit_solve(rows, sizes, INT, False)
     assert closure == list_unit_solve(rows, sizes, INT, False)
     assert closure[0][1:] == [2 ** (y - 1) for y in range(1, n)]
     inverse = _unit_solve(rows, sizes, INT, True)
     assert inverse == list_unit_solve(rows, sizes, INT, True)
     assert inverse[0][:3] == [1, -1, 0] and inverse[n - 2][n - 2:] == [1, -1]
+
+
+def test_the_product_restarts_at_twice_the_field_width():
+    # A and B fit 64-bit fields, but row 0 of A B is bounded by
+    # 2 * 2^30 * 2^40 = 2^71, so the pass needs 128-bit fields
+    sizes = (1, 1)
+    A = [[2 ** 30, 2 ** 30], [0, 0]]
+    B = [[2 ** 40, 0], [2 ** 40, 0]]
+    assert _packed_pass(A, sizes, 64, B) is None
+    assert _packed_pass(A, sizes, 128, B) is not None
+    got = mul(BlockMatrix(sizes, A), BlockMatrix(sizes, B))
+    assert got.rows == ((2 ** 71, 0), (0, 0))
+    assert got == walk_mul(BlockMatrix(sizes, A), BlockMatrix(sizes, B))
 
 
 def test_level_routes_past_64_bits_match_the_list_solve(monkeypatch):
