@@ -12,7 +12,7 @@ from .chains import BijectionReport, Chain, HyperBox, PartitionReport, \
     box_join, chain_box_bijection, count_head_chains, count_interval_chains, \
     count_layer_chains, count_tail_chains, enumerate_max_chains, \
     fnomial_chain_probe, fnomial_partition_check, hyperbox, \
-    interval_chain_column, layer_chain_counts, markov_product
+    interval_chain_column, layer_chain_counts
 from .fsequence import AdmissibilityVerdict, FSequence, SequenceError, const, \
     custom, f_factorial, f_falling, fib, fnomial, from_file, gauss, \
     is_cobweb_admissible, nat, preset
@@ -21,8 +21,8 @@ from .incidence import CodingMatrix, LevelMatrix, coding_matrix, \
     level_eta, level_eta_inverse, level_max, level_max_inverse, level_mobius, \
     level_zeta, logic_L, max_inverse, max_matrix, mobius, mobius_krot, \
     reachable_sets, zeta
-from .invariants import CharPoly, RootedPoset, char_poly, mobius_from_root, \
-    root, whitney_first, whitney_second
+from .invariants import CharPoly, RootedPoset, char_poly, root, whitney_first, \
+    whitney_second
 from .poset import GradedPoset, NodeLabel, PosetError, antichain, cobweb, \
     cobweb_of_sizes, from_blocks, layer, natural_join, ordinal_sum
 from .suites import CheckResult, run_checks

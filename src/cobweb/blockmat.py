@@ -117,11 +117,6 @@ class BlockMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zeros(cls, level_sizes, ring=INT):
-        n = sum(level_sizes)
-        return cls(level_sizes, [[ring.zero] * n for _ in range(n)], ring)
-
-    @classmethod
     def identity(cls, level_sizes, ring=INT):
         n = sum(level_sizes)
         rows = [[ring.zero] * n for _ in range(n)]

@@ -154,18 +154,6 @@ def layer_chain_counts(P: GradedPoset, s: int) -> List[int]:
     return [sum(tally) for tally in _tallies(P, [1] * P.level_sizes[s - 1], s, 1)]
 
 
-def markov_product(P: GradedPoset, r: int, k: int, s: int) -> Tuple[int, int]:
-    """Both sides of the chain-count factorization across a middle level:
-    lhs = C(r,k) * C(k,s), rhs = k_F * C(r,s).  Stated for cobwebs."""
-    if not P.is_cobweb:
-        raise PosetError("the Markov product identity is asserted for cobwebs only")
-    if not 1 <= r <= k <= s <= P.n_levels:
-        raise PosetError(f"need 1 <= r <= k <= s <= {P.n_levels}, got ({r},{k},{s})")
-    lhs = count_layer_chains(P, r, k) * count_layer_chains(P, k, s)
-    rhs = P.level_sizes[k - 1] * count_layer_chains(P, r, s)
-    return lhs, rhs
-
-
 # -- hyper-boxes -----------------------------------------------------------
 
 class _HyperBox(NamedTuple):

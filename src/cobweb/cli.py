@@ -258,7 +258,7 @@ def _cmd_zeta(args) -> int:
     # every label route equals the closure where it is defined; elsewhere
     # zeta() below refuses it, whatever the format
     if args.format == "ascii" and (P.is_cobweb or method == "closure"):
-        return _emit_text(args, formats.la_scala(P).text)
+        return _emit_text(args, formats.la_scala(P))
     if P.is_cobweb and method == "closure":
         return _emit_matrix(level_zeta(P), args)
     return _emit_matrix(zeta(P, method), args)
@@ -343,7 +343,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_lascala(args) -> int:
-    return _emit_text(args, formats.la_scala(_load_poset(args.poset)).text)
+    return _emit_text(args, formats.la_scala(_load_poset(args.poset)))
 
 
 COMMANDS = {"gen": _cmd_gen, "zeta": _cmd_zeta, "mobius": _cmd_mobius,

@@ -4,10 +4,10 @@ and the ASCII staircase view of the zeta matrix."""
 from __future__ import annotations
 
 import json
-from typing import IO, List, NamedTuple, Tuple
+from typing import IO, List, Tuple
 
 from .blockmat import INT, BlockMatrix
-from .chains import Chain, HyperBox
+from .chains import Chain
 from .incidence import CodingMatrix, level_zeta, zeta
 from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes, \
     first_non_binary
@@ -176,8 +176,9 @@ def chains_to_json(chains: List[Chain]) -> str:
 def write_chains_json(P: GradedPoset, k: int, n: int, out: IO[str]):
     """The maximal chains of levels k..n in the order and the bytes of
     chains_to_json(enumerate_max_chains(P, k, n)), built as text.  A depth-
-    first walk over the blocks carries each chain's prefix as text, and the
-    chains through one node of level n - 1 go out in one write."""
+    first walk over the blocks, kept on a stack so that no layer is too deep
+    for it, carries each chain's prefix as text, and the chains through one
+    node of level n - 1 go out in one write."""
     check_layer_bounds(P, k, n)
     # frags[d][j]: the pair of position j + 1 on level k + d
     frags = [[f"[{k + d}, {p}]" for p in range(1, size + 1)]
@@ -185,25 +186,18 @@ def write_chains_json(P: GradedPoset, k: int, n: int, out: IO[str]):
     ups = [[[j for j, v in enumerate(row) if v] for row in blk]
            for blk in P.blocks[k - 1:n - 1]]
     sep = "["
-
-    def walk(d, prefix, nodes):
-        nonlocal sep
+    # (depth, prefix text, nodes of level k + depth); pushed in reverse so
+    # that they come off in position order
+    stack = [(0, "[", range(len(frags[0])))]
+    while stack:
+        d, prefix, nodes = stack.pop()
         if d < n - k:
-            for j in nodes:
-                walk(d + 1, prefix + frags[d][j] + ", ", ups[d][j])
+            stack.extend((d + 1, prefix + frags[d][j] + ", ", ups[d][j])
+                         for j in reversed(nodes))
         elif nodes:
             out.write(sep + ", ".join([prefix + frags[d][j] + "]" for j in nodes]))
             sep = ", "
-
-    walk(0, "[", range(len(frags[0])))
     out.write("[]" if sep == "[" else "]")
-
-
-def hyperbox_to_json(box: HyperBox, include_points: bool = False) -> str:
-    obj = {"lo": box.lo, "hi": box.hi, "dims": box.dims}
-    if include_points:
-        obj["points"] = list(box.points())
-    return json.dumps(obj)
 
 
 # -- DOT export ---------------------------------------------------------------
@@ -226,31 +220,20 @@ def to_dot(P: GradedPoset) -> str:
 
 # -- La Scala rendering --------------------------------------------------------
 
-class LaScalaRender(NamedTuple):
-    """ASCII view of zeta: '1' where comparable, '.' for the staircase zeros
-    above the diagonal, blank below it."""
-    lines: Tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-    def __str__(self):
-        return self.text
-
-
 # zeta entries are 0 or 1: a zero is blank at or left of the diagonal and '.'
 # right of it, and a nonzero is '1'
 _LEFT = bytes.maketrans(bytes(range(256)), b" " + b"1" * 255)
 _RIGHT = bytes.maketrans(bytes(range(256)), b"." + b"1" * 255)
 
 
-def la_scala(P: GradedPoset) -> LaScalaRender:
-    """A cobweb is drawn from the rows of its level zeta, any other poset
-    from its dense zeta closure."""
+def la_scala(P: GradedPoset) -> str:
+    """ASCII view of zeta, one line per row: '1' where comparable, '.' for
+    the staircase zeros above the diagonal, blank below it.  A cobweb is
+    drawn from the rows of its level zeta, any other poset from its dense
+    zeta closure."""
     rows = level_zeta(P).rows() if P.is_cobweb else zeta(P, "closure").rows
     out = []
     for i, row in enumerate(rows):
         cells = bytes(row[:i + 1]).translate(_LEFT) + bytes(row[i + 1:]).translate(_RIGHT)
         out.append(" ".join(cells.decode()))
-    return LaScalaRender(tuple(out))
+    return "\n".join(out) + "\n"

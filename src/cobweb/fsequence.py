@@ -116,8 +116,10 @@ def gauss(q: int) -> FSequence:
     """k_F = 1 + q + ... + q^(k-1)."""
     if q < 2:
         raise SequenceError(f"gauss preset needs q >= 2, got {q}")
-    return FSequence([], name=f"gauss:q={q}",
-                     rule=lambda k: (q ** k - 1) // (q - 1))
+    # each new value is q times the stored one before it, plus 1
+    F = FSequence([], name=f"gauss:q={q}",
+                  rule=lambda k: 1 if k == 1 else q * F.value(k - 1) + 1)
+    return F
 
 
 def const(c: int) -> FSequence:

@@ -208,17 +208,18 @@ def coding_recurrence(F: FSequence, n: int) -> CodingMatrix:
     gives c_(r,s) = -(c_(r,r) + sum over r < i < s of i_F * c_(r,i)): every
     intermediate level contributes all i_F of its elements.  Solving this
     recurrence is the independent route the closed form is checked against.
+    The sum is kept running along the row, so a row costs O(n).
     """
     _check_coding_levels(n)
     ent = []
     for r in range(1, n + 1):
         row = [0] * n
         row[r - 1] = 1
+        acc = 1  # the bottom element x_r itself, then each finished level
         for s in range(r + 1, n + 1):
-            acc = 1  # the bottom element x_r itself
-            for i in range(r + 1, s):
-                acc += F.value(i) * row[i - 1]
             row[s - 1] = -acc
+            if s < n:  # only levels below n enter a sum: F is read up to n - 1
+                acc += F.value(s) * row[s - 1]
         ent.append(tuple(row))
     return CodingMatrix(tuple(ent))
 

@@ -1,5 +1,4 @@
-"""Rooted-poset quantities: Moebius values from the root, Whitney numbers,
-characteristic polynomials.
+"""Rooted-poset quantities: Whitney numbers and characteristic polynomials.
 
 Everything here needs a unique minimal element, so the operations only
 accept RootedPoset; handing them a plain poset is a type error rather than a
@@ -10,11 +9,11 @@ summation over recurrence Moebius values and the two must agree exactly.
 from __future__ import annotations
 
 import json
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .fsequence import FSequence
-from .incidence import interval_mobius
-from .poset import GradedPoset, NodeLabel, PosetError, ones_block
+from .incidence import interval_mobius, level_mobius
+from .poset import GradedPoset, PosetError, ones_block
 
 
 class RootedPoset(GradedPoset):
@@ -63,34 +62,6 @@ def _require_rooted(P) -> RootedPoset:
     return P
 
 
-def mobius_from_root(P: RootedPoset, x: NodeLabel) -> int:
-    """mu(root, x): the rank-only interval value over the rooted sequence,
-    an alternating product of (size - 1) over the ranks strictly between
-    0 and rank(x)."""
-    _require_rooted(P)
-    return interval_mobius(P.rooted_sequence(), 1, x.level)
-
-
-def _root_mobius_row(P: RootedPoset) -> List[int]:
-    """mu(root, x) for every node, by the interval recurrence alone.
-
-    In a rooted cobweb the half-open interval [root, x) is exactly the union
-    of the levels below x, so mu(root, x) = -(sum of mu(root, z) over those
-    levels).  This is the oracle the closed form is held to.
-    """
-    row = [0] * (P.node_count + 1)
-    row[1] = 1
-    below = 1  # running sum of mu(root, z) over all completed levels
-    for level in range(2, P.n_levels + 1):
-        val = -below
-        size = P.level_sizes[level - 1]
-        start = P.S(level - 1)
-        for pos in range(1, size + 1):
-            row[start + pos] = val
-        below += size * val
-    return row
-
-
 def whitney_first(P: RootedPoset, r: int) -> int:
     """Whitney number of the first kind: sum of mu(root, x) over rank r; see char_poly."""
     P = _require_rooted(P)
@@ -120,10 +91,6 @@ class CharPoly(_CharPoly):
             raise ValueError("characteristic polynomial must be monic")
         return self
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, t: int) -> int:
         acc = 0
         for c in self.coefficients:
@@ -133,37 +100,19 @@ class CharPoly(_CharPoly):
     def to_json(self) -> str:
         return json.dumps(self.coefficients)
 
-    def __str__(self):
-        n = self.degree
-        parts = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            deg = n - k
-            mag = abs(c)
-            if deg == 0:
-                term = str(mag)
-            else:
-                base = "t" if deg == 1 else f"t^{deg}"
-                term = base if mag == 1 else f"{mag}{base}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
-
 
 def char_poly(P: RootedPoset) -> CharPoly:
     """Characteristic polynomial: the coefficient of t^(n - r) is the Whitney
     number of rank r.  Each is computed both from the closed form (rank size
-    times the signed Kroton value) and by direct summation of recurrence
-    Moebius values, all ranks from one row; a mismatch raises."""
+    times the signed Kroton value) and as the direct sum of mu(root, x) over
+    rank r: every node of rank r carries c_(1, r+1) from row 1 of the coding
+    recurrence, so the sum is the rank size times it.  A mismatch raises."""
     P = _require_rooted(P)
-    row = _root_mobius_row(P)
+    F, row = P.rooted_sequence(), level_mobius(P, "recurrence").entries[0]
     coeffs = []
-    for r in range(P.top_rank + 1):
-        closed = P.rank_size(r) * interval_mobius(P.rooted_sequence(), 1, r + 1)
-        direct = sum(row[P.S(r) + 1:P.S(r + 1) + 1])
+    for r, size in enumerate(P.level_sizes):
+        closed = size * interval_mobius(F, 1, r + 1)
+        direct = size * row[r]
         if closed != direct:
             raise ArithmeticError(
                 f"whitney_first({r}): closed form {closed} != direct sum {direct}")

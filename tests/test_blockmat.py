@@ -107,7 +107,7 @@ def test_boolean_square_counts_two_step_paths():
 
 
 def test_closure_of_zero_is_identity():
-    Z = BlockMatrix.zeros([2, 3], INT)
+    Z = BlockMatrix([2, 3], [[0] * 5 for _ in range(5)], INT)
     assert nilpotent_closure(Z) == BlockMatrix.identity([2, 3], INT)
 
 

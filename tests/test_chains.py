@@ -12,7 +12,7 @@ from cobweb import Chain, PosetError, box_join, chain_box_bijection, cobweb, \
     count_tail_chains, custom, enumerate_max_chains, f_factorial, f_falling, \
     fib, fnomial, fnomial_partition_check, from_blocks, gauss, hyperbox, \
     fnomial_chain_probe, interval_chain_column, layer_chain_counts, \
-    markov_product, max_matrix, nat
+    max_matrix, nat, suites
 
 from conftest import brute_interval_count, random_cobweb, random_no_mute_poset
 
@@ -128,12 +128,13 @@ def test_head_chains_and_crossing_sum():
 
 
 def test_markov_product_pinned():
+    # C(r, k) * C(k, s) == k_F * C(r, s)
     P = cobweb(nat(), 3)
-    lhs, rhs = markov_product(P, 1, 2, 3)
-    assert (lhs, rhs) == (12, 12)
+    assert count_layer_chains(P, 1, 2) * count_layer_chains(P, 2, 3) == 12
+    assert P.level_sizes[1] * count_layer_chains(P, 1, 3) == 12
     # k = r degenerates to r_F times the full count
-    lhs, rhs = markov_product(P, 2, 2, 3)
-    assert lhs == rhs == 2 * 6
+    assert count_layer_chains(P, 2, 2) * count_layer_chains(P, 2, 3) == 2 * 6
+    assert P.level_sizes[1] * count_layer_chains(P, 2, 3) == 2 * 6
 
 
 def test_markov_split_form():
@@ -179,8 +180,8 @@ def test_column_and_table_pinned(nat3):
 
 def test_markov_refuses_non_cobweb():
     P = from_blocks([2, 2], [[[1, 0], [1, 1]]])
-    with pytest.raises(PosetError):
-        markov_product(P, 1, 1, 2)
+    assert suites.suite_markov(P) == [
+        ("markov", "factorization", True, "skipped: stated for cobwebs")]
 
 
 def test_top_level_row_sums_small():

@@ -402,6 +402,17 @@ def test_deeply_nested_json_is_a_diagnostic(tmp_path, argv):
     assert out == "" and "recursion" in err
 
 
+def test_chains_lists_a_layer_deeper_than_the_recursion_limit(tmp_path, monkeypatch):
+    # 1,100 levels of one node each hold one chain, longer than the
+    # interpreter's default limit of 1,000 frames
+    monkeypatch.setenv("COBWEB_MAX_LEVELS", "5000")
+    path = tmp_path / "chain1100.json"
+    path.write_text(poset_to_json(cobweb_of_sizes([1] * 1100)))
+    code, out, err = run_cli_process("chains", str(path), "--from", "1", "--to", "1100")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[[level, 1] for level in range(1, 1101)]]
+
+
 def dense_la_scala(P):
     """The staircase drawn from the dense zeta closure, cell by cell."""
     lines = []

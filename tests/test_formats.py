@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cobweb import BOOL, BlockMatrix, INT, PosetError, antichain, cobweb, coding_matrix, \
-    const, enumerate_max_chains, fib, from_blocks, gauss, hyperbox, nat, zeta
-from cobweb.formats import FormatError, chains_to_json, coding_to_json, \
-    hyperbox_to_json, la_scala, matrix_from_json, poset_from_json, \
-    poset_to_json, to_dot, write_chains_json, write_matrix_csv, write_matrix_json
+    const, enumerate_max_chains, fib, from_blocks, gauss, nat, zeta
+from cobweb.formats import FormatError, chains_to_json, coding_to_json, la_scala, \
+    matrix_from_json, poset_from_json, poset_to_json, to_dot, write_chains_json, \
+    write_matrix_csv, write_matrix_json
 
 from conftest import random_no_mute_poset
 
@@ -261,13 +261,6 @@ def test_write_chains_json_empty_layer_and_bounds():
             write_chains_json(P, k, n, io.StringIO())
 
 
-def test_hyperbox_json():
-    B = hyperbox(nat(), 2, 3)
-    obj = json.loads(hyperbox_to_json(B, include_points=True))
-    assert obj["dims"] == [2, 3]
-    assert len(obj["points"]) == 6
-
-
 def test_dot_counts():
     text = to_dot(cobweb(nat(), 2))
     assert text.count("->") == 2
@@ -287,15 +280,15 @@ def test_dot_renders_mute_arcs():
 
 def test_la_scala_pinned():
     r = la_scala(cobweb(nat(), 2))
-    assert r.lines == ("1 1 1", "  1 .", "    1")
-    assert la_scala(antichain(1)).lines == ("1",)
+    assert r == "1 1 1\n  1 .\n    1\n"
+    assert la_scala(antichain(1)) == "1\n"
 
 
 def test_la_scala_rooted_fib_staircase():
     # sizes <1,1,1,2,3>: three singleton stairs, then stairs of width 2 and 3
     from cobweb import cobweb_of_sizes
     r = la_scala(cobweb_of_sizes([1, 1, 1, 2, 3]))
-    assert r.lines == (
+    assert r.splitlines() == [
         "1 1 1 1 1 1 1 1",
         "  1 1 1 1 1 1 1",
         "    1 1 1 1 1 1",
@@ -304,14 +297,14 @@ def test_la_scala_rooted_fib_staircase():
         "          1 . .",
         "            1 .",
         "              1",
-    )
+    ]
 
 
 def test_la_scala_is_faithful_to_zeta():
     for P in (cobweb(nat(), 4), cobweb(fib(), 5), cobweb(gauss(2), 3),
               random_no_mute_poset(3)):
         Z = zeta(P, "closure")
-        lines = la_scala(P).lines
+        lines = la_scala(P).splitlines()
         for i in range(P.node_count):
             for j in range(P.node_count):
                 cell = lines[i][2 * j]
@@ -323,7 +316,7 @@ def test_la_scala_is_faithful_to_zeta():
 def test_la_scala_stair_widths():
     # node i of level k is followed by exactly k_F - i dots before the ones
     P = cobweb(nat(), 4)
-    lines = la_scala(P).lines
+    lines = la_scala(P).splitlines()
     for x in P.nodes():
         g = x.global_label - 1
         run = 0

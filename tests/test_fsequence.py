@@ -156,3 +156,20 @@ def test_fib_grows_in_linear_time():
     v = fnomial(fib(), 20000, 3)
     assert time.process_time() - t < 2.0
     assert v.denominator == 1
+
+
+def test_gauss_prefix_matches_the_closed_form():
+    for q in range(2, 6):
+        F = gauss(q)
+        assert F.prefix(200) == [(q ** k - 1) // (q - 1) for k in range(1, 201)]
+        assert F.name == f"gauss:q={q}"
+
+
+def test_gauss_grows_in_linear_time():
+    # each new index is q times the stored value before it, plus 1;
+    # evaluating (q^k - 1) / (q - 1) afresh at every index took ~5 s of CPU
+    # to index 30,000 on one Xeon core
+    t = time.process_time()
+    v = gauss(3).value(30000)
+    assert time.process_time() - t < 2.0
+    assert v == (3 ** 30000 - 1) // 2

@@ -11,7 +11,6 @@ from cobweb import BOOL, INT, AdmissibilityVerdict, BijectionReport, Chain, Char
     CheckResult, CodingMatrix, HyperBox, LevelMatrix, NodeLabel, PartitionReport, \
     cobweb_of_sizes, level_zeta, max_matrix, mul
 from cobweb.chains import ProbeReport
-from cobweb.formats import LaScalaRender
 
 
 def all_records():
@@ -21,7 +20,7 @@ def all_records():
             PartitionReport(6, 2, True, Fraction(3), Fraction(3), True),
             ProbeReport(Fraction(1), Fraction(1), True), AdmissibilityVerdict(True),
             CodingMatrix(((1, -1), (0, 1))), LevelMatrix((1, 2), ((1, 1), (0, 1))),
-            CharPoly((1, -2)), LaScalaRender(("1 1", "  1")), CheckResult("zeta", "x", True)]
+            CharPoly((1, -2)), CheckResult("zeta", "x", True)]
 
 
 # each bad input given positionally and by keyword

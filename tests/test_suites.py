@@ -1,7 +1,7 @@
 """Check suites: failure details name the same entry as a pair-by-pair scan."""
 
 from cobweb import BlockMatrix, LevelMatrix, cobweb, cobweb_of_sizes, from_blocks, \
-    invariants, nat, run_checks, suites
+    incidence, invariants, nat, run_checks, suites
 
 
 def corrupted(M, *entries):
@@ -34,12 +34,20 @@ def test_max_oracle_reports_lower_row_in_an_earlier_column(monkeypatch):
     assert res["chain-count-oracle"].detail == "entry (1, 2): counted 1, matrix has 8"
 
 
+def corrupt_every_dense_mu(monkeypatch, entry):
+    """Every dense Moebius route, the suite's inverse of the closure
+    included, returns mu with 7 added at entry."""
+    real, real_inverse = suites.mobius, suites.unitriangular_inverse
+    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(real(Q, m), entry))
+    monkeypatch.setattr(suites, "unitriangular_inverse",
+                        lambda M: corrupted(real_inverse(M), entry))
+
+
 def test_mobius_inverse_pair_fails_on_a_consistently_wrong_mu(monkeypatch):
     # every dense route returns the same corrupted mu, so only the product
     # with zeta and the level forms can tell
     P = cobweb(nat(), 4)
-    real = suites.mobius
-    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(real(Q, m), (2, 2)))
+    corrupt_every_dense_mu(monkeypatch, (2, 2))
     failed = {r.name: r.detail for r in suites.suite_mobius(P) if not r.passed}
     assert failed == {"inverse-pair": "mu is not an exact two-sided inverse of zeta",
                       "level-form-agreement":
@@ -67,6 +75,11 @@ def test_each_inverse_pair_costs_one_product(monkeypatch):
 def test_run_checks_builds_the_closure_and_the_max_matrix_once(monkeypatch):
     calls = []
     real_zeta, real_max = suites.zeta, suites.max_matrix
+    real_closure = incidence.nilpotent_closure
+
+    def nilpotent_closure(K):
+        calls.append(K.ring.name)
+        return real_closure(K)
 
     def zeta(Q, method="closure"):
         calls.append(method)
@@ -78,11 +91,15 @@ def test_run_checks_builds_the_closure_and_the_max_matrix_once(monkeypatch):
 
     monkeypatch.setattr(suites, "zeta", zeta)
     monkeypatch.setattr(suites, "max_matrix", max_matrix)
+    # every closure, whoever asks for it: the mobius suite inverts the
+    # zeta closure it is handed and builds no other
+    monkeypatch.setattr(incidence, "nilpotent_closure", nilpotent_closure)
     non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
-    for P in (cobweb(nat(), 4), non_cobweb):
+    for P in (cobweb(nat(), 4), cobweb(nat(), 5), non_cobweb):
         calls.clear()
         assert all(r.passed for r in run_checks(P))
         assert (calls.count("closure"), calls.count("max")) == (1, 1)
+        assert (calls.count("bool"), calls.count("int")) == (1, 1)
     # a suite that reads neither builds neither
     calls.clear()
     run_checks(cobweb(nat(), 4), "markov")
@@ -231,8 +248,7 @@ def test_rank_dependence_fails_on_a_mu_that_varies_inside_a_block(monkeypatch):
     # every dense route returns the same corrupted mu at (2, 4), inside
     # level block (2, 3); the product with zeta and the level forms see it too
     P = cobweb(nat(), 4)
-    real = suites.mobius
-    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(real(Q, m), (2, 4)))
+    corrupt_every_dense_mu(monkeypatch, (2, 4))
     assert failures(suites.suite_mobius(P)) == {
         "inverse-pair": "mu is not an exact two-sided inverse of zeta",
         "rank-dependence": "mu varies inside a level block of a cobweb",
