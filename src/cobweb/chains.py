@@ -1,16 +1,21 @@
 """Maximal chains: exhaustive enumeration, memoized counting, and the
 hyper-box coding of cobweb layers.
 
-Enumeration is depth-first in lexicographic position order, so listings are
-deterministic.  Counting never lists.  One private sweep pushes a tally down
-the cover blocks level by level, each node taking the sum of its upper
-covers' tallies.  Started from a unit tally on a node y, the sweep holds at
-level l the chain count of [x, y] for every x on l; started from all ones on
-a level s, the sum of its level-r tally is the layer count C(r, s).  The
-per-pair counters read one entry of one sweep.  The column form
-(interval_chain_column) and the table form (layer_chain_counts) keep every
-level of it, so a caller that wants a whole column of the max matrix or every
-C(r, s) pays one sweep per target node or per top level, not one per pair.
+Enumeration is one private walk, depth-first in lexicographic position order,
+so listings are deterministic.  It keeps its path on an explicit stack, so no
+layer is too deep for it, and it carries each chain's prefix as a value built
+with + from one fragment per node: position tuples for the library, the
+listing's text for formats.write_chains_json.
+
+Counting never lists.  One private sweep pushes a tally down the cover blocks
+level by level, each node taking the sum of its upper covers' tallies.
+Started from a unit tally on a node y, the sweep holds at level l the chain
+count of [x, y] for every x on l; started from all ones on a level s, the sum
+of its level-r tally is the layer count C(r, s).  The per-pair counters read
+one entry of one sweep.  The column form (interval_chain_column) and the
+table form (layer_chain_counts) keep every level of it, so a caller that
+wants a whole column of the max matrix or every C(r, s) pays one sweep per
+target node or per top level, not one per pair.
 
 These counts are the oracle that the closed-form matrices are measured
 against, so the counters read nothing but P.blocks and this module imports
@@ -39,48 +44,41 @@ class Chain(NamedTuple):
     start_level: int
     positions: Tuple[int, ...]
 
-    @property
-    def end_level(self) -> int:
-        return self.start_level + len(self.positions) - 1
-
     def nodes(self, P: GradedPoset) -> List[NodeLabel]:
         return [P.node(self.start_level + i, p)
                 for i, p in enumerate(self.positions)]
 
-    def validate(self, P: GradedPoset):
-        """Check every node against the levels of P, then every step against
-        the cover blocks."""
-        nodes = self.nodes(P)
-        for x, y in zip(nodes, nodes[1:]):
-            if P.blocks[x.level - 1][x.position - 1][y.position - 1] != 1:
-                raise PosetError(f"chain step {x.level}:{x.position} -> "
-                                 f"{y.level}:{y.position} is not a cover")
+
+def _walk(P: GradedPoset, k: int, n: int, start, frag):
+    """Walk the maximal chains of levels k..n, which the caller has checked,
+    depth first in lexicographic order.  For each node of level n - 1 (once,
+    for level k itself, when k = n) yield the chain's prefix, start +
+    frag(k, p_k) + ... + frag(n - 1, p_(n-1)), and the positions on level n
+    above that node, ascending and possibly none."""
+    # frags[d][p - 1]: the fragment of position p on level k + d
+    frags = [[frag(k + d, p) for p in range(1, size + 1)]
+             for d, size in enumerate(P.level_sizes[k - 1:n - 1])]
+    ups = [[list(compress(range(1, len(row) + 1), row)) for row in blk]
+           for blk in P.blocks[k - 1:n - 1]]
+    # (depth, prefix, positions on level k + depth); pushed in reverse so
+    # that they come off in position order
+    stack = [(0, start, range(1, P.level_sizes[k - 1] + 1))]
+    while stack:
+        d, prefix, positions = stack.pop()
+        if d < n - k:
+            stack.extend((d + 1, prefix + frags[d][p - 1], ups[d][p - 1])
+                         for p in reversed(positions))
+        else:
+            yield prefix, positions
 
 
 def iter_max_chain_positions(P: GradedPoset, k: int, n: int) -> Iterator[Tuple[int, ...]]:
     """Yield the position tuples of all maximal chains of levels k..n in
     lexicographic order."""
     check_layer_bounds(P, k, n)
-    if k == n:
-        for p in range(1, P.level_sizes[k - 1] + 1):
-            yield (p,)
-        return
-    blocks = P.blocks
-    path = [0] * (n - k + 1)
-
-    def descend(level: int, idx: int) -> Iterator[Tuple[int, ...]]:
-        if level == n:
-            yield tuple(path)
-            return
-        row = blocks[level - 1][path[idx] - 1]
-        for j, v in enumerate(row):
-            if v == 1:
-                path[idx + 1] = j + 1
-                yield from descend(level + 1, idx + 1)
-
-    for p in range(1, P.level_sizes[k - 1] + 1):
-        path[0] = p
-        yield from descend(k, 0)
+    for prefix, tops in _walk(P, k, n, (), lambda level, p: (p,)):
+        for p in tops:
+            yield prefix + (p,)
 
 
 def enumerate_max_chains(P: GradedPoset, k: int, n: int) -> List[Chain]:

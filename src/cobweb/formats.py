@@ -4,10 +4,10 @@ and the ASCII staircase view of the zeta matrix."""
 from __future__ import annotations
 
 import json
-from typing import IO, List, Tuple
+from typing import IO, List
 
-from .blockmat import INT, BlockMatrix
-from .chains import Chain
+from .blockmat import BlockMatrix
+from .chains import Chain, _walk
 from .incidence import CodingMatrix, level_zeta, zeta
 from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes, \
     first_non_binary
@@ -30,15 +30,6 @@ def poset_to_json(P: GradedPoset) -> str:
     return json.dumps(obj)
 
 
-def _level_sizes(obj) -> Tuple[int, ...]:
-    """obj["level_sizes"] through the poset's size check."""
-    sizes = obj["level_sizes"]
-    try:
-        return check_level_sizes(sizes if isinstance(sizes, list) else ())
-    except PosetError:
-        raise FormatError("level_sizes: expected a nonempty list of positive integers") from None
-
-
 def poset_from_json(text: str) -> GradedPoset:
     try:
         obj = json.loads(text)
@@ -49,7 +40,11 @@ def poset_from_json(text: str) -> GradedPoset:
     for key in ("level_sizes", "blocks", "flags", "sequence"):
         if key not in obj:
             raise FormatError(f"{key}: missing field")
-    sizes = _level_sizes(obj)
+    sizes = obj["level_sizes"]
+    try:
+        sizes = check_level_sizes(sizes if isinstance(sizes, list) else ())
+    except PosetError:
+        raise FormatError("level_sizes: expected a nonempty list of positive integers") from None
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or len(blocks) != len(sizes) - 1:
         raise FormatError(f"blocks: expected {len(sizes) - 1} blocks")
@@ -141,27 +136,6 @@ def _row_texts(M, sep: str):
             yield zero * (before + i) + "1" + zsep * (size - 1 - i) + tail
 
 
-def matrix_from_json(text: str) -> BlockMatrix:
-    """An integer BlockMatrix; every entry must be a JSON integer."""
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise FormatError(f"not valid JSON: {e}")
-    if not isinstance(obj, dict) or "level_sizes" not in obj or "entries" not in obj:
-        raise FormatError("expected {level_sizes, entries}")
-    sizes, entries = _level_sizes(obj), obj["entries"]
-    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
-        raise FormatError("entries: expected a list of rows, each a list of integers")
-    n = sum(sizes)
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise FormatError(f"entries: expected {n} rows of {n} integers")
-    for i, row in enumerate(entries):
-        for j, v in enumerate(row):
-            if type(v) is not int:
-                raise FormatError(f"entries[{i}][{j}]: expected an integer, got {v!r}")
-    return BlockMatrix(sizes, entries, INT)
-
-
 def coding_to_json(C: CodingMatrix) -> str:
     return json.dumps({"c": C.entries},
                       separators=(",", ":"))
@@ -175,27 +149,15 @@ def chains_to_json(chains: List[Chain]) -> str:
 
 def write_chains_json(P: GradedPoset, k: int, n: int, out: IO[str]):
     """The maximal chains of levels k..n in the order and the bytes of
-    chains_to_json(enumerate_max_chains(P, k, n)), built as text.  A depth-
-    first walk over the blocks, kept on a stack so that no layer is too deep
-    for it, carries each chain's prefix as text, and the chains through one
+    chains_to_json(enumerate_max_chains(P, k, n)), built as text.  The chain
+    walk carries each chain's prefix as text, and the chains through one
     node of level n - 1 go out in one write."""
     check_layer_bounds(P, k, n)
-    # frags[d][j]: the pair of position j + 1 on level k + d
-    frags = [[f"[{k + d}, {p}]" for p in range(1, size + 1)]
-             for d, size in enumerate(P.level_sizes[k - 1:n])]
-    ups = [[[j for j, v in enumerate(row) if v] for row in blk]
-           for blk in P.blocks[k - 1:n - 1]]
+    last = [f"[{n}, {p}]]" for p in range(1, P.level_sizes[n - 1] + 1)]
     sep = "["
-    # (depth, prefix text, nodes of level k + depth); pushed in reverse so
-    # that they come off in position order
-    stack = [(0, "[", range(len(frags[0])))]
-    while stack:
-        d, prefix, nodes = stack.pop()
-        if d < n - k:
-            stack.extend((d + 1, prefix + frags[d][j] + ", ", ups[d][j])
-                         for j in reversed(nodes))
-        elif nodes:
-            out.write(sep + ", ".join([prefix + frags[d][j] + "]" for j in nodes]))
+    for prefix, tops in _walk(P, k, n, "[", lambda level, p: f"[{level}, {p}], "):
+        if tops:
+            out.write(sep + ", ".join([prefix + last[p - 1] for p in tops]))
             sep = ", "
     out.write("[]" if sep == "[" else "]")
 

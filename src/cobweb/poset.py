@@ -123,10 +123,6 @@ class GradedPoset:
         k = bisect_left(self._offsets, g)  # the level k with S(k-1) < g <= S(k)
         return NodeLabel(k, g - self._offsets[k - 1], g)
 
-    def level_of(self, g: int) -> int:
-        """Rank of a node given by global label."""
-        return self.node_by_global(g).level
-
     def nodes(self):
         g = 0
         for level, size in enumerate(self.level_sizes, start=1):
@@ -135,12 +131,6 @@ class GradedPoset:
                 yield NodeLabel(level, pos, g)
 
     # -- cover relation -----------------------------------------------------
-
-    def upper_covers(self, x: NodeLabel) -> List[NodeLabel]:
-        if x.level == self.n_levels:
-            return []
-        row = self.blocks[x.level - 1][x.position - 1]
-        return [self.node(x.level + 1, j + 1) for j, v in enumerate(row) if v == 1]
 
     def mute_nodes(self) -> List[NodeLabel]:
         """Non-extremal vertices with in-degree or out-degree zero.

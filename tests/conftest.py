@@ -1,13 +1,15 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here deliberately avoid the library's own algebra: reachability
-is graph BFS, interval counts are literal path enumeration, and matrix
+is graph BFS, interval counts are literal path enumeration, maximal chains are
+the points of the level-position box whose every step is a cover, and matrix
 inversion is Fraction Gauss-Jordan.  Closed forms are tested against these,
 never against themselves.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,10 +27,18 @@ def preset_table():
             "const3": const(3), "ex11": EX11, "ex12": EX12}
 
 
+def upper_covers(P: GradedPoset, x):
+    """The nodes that cover x, read from its row of P.blocks."""
+    if x.level == P.n_levels:
+        return []
+    row = P.blocks[x.level - 1][x.position - 1]
+    return [P.node(x.level + 1, j + 1) for j, v in enumerate(row) if v == 1]
+
+
 def brute_reach(P: GradedPoset):
     """reach[x] = set of y with x <= y, by BFS over cover arcs."""
     n = P.node_count
-    up = {x.global_label: [y.global_label for y in P.upper_covers(x)]
+    up = {x.global_label: [y.global_label for y in upper_covers(P, x)]
           for x in P.nodes()}
     reach = {}
     for start in range(1, n + 1):
@@ -52,7 +62,17 @@ def brute_interval_count(P: GradedPoset, x, y) -> int:
         return 1
     if y.level <= x.level:
         return 0
-    return sum(brute_interval_count(P, z, y) for z in P.upper_covers(x))
+    return sum(brute_interval_count(P, z, y) for z in upper_covers(P, x))
+
+
+def brute_chains(P: GradedPoset, k: int, n: int):
+    """Position tuples of the maximal chains of levels k..n: every point of
+    the box of level positions whose every step is a 1 in P.blocks.  The
+    order is lexicographic, as itertools.product gives it."""
+    box = product(*(range(1, size + 1) for size in P.level_sizes[k - 1:n]))
+    return [pos for pos in box
+            if all(P.blocks[k + i - 1][a - 1][b - 1] == 1
+                   for i, (a, b) in enumerate(zip(pos, pos[1:])))]
 
 
 def fraction_inverse(rows):

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobweb import Chain, PosetError, box_join, chain_box_bijection, cobweb, \
-    count_head_chains, count_interval_chains, count_layer_chains, \
+    cobweb_of_sizes, count_head_chains, count_interval_chains, count_layer_chains, \
     count_tail_chains, custom, enumerate_max_chains, f_factorial, f_falling, \
     fib, fnomial, fnomial_partition_check, from_blocks, gauss, hyperbox, \
     fnomial_chain_probe, interval_chain_column, layer_chain_counts, \
     max_matrix, nat, suites
 
-from conftest import brute_interval_count, random_cobweb, random_no_mute_poset
+from conftest import brute_chains, brute_interval_count, random_cobweb, \
+    random_no_mute_poset
 
 
 def test_layer_chain_counts_pinned():
@@ -36,11 +37,8 @@ def test_enumeration_is_lexicographic():
 def test_enumeration_respects_blocks():
     P = from_blocks([1, 2, 2], [[[1, 1]], [[1, 0], [1, 1]]])
     got = [c.positions for c in enumerate_max_chains(P, 1, 3)]
-    assert got == [(1, 1, 1), (1, 2, 1), (1, 2, 2)]
-    for c in enumerate_max_chains(P, 1, 3):
-        c.validate(P)
-    with pytest.raises(PosetError):
-        Chain(1, (1, 1, 2)).validate(P)  # 2:1 -> 3:2 arc is absent
+    assert got == [(1, 1, 1), (1, 2, 1), (1, 2, 2)]  # 2:1 -> 3:2 arc is absent
+    assert got == brute_chains(P, 1, 3)
 
 
 @pytest.mark.parametrize("chain, message", [
@@ -51,7 +49,7 @@ def test_enumeration_respects_blocks():
 def test_validate_refuses_nodes_outside_the_poset(nat3, chain, message):
     # a level below 1 must not wrap to the top block through blocks[-1]
     with pytest.raises(PosetError) as err:
-        chain.validate(nat3)
+        chain.nodes(nat3)
     assert str(err.value) == message
 
 
@@ -59,7 +57,17 @@ def test_chain_nodes_view(nat3):
     c = enumerate_max_chains(nat3, 2, 3)[0]
     nodes = c.nodes(nat3)
     assert [(x.level, x.position) for x in nodes] == [(2, 1), (3, 1)]
-    assert c.end_level == 3
+
+
+def test_enumeration_walks_a_layer_deeper_than_the_recursion_limit():
+    # 1,100 levels is deeper than the interpreter's default recursion limit
+    P = cobweb_of_sizes([1] * 1100)
+    assert enumerate_max_chains(P, 1, 1100) == [Chain(1, (1,) * 1100)]
+
+
+def test_chain_box_bijection_on_a_layer_deeper_than_the_recursion_limit():
+    P = cobweb_of_sizes([1] * 1100)
+    assert chain_box_bijection(P, 1, 1100) == (True, 1, 1)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import cobweb as cobweb_pkg
-from cobweb import cli, cobweb, cobweb_of_sizes, const, enumerate_max_chains, fib, \
-    from_blocks, mobius, nat, root, zeta
+from cobweb import cli, cobweb, cobweb_of_sizes, const, fib, from_blocks, mobius, nat, \
+    root, zeta
 from cobweb.formats import poset_from_json, poset_to_json
+
+from conftest import brute_chains
 
 
 def run_cli(capsys, *argv):
@@ -153,16 +155,16 @@ def test_chains_commands(nat5_file, capsys):
 
 def test_chains_listing_streams_the_json_bytes(tmp_path, capsys):
     # all 5^6 maximal chains of const:5 on 6 levels, against the listing as
-    # json.dumps writes it from the enumerated chains
+    # json.dumps writes it from the brute-force chains
     P = cobweb(const(5), 6)
     path = tmp_path / "const5.json"
     path.write_text(poset_to_json(P))
     code, out, err = run_cli(capsys, "chains", str(path), "--from", "1", "--to", "6")
     assert (code, err) == (0, "")
-    chains = enumerate_max_chains(P, 1, 6)
+    chains = brute_chains(P, 1, 6)
     assert len(chains) == 15625
-    assert out == json.dumps([[[c.start_level + i, p] for i, p in enumerate(c.positions)]
-                              for c in chains]) + "\n"
+    assert out == json.dumps([[[1 + i, p] for i, p in enumerate(pos)]
+                              for pos in chains]) + "\n"
 
 
 def test_import_loads_no_introspection_modules():

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from cobweb import BOOL, BlockMatrix, INT, PosetError, antichain, cobweb, coding_matrix, \
     const, enumerate_max_chains, fib, from_blocks, gauss, nat, zeta
 from cobweb.formats import FormatError, chains_to_json, coding_to_json, la_scala, \
-    matrix_from_json, poset_from_json, poset_to_json, to_dot, write_chains_json, \
-    write_matrix_csv, write_matrix_json
+    poset_from_json, poset_to_json, to_dot, write_chains_json, write_matrix_csv, \
+    write_matrix_json
 
-from conftest import random_no_mute_poset
+from conftest import brute_chains, random_no_mute_poset
 
 
 def test_poset_json_snapshot(nat3):
@@ -160,52 +160,10 @@ def test_digit_rows_write_faster_than_one_str_per_entry():
     assert written(write_matrix_csv, Z) == literal_csv(Z)
 
 
-def test_matrix_json_roundtrip(nat3):
-    Z = zeta(nat3).with_ring(INT)
-    buf = io.StringIO()
-    write_matrix_json(Z, buf)
-    M = matrix_from_json(buf.getvalue())
-    assert M == Z
-
-
-@pytest.mark.parametrize("sizes", ["[true, 2]", "[2.9]", "[true, 2.9]", "[0, 3]",
-                                   "[3, -1]", "[]", '"12"'])
-def test_matrix_json_refuses_bad_level_sizes(sizes):
-    entries = json.dumps([[int(i == j) for j in range(3)] for i in range(3)])
-    with pytest.raises(FormatError) as e:
-        matrix_from_json(f'{{"level_sizes": {sizes}, "entries": {entries}}}')
-    assert str(e.value) == "level_sizes: expected a nonempty list of positive integers"
-
-
-@pytest.mark.parametrize("entries, message", [
-    ('[["x"]]', "entries[0][0]: expected an integer, got 'x'"),
-    ("[[1.5]]", "entries[0][0]: expected an integer, got 1.5"),
-    ("[[true]]", "entries[0][0]: expected an integer, got True"),
-    ("[[null]]", "entries[0][0]: expected an integer, got None"),
-    ("[[[1]]]", "entries[0][0]: expected an integer, got [1]"),
-    ('[{"a": 1}]', "entries: expected a list of rows, each a list of integers"),
-    ("5", "entries: expected a list of rows, each a list of integers"),
-    ("[5]", "entries: expected a list of rows, each a list of integers")])
-def test_matrix_json_refuses_entries_other_than_ints(entries, message):
-    with pytest.raises(FormatError) as e:
-        matrix_from_json(f'{{"level_sizes": [1], "entries": {entries}}}')
-    assert str(e.value) == message
-
-
-@pytest.mark.parametrize("entries", ["[[1, 0]]", "[[1, 0], [0, 1], [0, 0]]",
-                                     "[[1, 0], [0]]", "[[1, 0], [0, 1, 0]]"])
-def test_matrix_json_refuses_entries_of_the_wrong_shape(entries):
-    # too few rows, too many rows, a short row and a long row
-    with pytest.raises(FormatError) as e:
-        matrix_from_json(f'{{"level_sizes": [2], "entries": {entries}}}')
-    assert str(e.value) == "entries: expected 2 rows of 2 integers"
-
-
 def test_deeply_nested_json_is_a_format_error():
     # the decoder gives up on deep nesting with RecursionError
-    for load in (matrix_from_json, poset_from_json):
-        with pytest.raises(FormatError, match="not valid JSON"):
-            load("[" * 100000)
+    with pytest.raises(FormatError, match="not valid JSON"):
+        poset_from_json("[" * 100000)
 
 
 def test_coding_json():
@@ -221,9 +179,9 @@ def test_chains_json(nat3):
 
 
 def literal_listing(P, k, n) -> str:
-    """The listing as json.dumps writes it, from the enumerated chains."""
-    return json.dumps([[[c.start_level + i, p] for i, p in enumerate(c.positions)]
-                       for c in enumerate_max_chains(P, k, n)])
+    """The listing as json.dumps writes it, from the brute-force chains."""
+    return json.dumps([[[k + i, p] for i, p in enumerate(pos)]
+                       for pos in brute_chains(P, k, n)])
 
 
 @st.composite

@@ -202,7 +202,7 @@ def test_labels_roundtrip_and_rank():
     for x in P.nodes():
         back = P.node_by_global(x.global_label)
         assert back == x
-        assert P.level_of(x.global_label) == x.level
+        assert P.node_by_global(x.global_label).level == x.level
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -30,7 +30,7 @@ from cobweb.blockmat import _check_compatible, _packed_pass, _unit_solve
 from cobweb.incidence import kappa, level_eta_inverse, level_max, level_mobius, level_zeta
 from cobweb.poset import GradedPoset
 
-from conftest import fraction_inverse
+from conftest import fraction_inverse, upper_covers
 
 
 # -- the earlier forms ----------------------------------------------------------
@@ -95,7 +95,7 @@ def label_reachable_sets(P: GradedPoset) -> List[Set[int]]:
     N = P.node_count
     up: List[List[int]] = [[] for _ in range(N + 1)]
     for x in P.nodes():
-        up[x.global_label] = [y.global_label for y in P.upper_covers(x)]
+        up[x.global_label] = [y.global_label for y in upper_covers(P, x)]
     reach: List[Set[int]] = [set() for _ in range(N + 1)]
     for g in range(N, 0, -1):
         acc = {g}

@@ -119,7 +119,7 @@ def test_label_routes_within_budget(make, method):
     assert time.perf_counter() - t0 < 2.0
     N = P.node_count
     for x in (1, P.S(1) + 1, N // 2, N - 1, N):
-        level = P.level_of(x)
+        level = P.node_by_global(x).level
         top = P.S(level)  # last node of x's level
         want = tuple(0 if y < x or x < y <= top else 1 for y in range(1, N + 1))
         assert Z.rows[x - 1] == want, x
