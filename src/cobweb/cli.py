@@ -4,12 +4,19 @@ Exit codes: 0 on success, 1 on any domain or usage error, 2 when a check
 suite fails.  Data goes to stdout (or -o), diagnostics to stderr.  The
 environment variable COBWEB_MAX_LEVELS (default 12) caps requested level
 counts so a stray argument cannot trigger a huge computation.
+
+Called with no argv, as the process entry (`python -m cobweb.cli` or the
+`cobweb` console script), main freezes the import-time heap with
+gc.freeze: no collection examines it again, so interpreter exit skips the
+full passes over the module graph.  In-process callers pass an explicit
+argv and their heap is left as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -368,8 +375,13 @@ def main(argv=None) -> int:
     # results are exact, so no integer is too long to print
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    if argv is None:
+        # the whole process is this one call, so nothing imported so far
+        # becomes garbage before exit
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        return run(argv)
     except (CliError, SequenceError, PosetError, MatrixError, RingError,
             formats.FormatError, ValueError, TypeError, OSError) as e:
         print(f"cobweb: {e}", file=sys.stderr)
