@@ -11,8 +11,7 @@ from .blockmat import BOOL, INT, BlockMatrix, MatrixError, RingError, add, mul, 
 from .chains import BijectionReport, Chain, HyperBox, PartitionReport, \
     box_join, chain_box_bijection, count_head_chains, count_interval_chains, \
     count_layer_chains, count_tail_chains, enumerate_max_chains, \
-    fnomial_chain_probe, fnomial_partition_check, hyperbox, \
-    interval_chain_column, layer_chain_counts
+    fnomial_chain_probe, fnomial_partition_check, hyperbox, layer_chain_counts
 from .fsequence import AdmissibilityVerdict, FSequence, SequenceError, const, \
     custom, f_factorial, f_falling, fib, fnomial, from_file, gauss, \
     is_cobweb_admissible, nat, preset

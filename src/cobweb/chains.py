@@ -12,10 +12,9 @@ level by level, each node taking the sum of its upper covers' tallies.
 Started from a unit tally on a node y, the sweep holds at level l the chain
 count of [x, y] for every x on l; started from all ones on a level s, the sum
 of its level-r tally is the layer count C(r, s).  The per-pair counters read
-one entry of one sweep.  The column form (interval_chain_column) and the
-table form (layer_chain_counts) keep every level of it, so a caller that
-wants a whole column of the max matrix or every C(r, s) pays one sweep per
-target node or per top level, not one per pair.
+one entry of one sweep.  Two table forms keep every level of it:
+layer_chain_counts gives every C(r, s) from one sweep per top level, and
+_interval_rows every pair count from one packed sweep per level.
 
 These counts are the oracle that the closed-form matrices are measured
 against, so the counters read nothing but P.blocks and this module imports
@@ -108,6 +107,24 @@ def _unit(P: GradedPoset, node: NodeLabel) -> List[int]:
     return tally
 
 
+def _interval_rows(P: GradedPoset) -> List[List[int]]:
+    """count_interval_chains(P, x, y) at [x - 1][y - 1] for global labels x
+    and y, from one sweep per level L.  A chain of [x, y] with y on L takes
+    one node per level below L, so its count is below 2^w, w the bit length
+    of their size product, and one w-bit field per node of L never carries."""
+    rows = [[] for _ in range(P.node_count)]
+    for L, size in enumerate(P.level_sizes, start=1):
+        w = prod(P.level_sizes[:L - 1]).bit_length()
+        mask, shifts = (1 << w) - 1, range(0, w * size, w)
+        # levels 1..L in order are global labels 1..S(L)
+        packed = [t for tally in _tallies(P, [1 << s for s in shifts], L, 1) for t in tally]
+        for row, t in zip(rows, packed):
+            row += [t >> s & mask for s in shifts]
+        for row in rows[len(packed):]:
+            row += [0] * size
+    return rows
+
+
 def count_layer_chains(P: GradedPoset, k: int, n: int) -> int:
     """Number of maximal chains spanning levels k..n, by memoized tallies."""
     check_layer_bounds(P, k, n)
@@ -135,14 +152,6 @@ def count_head_chains(P: GradedPoset, source: NodeLabel, s: int) -> int:
     if not source.level <= s <= P.n_levels:
         raise PosetError(f"head level {s} must satisfy {source.level} <= s <= {P.n_levels}")
     return _tallies(P, [1] * P.level_sizes[s - 1], s, source.level)[0][source.position - 1]
-
-
-def interval_chain_column(P: GradedPoset, y: NodeLabel) -> List[int]:
-    """count_interval_chains(P, x, y) for every node x, indexed by global
-    label minus one, from a single sweep down from y."""
-    # levels 1..y.level in order are global labels 1..S(y.level)
-    col = [c for tally in _tallies(P, _unit(P, y), y.level, 1) for c in tally]
-    return col + [0] * (P.node_count - len(col))
 
 
 def layer_chain_counts(P: GradedPoset, s: int) -> List[int]:

@@ -30,7 +30,8 @@ from .incidence import MOBIUS_METHODS, ZETA_METHODS, coding_matrix, eta, \
     level_max_inverse, level_mobius, level_zeta, max_inverse, max_matrix, \
     mobius, zeta
 from .invariants import RootedPoset, char_poly, root, whitney_second
-from .poset import GradedPoset, PosetError, cobweb, from_blocks, ones_block
+from .poset import GradedPoset, PosetError, check_layer_bounds, cobweb, from_blocks, \
+    ones_block
 from .suites import run_checks
 
 
@@ -45,16 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _max_levels() -> int:
+def _check_levels(n: int, what: str = "levels"):
     raw = os.environ.get("COBWEB_MAX_LEVELS", "12")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise CliError(f"COBWEB_MAX_LEVELS must be an integer, got {raw!r}")
-
-
-def _check_levels(n: int, what: str = "levels"):
-    cap = _max_levels()
     if n > cap:
         raise CliError(f"{what} {n} exceeds COBWEB_MAX_LEVELS={cap}")
 
@@ -238,21 +235,20 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_chains(args) -> int:
+    # every refusal comes before _output opens, and so empties, the -o file
     P = _load_poset(args.poset)
+    if args.interval:
+        x, y = map(P.node_by_global, args.interval)
+        return _emit_text(args, f"{count_interval_chains(P, x, y)}\n")
+    if args.from_level is None or args.to_level is None:
+        raise CliError("chains needs --from and --to (or --interval)")
+    if args.count_only:
+        return _emit_text(args, f"{count_layer_chains(P, args.from_level, args.to_level)}\n")
+    check_layer_bounds(P, args.from_level, args.to_level)
     with _output(args) as out:
-        if args.interval:
-            x = P.node_by_global(args.interval[0])
-            y = P.node_by_global(args.interval[1])
-            out.write(f"{count_interval_chains(P, x, y)}\n")
-            return 0
-        if args.from_level is None or args.to_level is None:
-            raise CliError("chains needs --from and --to (or --interval)")
-        if args.count_only:
-            out.write(f"{count_layer_chains(P, args.from_level, args.to_level)}\n")
-        else:
-            formats.write_chains_json(P, args.from_level, args.to_level, out)
-            out.write("\n")
-        return 0
+        formats.write_chains_json(P, args.from_level, args.to_level, out)
+        out.write("\n")
+    return 0
 
 
 # Cobweb matrices are computed in the level algebra and expanded to node rows

@@ -181,15 +181,13 @@ class AdmissibilityVerdict(NamedTuple):
 
 
 def is_cobweb_admissible(F: FSequence, up_to: int) -> AdmissibilityVerdict:
-    """Check that every F-nomial with 0 <= k <= n <= up_to is a nonnegative integer.
-
-    Scans (n, k) in lexicographic order and reports the first failure.
-    """
+    """Check that every F-nomial with 0 <= k <= n <= up_to is an integer:
+    k_F! divides n_F * ... * (n-k+1)_F, which is positive since F is.
+    Scans (n, k) in lexicographic order and reports the first failure."""
     if up_to < 0:
         raise SequenceError(f"up_to must be >= 0, got {up_to}")
     for n in range(0, up_to + 1):
         for k in range(0, n + 1):
-            v = fnomial(F, n, k)
-            if v.denominator != 1 or v < 0:
+            if f_falling(F, n, k) % f_factorial(F, k):
                 return AdmissibilityVerdict(False, (n, k))
     return AdmissibilityVerdict(True)

@@ -4,14 +4,14 @@ Each suite returns CheckResult records; a suite that does not apply to the
 given poset (Markov needs a cobweb, Whitney needs a root) reports itself as
 skipped rather than failing.
 
-The chain-count oracles cost one tally sweep per column or per level, not
-one per pair.  The max suite holds max_matrix(P) to interval_chain_column
-one column y at a time and keeps only the first mismatch in row-major
-order, so its memory stays linear in the node count and its failure detail
-names the same entry a pair-by-pair scan would.  The Markov suite reads
-every C(r, s) from layer_chain_counts, one sweep per top level s.  Both
-oracles come from chains, which reads only the cover blocks, so they stay
-independent of the matrix closure they are checking.
+The chain-count oracles cost one tally sweep per level, not one per pair.
+The max suite holds max_matrix(P) to the pair table of chains._interval_rows,
+whose sweep from each level L counts the chains of [x, y] for every y on L
+at once, and names the first mismatch in row-major order: the first row
+that differs, at its first differing column, with the matrix's own entry.
+The Markov suite reads every C(r, s) from layer_chain_counts, one sweep per
+top level s.  Both oracles come from chains, which reads only the cover
+blocks, so they stay independent of the matrix closure they are checking.
 
 On a cobweb the zeta, mobius and max suites also expand the level forms the
 CLI writes and hold them entry by entry to the dense matrices the suite has
@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .blockmat import INT, BlockMatrix, mul, unitriangular_inverse
-from .chains import interval_chain_column, layer_chain_counts
+from .chains import _interval_rows, layer_chain_counts
 from .incidence import ZETA_METHODS, level_max, level_max_inverse, level_mobius, \
     level_zeta, logic_L, max_inverse, max_matrix, mobius, reachable_sets, zeta
 from .invariants import RootedPoset, char_poly, whitney_second
@@ -61,6 +61,16 @@ def _skip(suite, name, why):
     return CheckResult(suite, name, True, f"skipped: {why}")
 
 
+def _first_mismatch(rows, dense_rows):
+    """(x, y, a, b) at the first difference in row-major order: 1-based x
+    and y, a from rows and b from dense_rows.  None when the rows agree."""
+    for x, (got, want) in enumerate(zip(rows, dense_rows), start=1):
+        if tuple(got) != want:
+            y = next(j for j in range(len(want)) if got[j] != want[j])
+            return x, y + 1, got[y], want[y]
+    return None
+
+
 def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
     """routes: (route name, level form builder, dense matrix).  The detail
     names the route and its first mismatching entry in row-major order."""
@@ -68,11 +78,11 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
     if not P.is_cobweb:
         return _skip(suite, name, "level form needs a cobweb")
     for route, build, dense in routes:
-        for x, (got, want) in enumerate(zip(build(P).rows(), dense.rows), start=1):
-            if tuple(got) != want:
-                y = next(j for j in range(len(want)) if got[j] != want[j])
-                return _verdict(suite, name, False, f"{route}: entry ({x}, {y + 1}): "
-                                f"level form has {got[y]}, dense has {want[y]}")
+        bad = _first_mismatch(build(P).rows(), dense.rows)
+        if bad:
+            x, y, got, want = bad
+            return _verdict(suite, name, False, f"{route}: entry ({x}, {y}): "
+                            f"level form has {got}, dense has {want}")
     return _verdict(suite, name, True)
 
 
@@ -138,13 +148,8 @@ def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRes
     out.append(_verdict("mobius", "inverse-pair", mul(zi, mu) == I,
                         "mu is not an exact two-sided inverse of zeta"))
     if P.is_cobweb:
-        rank_ok = True
-        for r in range(1, P.n_levels + 1):
-            for s in range(r + 1, P.n_levels + 1):
-                blk = mu.block(r, s)
-                vals = {v for row in blk for v in row}
-                if len(vals) > 1:
-                    rank_ok = False
+        rank_ok = all(len({v for row in mu.block(r, s) for v in row}) <= 1
+                      for r in range(1, P.n_levels + 1) for s in range(r + 1, P.n_levels + 1))
         out.append(_verdict("mobius", "rank-dependence", rank_ok,
                             "mu varies inside a level block of a cobweb"))
     else:
@@ -158,17 +163,7 @@ def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRes
 def suite_max(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     out = []
     M = (dense or Dense(P)).max
-    # one oracle sweep per column y; the first mismatch in row-major order is
-    # the smallest (x, y) over the columns' first mismatches
-    bad = None
-    for y in P.nodes():
-        j = y.global_label - 1
-        limit = P.node_count if bad is None else bad[0] - 1
-        for i, want in enumerate(interval_chain_column(P, y)[:limit]):
-            got = M.rows[i][j]
-            if want != got:
-                bad = (i + 1, j + 1, want, got)
-                break
+    bad = _first_mismatch(_interval_rows(P), M.rows)
     out.append(_verdict("max", "chain-count-oracle", bad is None,
                         bad and f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
     I = BlockMatrix.identity(P.level_sizes, INT)

@@ -11,7 +11,7 @@ from cobweb import Chain, PosetError, box_join, chain_box_bijection, cobweb, \
     cobweb_of_sizes, count_head_chains, count_interval_chains, count_layer_chains, \
     count_tail_chains, custom, enumerate_max_chains, f_factorial, f_falling, \
     fib, fnomial, fnomial_partition_check, from_blocks, gauss, hyperbox, \
-    fnomial_chain_probe, interval_chain_column, layer_chain_counts, \
+    fnomial_chain_probe, layer_chain_counts, \
     max_matrix, nat, suites
 
 from conftest import brute_chains, brute_interval_count, random_cobweb, \
@@ -162,15 +162,6 @@ def _seeded_poset(seed, is_cobweb):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
-def test_column_sweep_equals_pairwise_counts(seed, is_cobweb):
-    P = _seeded_poset(seed, is_cobweb)
-    for y in P.nodes():
-        assert interval_chain_column(P, y) == \
-            [count_interval_chains(P, x, y) for x in P.nodes()]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
 def test_layer_table_equals_layer_counts(seed, is_cobweb):
     P = _seeded_poset(seed, is_cobweb)
     for s in range(1, P.n_levels + 1):
@@ -178,9 +169,7 @@ def test_layer_table_equals_layer_counts(seed, is_cobweb):
             [count_layer_chains(P, r, s) for r in range(1, s + 1)]
 
 
-def test_column_and_table_pinned(nat3):
-    # column of the top-left level-3 node: 2 chains from level 1, 1 from level 2
-    assert interval_chain_column(nat3, nat3.node(3, 1)) == [2, 1, 1, 1, 0, 0]
+def test_layer_table_pinned(nat3):
     assert layer_chain_counts(nat3, 3) == [6, 6, 3]
     with pytest.raises(PosetError):
         layer_chain_counts(nat3, 4)

@@ -153,6 +153,19 @@ def test_chains_commands(nat5_file, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--from", "2", "--to", "1"], ["--from", "1", "--to", "9"],
+    ["--from", "0", "--to", "2", "--count-only"], ["--interval", "0", "2"],
+    ["--interval", "1", "99"], ["--count-only"], []])
+def test_refused_chains_call_leaves_its_output_file_as_it_was(nat5_file, tmp_path, capsys,
+                                                              flags):
+    out = tmp_path / "o.json"
+    out.write_text("kept\n")
+    code, _, err = run_cli(capsys, "chains", nat5_file, *flags, "-o", str(out))
+    assert_one_line_diagnostic(code, err)
+    assert out.read_text() == "kept\n"
+
+
 def test_chains_listing_streams_the_json_bytes(tmp_path, capsys):
     # all 5^6 maximal chains of const:5 on 6 levels, against the listing as
     # json.dumps writes it from the brute-force chains
@@ -183,6 +196,20 @@ def test_import_loads_no_introspection_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
+
+
+def test_admissible_leaves_fractions_unloaded():
+    # the verdict is a divisibility test on integers, so neither fractions
+    # nor the decimal module it imports is loaded for it
+    code = ("import sys; from cobweb import cli; "
+            "codes = [cli.main(['admissible', '--seq', s, '--up-to', '9'])"
+            " for s in ('fib', 'gauss:q=2', 'const:2')]; "
+            "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "admissible\nadmissible\nadmissible\n[0, 0, 0] []\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,7 @@
 Whatever the argv and whatever the poset or blocks file holds, cli.main
 ends in 0, 1 or 2 (argparse's SystemExit counts by its code), lets no other
 exception out, never writes a traceback, and on exit 1 ends stderr with a
-one-line `cobweb: ` diagnostic.  The argv comes from a fixed vocabulary of
+one-line `cobweb: ` diagnostic and leaves the -o file as it was.  The argv comes from a fixed vocabulary of
 every command and flag; the files are small valid posets put through one
 malformation each.  COBWEB_MAX_LEVELS is set to 5, so level counts up to 14
 reach the cap refusal without building a large cobweb.
@@ -177,6 +177,7 @@ def argvs(draw, d):
 def test_every_call_keeps_the_exit_contract(workdir, data, poset, blocks):
     (workdir / "poset.json").write_text(poset)
     (workdir / "blocks.json").write_text(blocks)
+    (workdir / "out.txt").write_text("kept\n")
     argv = data.draw(argvs(workdir), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -189,3 +190,4 @@ def test_every_call_keeps_the_exit_contract(workdir, data, poset, blocks):
     assert "Traceback" not in err
     if code == 1:
         assert err.splitlines()[-1].startswith("cobweb: ")
+        assert (workdir / "out.txt").read_text() == "kept\n"

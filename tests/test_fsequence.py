@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cobweb import SequenceError, const, custom, f_factorial, f_falling, fib, \
     fnomial, from_file, gauss, is_cobweb_admissible, nat, preset
@@ -137,6 +137,19 @@ def test_admissibility_scans_lexicographically():
     # 2_F/1_F fails at (2,1) before any later pair does
     v = is_cobweb_admissible(custom([2, 3, 4, 5]), 4)
     assert v.first_failure == (2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=8))
+def test_admissibility_is_the_first_non_integer_fnomial(values, up_to):
+    # the verdict, read from integer divisibility, against the exact
+    # quotients scanned in the same order
+    F = custom(values)
+    up_to = min(up_to, len(values))
+    first = next(((n, k) for n in range(up_to + 1) for k in range(n + 1)
+                  if fnomial(F, n, k).denominator != 1), None)
+    assert is_cobweb_admissible(F, up_to) == (first is None, first)
 
 
 def test_fib_prefix_matches_a_two_term_loop():

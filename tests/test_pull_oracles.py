@@ -1,5 +1,5 @@
-"""The row solve, the product, reachability and the Moebius recurrence, held
-to the versions they replaced.
+"""The row solve, the product, reachability, the Moebius recurrence and the
+max suite's chain-count oracle, held to the versions they replaced.
 
 blockmat._unit_solve and blockmat.mul hold each row as one packed int and add
 c times a level's row sum once wherever a row holds one value c across a
@@ -12,6 +12,11 @@ rule, and push mu(x, z) into every node above z; the older ones add one row
 per nonzero column, walk every nonzero pair, traverse node labels, and pull
 each mu(x, y) from every z below y.  The new routes must reproduce them
 exactly, at every field width the packed rows need.
+
+chains._interval_rows counts the chains of every pair with one tally sweep
+per level, each node's tally packed as one bit field per node of the level;
+the max suite used to sweep once per node y (interval_chain_column) and
+compare column by column, and that loop is kept below as its reference.
 """
 
 import random
@@ -24,13 +29,16 @@ from typing import List, Set
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BOOL, INT, BlockMatrix, cobweb, from_blocks, gauss, incidence, mobius, mul, \
-    reachable_sets, zeta
+from cobweb import BOOL, INT, BlockMatrix, chains, cobweb, cobweb_of_sizes, \
+    count_interval_chains, from_blocks, gauss, incidence, max_matrix, mobius, mul, nat, \
+    reachable_sets, suites, zeta
 from cobweb.blockmat import _check_compatible, _packed_pass, _unit_solve
+from cobweb.chains import _interval_rows, _tallies, _unit
 from cobweb.incidence import kappa, level_eta_inverse, level_max, level_mobius, level_zeta
-from cobweb.poset import GradedPoset
+from cobweb.poset import GradedPoset, NodeLabel
 
-from conftest import fraction_inverse, upper_covers
+from conftest import brute_interval_count, fraction_inverse, random_cobweb, \
+    random_no_mute_poset, upper_covers
 
 
 # -- the earlier forms ----------------------------------------------------------
@@ -239,6 +247,33 @@ def push_mobius_recurrence(P: GradedPoset) -> BlockMatrix:
                 for y in strict[z]:
                     row[y] -= m
     return BlockMatrix(P.level_sizes, rows, INT)
+
+
+# the column oracle: one tally sweep per node y, compared column by column
+
+def interval_chain_column(P: GradedPoset, y: NodeLabel) -> List[int]:
+    """count_interval_chains(P, x, y) for every node x, indexed by global
+    label minus one, from a single sweep down from y."""
+    # levels 1..y.level in order are global labels 1..S(y.level)
+    col = [c for tally in _tallies(P, _unit(P, y), y.level, 1) for c in tally]
+    return col + [0] * (P.node_count - len(col))
+
+
+def column_first_mismatch(P: GradedPoset, M: BlockMatrix):
+    """(x, y, counted, matrix) of the first entry of M in row-major order
+    that differs from the chain count, or None, as suites.suite_max found it."""
+    # one oracle sweep per column y; the first mismatch in row-major order is
+    # the smallest (x, y) over the columns' first mismatches
+    bad = None
+    for y in P.nodes():
+        j = y.global_label - 1
+        limit = P.node_count if bad is None else bad[0] - 1
+        for i, want in enumerate(interval_chain_column(P, y)[:limit]):
+            got = M.rows[i][j]
+            if want != got:
+                bad = (i + 1, j + 1, want, got)
+                break
+    return bad
 
 
 # -- the row solve ----------------------------------------------------------------
@@ -473,3 +508,128 @@ def test_level_sum_product_is_faster_than_the_pair_walk():
 @example(from_blocks([2, 1, 2], [[[0], [1]], [[0, 0]]]))
 def test_reachable_sets_match_the_label_traversal(P):
     assert reachable_sets(P) == label_reachable_sets(P)
+
+
+# -- the chain-count oracle -----------------------------------------------------------
+
+def column_rows(P: GradedPoset) -> List[List[int]]:
+    """The pair table read off interval_chain_column, one column per node."""
+    cols = [interval_chain_column(P, y) for y in P.nodes()]
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_column_sweep_equals_pairwise_counts(seed, is_cobweb):
+    P = random_cobweb(seed) if is_cobweb else random_no_mute_poset(seed)
+    for y in P.nodes():
+        assert interval_chain_column(P, y) == \
+            [count_interval_chains(P, x, y) for x in P.nodes()]
+
+
+def test_column_pinned(nat3):
+    # column of the top-left level-3 node: 2 chains from level 1, 1 from level 2
+    assert interval_chain_column(nat3, nat3.node(3, 1)) == [2, 1, 1, 1, 0, 0]
+    assert [row[3] for row in _interval_rows(nat3)] == [2, 1, 1, 1, 0, 0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(zero_one_posets())
+@example(from_blocks([3], []))
+@example(from_blocks([1, 1, 1], [[[1]], [[0]]]))
+@example(from_blocks([2, 3, 1, 2], [[[1, 0, 0], [0, 1, 1]], [[1], [1], [0]],
+                                    [[1, 1]]]))
+@example(cobweb(nat(), 4))
+def test_interval_rows_match_the_column_sweep_and_brute_counts(P):
+    rows = _interval_rows(P)
+    assert rows == column_rows(P)
+    assert rows == [[brute_interval_count(P, x, y) for y in P.nodes()] for x in P.nodes()]
+
+
+def test_interval_rows_past_64_bits():
+    # 20 levels of 16 nodes between a bottom and a top: 16^20 = 2^80 chains
+    # from the bottom to the top, in fields of up to 81 bits
+    P = cobweb_of_sizes([1] + [16] * 20 + [1])
+    rows = _interval_rows(P)
+    assert rows[0][-1] == 16 ** 20 > 2 ** 64
+    assert rows[0][1:17] == [1] * 16 and rows[1][-1] == 16 ** 19
+    assert rows == column_rows(P)
+    assert rows == [list(row) for row in max_matrix(P).rows]
+
+
+def corrupt_max(monkeypatch, *changes):
+    """suites.max_matrix returns max with each (x, y, value) set, 1-based."""
+    real = suites.max_matrix
+
+    def build(Q):
+        rows = [list(r) for r in real(Q).rows]
+        for x, y, v in changes:
+            rows[x - 1][y - 1] = v
+        return BlockMatrix(Q.level_sizes, rows, INT)
+    monkeypatch.setattr(suites, "max_matrix", build)
+
+
+def oracle_detail(P):
+    (res,) = [r for r in suites.suite_max(P) if r.name == "chain-count-oracle"]
+    assert not res.passed
+    return res.detail
+
+
+@pytest.mark.parametrize("value", [-1, -6, 0, 14, 2 ** 70 + 6])
+def test_oracle_reports_a_corrupted_entry_with_its_matrix_value(monkeypatch, value):
+    # on nat:4 the counts against level 4 are 3-bit fields (sizes below it
+    # multiply to 6); (1, 10) holds 6 chains, and 14 = 6 + 2^3 or 2^70 + 6
+    # would carry into the next field if the matrix rows were packed
+    corrupt_max(monkeypatch, (1, 10, value))
+    assert oracle_detail(cobweb(nat(), 4)) == f"entry (1, 10): counted 6, matrix has {value}"
+
+
+def test_oracle_reports_a_pair_whose_packed_fields_would_cancel(monkeypatch):
+    # 2^3 more in field 2 of row 1's level-4 slice and one less in field 3
+    # give the same packed int, so only the decoded entries can tell
+    corrupt_max(monkeypatch, (1, 9, 14), (1, 10, 5))
+    assert oracle_detail(cobweb(nat(), 4)) == "entry (1, 9): counted 6, matrix has 14"
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_one_posets(), st.data())
+def test_first_mismatch_matches_the_column_loop(P, data):
+    # the row scan over the pair table names the entry the column loop named
+    n = P.node_count
+    cells = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n),
+                                         st.sampled_from([-1, 1, 7, 2 ** 70])), max_size=3))
+    rows = [list(r) for r in max_matrix(P).rows]
+    for x, y, d in cells:
+        rows[x - 1][y - 1] += d
+    M = BlockMatrix(P.level_sizes, rows, INT)
+    assert suites._first_mismatch(_interval_rows(P), M.rows) == column_first_mismatch(P, M)
+
+
+def test_max_suite_sweeps_once_per_level(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _tallies(*args)
+    monkeypatch.setattr(chains, "_tallies", counted)
+    for P in (cobweb(gauss(2), 6), random_no_mute_poset(3)):
+        calls.clear()
+        assert all(r.passed for r in suites.suite_max(P))
+        assert calls == list(range(1, P.n_levels + 1))
+
+
+def test_pair_table_is_faster_than_the_column_loop():
+    # the max suite's oracle on gauss:q=2 with 7 levels (247 nodes), best of
+    # 3 CPU times, taken in turn so that a slow spell of the machine hits
+    # both sides
+    P = cobweb(gauss(2), 7)
+    M = max_matrix(P)
+    sides = {"rows": lambda: suites._first_mismatch(_interval_rows(P), M.rows),
+             "columns": lambda: column_first_mismatch(P, M)}
+    best = dict.fromkeys(sides, float("inf"))
+    for _ in range(3):
+        for name, f in sides.items():
+            t = time.process_time()
+            assert f() is None
+            best[name] = min(best[name], time.process_time() - t)
+    assert best["rows"] <= 0.5 * best["columns"], best
