@@ -6,7 +6,8 @@ three label-formula constructions for cobwebs, and the Moebius matrix has a
 closed form (cobwebs), a series inversion, and the textbook recurrence.
 Tests and the check suites hold all routes to exact agreement.
 
-The recurrence reads reachability alone.  It solves each row of mu from
+The recurrence reads reachability alone, one int per node with bit y set
+when x <= y (0-based labels, no sentinel).  It solves each row of mu from
 the left, and where the strict up-set of a node ends in whole levels, as it
 does on every cobweb and above the first few levels of a dense random
 poset, it takes a finished value off those levels with one pending total
@@ -33,9 +34,12 @@ the oracles the level forms are held to.
 from __future__ import annotations
 
 import warnings
-from itertools import chain, compress
+from bisect import bisect_right
+from functools import reduce
+from itertools import chain, compress, count
 from math import prod
-from typing import List, NamedTuple, Set, Tuple
+from operator import or_
+from typing import List, NamedTuple, Tuple
 
 from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, add, \
     nilpotent_closure, unitriangular_inverse
@@ -247,16 +251,27 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
     raise ValueError(f"unknown mobius method {method!r}")
 
 
-def reachable_sets(P: GradedPoset) -> List[Set[int]]:
-    """reachable_sets(P)[x] is the set of global labels y with x <= y,
-    computed by graph traversal of the cover digraph (no matrix algebra).
-    The up-covers of node g are its row of the cover block, read as labels."""
-    reach: List[Set[int]] = [set()] + [{g} for g in range(1, P.node_count + 1)]
-    for k in range(P.n_levels - 1, 0, -1):
-        above = range(P.S(k) + 1, P.S(k + 1) + 1)
-        for g, row in enumerate(P.blocks[k - 1], P.S(k - 1) + 1):
-            reach[g].update(*map(reach.__getitem__, compress(above, row)))
+def reachable_sets(P: GradedPoset) -> List[int]:
+    """reachable_sets(P)[x] has bit y set when x <= y, for 0-based global
+    labels x and y, with no sentinel slot: one int per node, computed by
+    graph traversal of the cover digraph (no matrix algebra).  Each node ORs
+    the rows of its up-covers, read from its row of the cover block."""
+    off = P._offsets
+    reach = [1 << g for g in range(P.node_count)]
+    for k in range(P.n_levels - 2, -1, -1):
+        above = reach[off[k + 1]:off[k + 2]]
+        for g, row in enumerate(P.blocks[k], off[k]):
+            reach[g] = reduce(or_, compress(above, row), reach[g])
     return reach
+
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_row(bits: int, width: int = 0) -> bytes:
+    """The bits of `bits`, lowest first, one 0/1 byte each, padded with
+    zeros to `width` bytes; built in C, with no Python loop over the bits."""
+    return f"{bits:0{width}b}"[::-1].encode().translate(_ZERO_ONE)
 
 
 def _mobius_recurrence(P: GradedPoset) -> BlockMatrix:
@@ -268,22 +283,16 @@ def _mobius_recurrence(P: GradedPoset) -> BlockMatrix:
     # whole levels.  Only the head is walked; mu(x, z) joins a total pending
     # for the suffix's first level, taken off every node the walk reaches
     # from that level on, so on a cobweb, where every head is empty, a row
-    # costs its up-set.  Levels and nodes are 0-based here; reachable_sets
-    # gives 1-based labels.
+    # costs its up-set.
     N, n, off = P.node_count, P.n_levels, P._offsets
-    level = [k for k, size in enumerate(P.level_sizes) for _ in range(size)]
+    full = (1 << N) - 1
     # the suffix of z is the levels suffix[z] .. n - 1, empty at n
     head, suffix = [], []
-    for z, up in enumerate(reachable_sets(P)[1:]):
-        strict = sorted(up)[1:]
-        # levels L - 1 .. n - 1 lie whole in the up-set when its last
-        # N - off[L - 1] labels, all distinct and at most N, start at
-        # off[L - 1] + 1
-        L = n
-        while L > level[z] + 1 and len(strict) >= N - off[L - 1] \
-                and strict[off[L - 1] - N] == off[L - 1] + 1:
-            L -= 1
-        head.append([y - 1 for y in strict[:len(strict) - (N - off[L])]])
+    for z, up in enumerate(reachable_sets(P)):
+        # the first level above the highest node the strict up-set misses
+        L = bisect_right(off, (full ^ up ^ 1 << z).bit_length() - 1)
+        below = (up & ((1 << off[L]) - 1)) >> (z + 1)
+        head.append(list(compress(count(z + 1), _bit_row(below))))
         suffix.append(L)
     rows = [[0] * N for _ in range(N)]
     for x, row in enumerate(rows):

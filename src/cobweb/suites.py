@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .blockmat import INT, BlockMatrix, mul, unitriangular_inverse
 from .chains import _interval_rows, layer_chain_counts
-from .incidence import ZETA_METHODS, level_max, level_max_inverse, level_mobius, \
+from .incidence import ZETA_METHODS, _bit_row, level_max, level_max_inverse, level_mobius, \
     level_zeta, logic_L, max_inverse, max_matrix, mobius, reachable_sets, zeta
 from .invariants import RootedPoset, char_poly, whitney_second
 from .poset import GradedPoset
@@ -101,22 +101,13 @@ class Dense:
         return max_matrix(self.P)
 
 
-def _indicator(labels, n: int) -> tuple:
-    """The 0/1 row of length n with a 1 at each 1-based label."""
-    row = [0] * n
-    for y in labels:
-        row[y - 1] = 1
-    return tuple(row)
-
-
 def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     out = []
     dense = dense or Dense(P)
     Z = dense.closure
-    reach = reachable_sets(P)
-    good = all(_indicator(reach[x], P.node_count) == row for x, row in enumerate(Z.rows, 1))
-    out.append(_verdict("zeta", "closure-matches-reachability", good,
-                        "zeta closure disagrees with graph reachability"))
+    bad = _first_mismatch((_bit_row(r, P.node_count) for r in reachable_sets(P)), Z.rows)
+    out.append(_verdict("zeta", "closure-matches-reachability", bad is None, bad and
+                        f"entry {bad[:2]}: reachability has {bad[2]}, closure has {bad[3]}"))
     if P.is_cobweb:
         # the closure route is Z itself; hold the three label routes to it
         bad = [m for m in ZETA_METHODS if m != "closure" and zeta(P, m).rows != Z.rows]

@@ -56,6 +56,12 @@ def brute_reach(P: GradedPoset):
     return reach
 
 
+def bit_labels(reach):
+    """The 1-based label sets of 0-based bit rows: label y + 1 is in set x
+    when bit y of reach[x] is set."""
+    return [{y + 1 for y in range(r.bit_length()) if r >> y & 1} for r in reach]
+
+
 def brute_interval_count(P: GradedPoset, x, y) -> int:
     """Number of cover paths x -> y by literal recursion, no memo."""
     if x == y:

@@ -3,15 +3,17 @@ max suite's chain-count oracle, held to the versions they replaced.
 
 blockmat._unit_solve and blockmat.mul hold each row as one packed int and add
 c times a level's row sum once wherever a row holds one value c across a
-whole level, incidence.reachable_sets reads the up-covers straight from the
-cover blocks, and incidence._mobius_recurrence takes each finished mu(x, z)
-off the whole levels above z with one pending total per level.  The
-functions below are the earlier forms, kept verbatim: two generations of
-each.  The list forms hold a row as a list of entries, with the same level
-rule, and push mu(x, z) into every node above z; the older ones add one row
-per nonzero column, walk every nonzero pair, traverse node labels, and pull
-each mu(x, y) from every z below y.  The new routes must reproduce them
-exactly, at every field width the packed rows need.
+whole level, incidence.reachable_sets ORs the bit rows of the up-covers read
+straight from the cover blocks, and incidence._mobius_recurrence takes each
+finished mu(x, z) off the whole levels above z with one pending total per
+level.  The functions below are the earlier forms: two generations of each.
+The list forms hold a row as a list of entries, with the same level rule,
+and push mu(x, z) into every node above z; the older ones add one row per
+nonzero column, walk every nonzero pair, traverse node labels into label
+sets, and pull each mu(x, y) from every z below y.  Both recurrence oracles
+read the label traversal, not the library's reachability, so a fault there
+cannot reach both sides of a comparison.  The new routes must reproduce the
+earlier forms exactly, at every field width the packed rows need.
 
 chains._interval_rows counts the chains of every pair with one tally sweep
 per level, each node's tally packed as one bit field per node of the level;
@@ -37,7 +39,7 @@ from cobweb.chains import _interval_rows, _tallies, _unit
 from cobweb.incidence import kappa, level_eta_inverse, level_max, level_mobius, level_zeta
 from cobweb.poset import GradedPoset, NodeLabel
 
-from conftest import brute_interval_count, fraction_inverse, random_cobweb, \
+from conftest import bit_labels, brute_interval_count, fraction_inverse, random_cobweb, \
     random_no_mute_poset, upper_covers
 
 
@@ -98,7 +100,7 @@ def walk_mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
 
 
 def label_reachable_sets(P: GradedPoset) -> List[Set[int]]:
-    """reachable_sets(P)[x] is the set of global labels y with x <= y,
+    """label_reachable_sets(P)[x] is the set of global labels y with x <= y,
     computed by graph traversal of the cover digraph (no matrix algebra)."""
     N = P.node_count
     up: List[List[int]] = [[] for _ in range(N + 1)]
@@ -117,7 +119,7 @@ def pull_mobius_recurrence(P):
     # mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, evaluated
     # on global labels; independent of both zeta construction and inversion.
     N = P.node_count
-    reach = reachable_sets(P)
+    reach = label_reachable_sets(P)
     rows = [[0] * N for _ in range(N)]
     for x in range(1, N + 1):
         rows[x - 1][x - 1] = 1
@@ -236,7 +238,7 @@ def push_mobius_recurrence(P: GradedPoset) -> BlockMatrix:
     # nor the inversion's row solve: walking the up-set of x in label order,
     # mu(x, z) is final when z is reached and is taken off every y above z.
     N = P.node_count
-    reach = reachable_sets(P)
+    reach = label_reachable_sets(P)
     strict = [sorted(y - 1 for y in reach[z] if y != z) for z in range(1, N + 1)]
     rows = [[0] * N for _ in range(N)]
     for x, row in enumerate(rows):
@@ -432,6 +434,11 @@ def zero_one_posets(draw):
 @example(from_blocks([2, 3, 1, 2], [[[1, 0, 0], [0, 1, 1]], [[1], [1], [0]],
                                     [[1, 1]]]))
 @example(from_blocks([1, 2, 2, 2], [[[1, 1]], [[1, 0], [1, 1]], [[1, 1], [0, 0]]]))
+# a 70-node chain, whose bit rows span two 64-bit words
+@example(from_blocks([1] * 70, [[[1]]] * 69))
+# the strict up-set of node 1 misses only node 2, the first of level 2, so
+# its whole levels start at level 3
+@example(from_blocks([1, 2, 2], [[[0, 1]], [[1, 0], [1, 1]]]))
 def test_mobius_recurrence_matches_the_pull_recurrence_and_gauss_jordan(P):
     mu = mobius(P, "recurrence")
     assert mu == push_mobius_recurrence(P) == pull_mobius_recurrence(P)
@@ -507,7 +514,20 @@ def test_level_sum_product_is_faster_than_the_pair_walk():
 @example(from_blocks([3], []))
 @example(from_blocks([2, 1, 2], [[[0], [1]], [[0, 0]]]))
 def test_reachable_sets_match_the_label_traversal(P):
-    assert reachable_sets(P) == label_reachable_sets(P)
+    assert [set()] + bit_labels(reachable_sets(P)) == label_reachable_sets(P)
+
+
+def test_bit_rows_are_faster_than_the_label_traversal():
+    # gauss:q=2 with 7 levels (247 nodes), best of 5 CPU times, taken in
+    # turn so that a slow spell of the machine hits both sides
+    P = cobweb(gauss(2), 7)
+    best = {reachable_sets: float("inf"), label_reachable_sets: float("inf")}
+    for _ in range(5):
+        for f in best:
+            t = time.process_time()
+            f(P)
+            best[f] = min(best[f], time.process_time() - t)
+    assert best[reachable_sets] <= 0.15 * best[label_reachable_sets], best
 
 
 # -- the chain-count oracle -----------------------------------------------------------

@@ -205,18 +205,30 @@ def failures(results):
     return {r.name: r.detail for r in results if not r.passed}
 
 
-def test_closure_matches_reachability_fails_on_a_missing_pair(monkeypatch):
-    P = cobweb(nat(), 4)
+def flip_reach(monkeypatch, x, y):
+    """suites.reachable_sets with bit y of row x flipped, 1-based."""
     real = suites.reachable_sets
 
-    def dropped(Q):
+    def flipped(Q):
         reach = real(Q)
-        reach[2] = reach[2] - {5}
+        reach[x - 1] ^= 1 << (y - 1)
         return reach
+    monkeypatch.setattr(suites, "reachable_sets", flipped)
 
-    monkeypatch.setattr(suites, "reachable_sets", dropped)
+
+def test_closure_matches_reachability_fails_on_a_missing_pair(monkeypatch):
+    P = cobweb(nat(), 4)
+    flip_reach(monkeypatch, 2, 5)
     assert failures(suites.suite_zeta(P)) == {
-        "closure-matches-reachability": "zeta closure disagrees with graph reachability"}
+        "closure-matches-reachability": "entry (2, 5): reachability has 0, closure has 1"}
+
+
+def test_closure_matches_reachability_fails_on_a_pair_within_one_level(monkeypatch):
+    # labels 2 and 3 are the two nodes of level 2 of nat:4
+    P = cobweb(nat(), 4)
+    flip_reach(monkeypatch, 2, 3)
+    assert failures(suites.suite_zeta(P)) == {
+        "closure-matches-reachability": "entry (2, 3): reachability has 1, closure has 0"}
 
 
 def test_logic_of_max_fails_on_a_chain_count_below_the_diagonal(monkeypatch):
