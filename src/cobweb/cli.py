@@ -218,10 +218,11 @@ def _cmd_gen(args) -> int:
             if F.prefix(len(sizes)) != sizes:
                 raise CliError("--seq level sizes disagree with the blocks file")
             name = F.name
-        if args.root:
-            sizes, blocks = [1] + sizes, [ones_block(1, sizes[0])] + blocks
-        _check_levels(len(sizes))
+        _check_levels(len(sizes) + (1 if args.root else 0))
+        # the file's blocks are checked unrooted, so a fault has its path in the file
         P = from_blocks(sizes, blocks, sequence_name=name)
+        if args.root:
+            P = from_blocks([1] + sizes, [ones_block(1, sizes[0])] + blocks, sequence_name=name)
     else:
         if not args.seq or args.levels is None:
             raise CliError("gen needs --seq and --levels (or --blocks)")

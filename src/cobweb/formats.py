@@ -9,8 +9,7 @@ from typing import IO, List
 from .blockmat import BlockMatrix
 from .chains import Chain, _walk
 from .incidence import CodingMatrix, level_zeta, zeta
-from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes, \
-    first_non_binary
+from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes
 
 
 class FormatError(ValueError):
@@ -45,26 +44,12 @@ def poset_from_json(text: str) -> GradedPoset:
         sizes = check_level_sizes(sizes if isinstance(sizes, list) else ())
     except PosetError:
         raise FormatError("level_sizes: expected a nonempty list of positive integers") from None
-    blocks = obj["blocks"]
-    if not isinstance(blocks, list) or len(blocks) != len(sizes) - 1:
-        raise FormatError(f"blocks: expected {len(sizes) - 1} blocks")
-    for k, blk in enumerate(blocks):
-        if not isinstance(blk, list) or len(blk) != sizes[k]:
-            raise FormatError(f"blocks[{k}]: expected {sizes[k]} rows")
-        for i, row in enumerate(blk):
-            if not isinstance(row, list) or len(row) != sizes[k + 1]:
-                raise FormatError(f"blocks[{k}][{i}]: expected {sizes[k + 1]} entries")
     name = obj["sequence"]
-    # the shapes are sound, so the poset refuses only an entry that is not
-    # the int 0 or 1; each entry is checked there, once
+    # the poset checks the blocks and names a fault by its path
     try:
-        P = GradedPoset(sizes, blocks, sequence_name=name)
-    except PosetError:
-        bad = first_non_binary(blocks)
-        if bad is None:
-            raise
-        k, i, j, v = bad
-        raise FormatError(f"blocks[{k}][{i}][{j}]: expected 0 or 1, got {v!r}") from None
+        P = GradedPoset(sizes, obj["blocks"], sequence_name=name)
+    except PosetError as e:
+        raise FormatError(str(e)) from None
     flags = obj["flags"]
     if (not isinstance(flags, dict) or set(flags) != {"cobweb", "no_mute"}
             or any(not isinstance(b, bool) for b in flags.values())):

@@ -4,6 +4,10 @@ A poset on levels 1..n keeps one block per adjacent level pair: blocks[k-1]
 has shape |level k| x |level k+1| and records the cover relation upward.
 Cobwebs are the all-ones case.  Every structure here is immutable after
 construction.
+
+GradedPoset is the one validator of level blocks: the JSON loader and the
+CLI hand it their blocks as read, and it names a malformed block, row or
+entry by its 0-based path, blocks[k][i][j].
 """
 
 from __future__ import annotations
@@ -42,43 +46,31 @@ def check_level_sizes(level_sizes, error=PosetError) -> Tuple[int, ...]:
     return sizes
 
 
-def _freeze_block(block) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in block)
-
-
-def first_non_binary(blocks) -> Optional[Tuple[int, int, int, object]]:
-    """(block, row, column, value) of the first entry, 0-based and in
-    row-major order, that is not the int 0 or 1; None if there is none."""
-    for k, blk in enumerate(blocks):
-        for i, row in enumerate(blk):
-            for j, v in enumerate(row):
-                if type(v) is not int or v not in (0, 1):
-                    return k, i, j, v
-    return None
-
-
 class GradedPoset:
     """Levels 1..n with 0/1 cover blocks between adjacent levels."""
 
     def __init__(self, level_sizes: Sequence[int], blocks,
                  sequence_name: Optional[str] = None):
         sizes = check_level_sizes(level_sizes)
-        blocks = tuple(_freeze_block(b) for b in blocks)
-        if len(blocks) != len(sizes) - 1:
-            raise PosetError(
-                f"expected {len(sizes) - 1} blocks for {len(sizes)} levels, got {len(blocks)}")
+        # every shape before any entry, so a shape fault is named first
+        if not isinstance(blocks, (list, tuple)) or len(blocks) != len(sizes) - 1:
+            raise PosetError(f"blocks: expected {len(sizes) - 1} blocks")
+        for k, blk in enumerate(blocks):
+            if not isinstance(blk, (list, tuple)) or len(blk) != sizes[k]:
+                raise PosetError(f"blocks[{k}]: expected {sizes[k]} rows")
+            for i, row in enumerate(blk):
+                if not isinstance(row, (list, tuple)) or len(row) != sizes[k + 1]:
+                    raise PosetError(f"blocks[{k}][{i}]: expected {sizes[k + 1]} entries")
+        blocks = tuple(tuple(map(tuple, blk)) for blk in blocks)
         # one C-level pass per row: every entry an int, and each 0 or 1
         is_cobweb = True
-        for k, blk in enumerate(blocks, start=1):
-            if len(blk) != sizes[k - 1] or any(len(row) != sizes[k] for row in blk):
-                raise PosetError(
-                    f"block {k} must be {sizes[k - 1]}x{sizes[k]}, got "
-                    f"{len(blk)}x{len(blk[0]) if blk else 0}")
-            for row in blk:
+        for k, blk in enumerate(blocks):
+            for i, row in enumerate(blk):
                 ones = row.count(1)
                 if ones + row.count(0) != len(row) or not set(map(type, row)) <= {int}:
-                    v = first_non_binary(blocks)[3]
-                    raise PosetError(f"block {k} has non-binary entry {v!r}")
+                    j, v = next((j, v) for j, v in enumerate(row)
+                                if type(v) is not int or v not in (0, 1))
+                    raise PosetError(f"blocks[{k}][{i}][{j}]: expected 0 or 1, got {v!r}")
                 is_cobweb = is_cobweb and ones == len(row)
         self.level_sizes = sizes
         self.blocks = blocks

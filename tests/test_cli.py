@@ -400,7 +400,16 @@ def test_gen_blocks_refuses_entries_other_than_the_ints_0_and_1(tmp_path):
     path.write_text("[[[1.0, 1], [0, true]]]")
     code, out, err = run_cli_process("gen", "--blocks", str(path))
     assert_one_line_diagnostic(code, err)
-    assert out == "" and err == "cobweb: block 1 has non-binary entry 1.0\n"
+    assert out == "" and err == "cobweb: blocks[0][0][0]: expected 0 or 1, got 1.0\n"
+
+
+@pytest.mark.parametrize("root", [[], ["--root"]])
+def test_gen_blocks_names_a_fault_by_its_path_in_the_file(tmp_path, capsys, root):
+    # the root block goes below the file's blocks only after they are checked
+    path = tmp_path / "blocks.json"
+    path.write_text("[[[1, 1.0]], [[1, 1], [0, 1]]]")
+    assert run_cli(capsys, "gen", "--blocks", str(path), *root) == \
+        (1, "", "cobweb: blocks[0][0][1]: expected 0 or 1, got 1.0\n")
 
 
 @pytest.mark.parametrize("argv", [["max"], ["mobius"], ["zeta"]])

@@ -191,3 +191,40 @@ def test_every_call_keeps_the_exit_contract(workdir, data, poset, blocks):
     if code == 1:
         assert err.splitlines()[-1].startswith("cobweb: ")
         assert (workdir / "out.txt").read_text() == "kept\n"
+
+
+# one refused call per command that takes -o; the refusal comes before the
+# -o file is opened, so the file keeps what it held
+REFUSED_WITH_O = [
+    ["gen", "--seq", "nope", "--levels", "3"],
+    ["gen", "--seq", "nat", "--levels", "6"],
+    ["gen", "--blocks", "entry.json"],
+    ["zeta", "bad.json"],
+    ["zeta", "antichain.json", "--method", "label-delta"],
+    ["mobius", "antichain.json", "--method", "closed-form"],
+    ["max", "nat3.json", "--format", "xml"],
+    ["eta", "bad.json", "--inverse"],
+    ["chains", "nat3.json", "--from", "3", "--to", "1"],
+    ["chains", "nat3.json", "--interval", "1", "99"],
+    ["coding", "--seq", "nat", "--levels", "0"],
+    ["dot", "entry-poset.json"],
+    ["lascala", "missing.json"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_WITH_O, ids=" ".join)
+def test_every_command_with_o_keeps_the_file_on_a_refusal(workdir, argv):
+    (workdir / "entry.json").write_text("[[[1, 1.0]]]")
+    (workdir / "entry-poset.json").write_text(
+        poset_to_json(cobweb(nat(), 3)).replace("[[1, 1]]", "[[1, 1.0]]"))
+    (workdir / "out.txt").write_text("kept\n")
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["-o", str(workdir / "out.txt")])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and out.getvalue() == ""
+    # argparse puts its usage above the diagnostic; nothing else comes before it
+    assert lines[-1].startswith("cobweb: ")
+    assert all(line.startswith("usage: ") or line.startswith(" ") for line in lines[:-1])
+    assert (workdir / "out.txt").read_text() == "kept\n"

@@ -1,12 +1,13 @@
 """Poset construction, natural join, ordinal sum, layers, labeling."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cobweb import GradedPoset, PosetError, antichain, cobweb, cobweb_of_sizes, custom, \
-    fib, from_blocks, gauss, layer, nat, natural_join, ordinal_sum
+from cobweb import GradedPoset, PosetError, antichain, cli, cobweb, cobweb_of_sizes, \
+    custom, fib, from_blocks, gauss, layer, nat, natural_join, ordinal_sum
 from cobweb.formats import FormatError, poset_from_json, poset_to_json
 
 from conftest import random_no_mute_poset
@@ -51,10 +52,60 @@ def test_block_entries_must_be_the_ints_0_and_1(bad):
     # 1.0 or -1.0 where the contract promises exact integers
     with pytest.raises(PosetError) as e:
         from_blocks([2, 2], [[[1, 1], [1, bad]]])
-    assert str(e.value) == f"block 1 has non-binary entry {bad!r}"
+    assert str(e.value) == f"blocks[0][1][1]: expected 0 or 1, got {bad!r}"
     with pytest.raises(PosetError) as e:
         from_blocks([1, 2, 2], [[[1, 1]], [[0, 1], [bad, 1]]])
-    assert str(e.value) == f"block 2 has non-binary entry {bad!r}"
+    assert str(e.value) == f"blocks[1][1][0]: expected 0 or 1, got {bad!r}"
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([5], "blocks[0]: expected 1 rows"),
+    (None, "blocks: expected 1 blocks"),
+    ("x", "blocks: expected 1 blocks"),
+    ({0: [[1, 1]]}, "blocks: expected 1 blocks"),
+    ([[5]], "blocks[0][0]: expected 2 entries"),
+    ([["10"]], "blocks[0][0]: expected 2 entries"),
+    ([[[1, 1], [1, 1]]], "blocks[0]: expected 1 rows"),
+])
+def test_malformed_block_containers_are_a_poset_error(blocks, message):
+    # a block or row that is not a list or tuple is refused by its path,
+    # never iterated: a string row would otherwise read as its characters
+    with pytest.raises(PosetError) as e:
+        from_blocks([1, 2], blocks)
+    assert str(e.value) == message
+
+
+# one fault, its sizes, its blocks, its message, and whether a --blocks file
+# holding the blocks fixes the same level sizes (only rectangular blocks that
+# agree with their neighbours reach the poset through gen --blocks)
+MALFORMED = [
+    ("short row", [2, 2], [[[1, 1], [1]]], "blocks[0][1]: expected 2 entries", False),
+    ("missing row", [1, 2, 2], [[[1, 1]], [[1, 1]]], "blocks[1]: expected 2 rows", True),
+    ("block count", [1, 2, 2], [[[1, 1]]], "blocks: expected 2 blocks", False),
+    *((f"entry {v!r}", [2, 2], [[[1, 1], [1, v]]],
+       f"blocks[0][1][1]: expected 0 or 1, got {v!r}", True) for v in (1.0, True, 2, None)),
+    ("entry before a short row", [1, 2, 2], [[[1, 1.0]], [[1, 1], [1]]],
+     "blocks[1][1]: expected 2 entries", False),
+]
+
+
+@pytest.mark.parametrize("sizes, blocks, message, via_gen",
+                         [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_one_fault_has_one_message_on_every_route(tmp_path, capsys, sizes, blocks, message,
+                                                  via_gen):
+    with pytest.raises(PosetError) as e:
+        from_blocks(sizes, blocks)
+    assert str(e.value) == message
+    doc = {"level_sizes": sizes, "blocks": blocks,
+           "flags": {"cobweb": False, "no_mute": True}, "sequence": None}
+    with pytest.raises(FormatError) as e:
+        poset_from_json(json.dumps(doc))
+    assert str(e.value) == message
+    if via_gen:
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(blocks))
+        assert cli.main(["gen", "--blocks", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"cobweb: {message}\n")
 
 
 def test_flags():
