@@ -25,8 +25,8 @@ from . import formats
 from .blockmat import MatrixError, RingError
 from .chains import count_interval_chains, count_layer_chains
 from .fsequence import SequenceError, fnomial, is_cobweb_admissible, preset
-from .incidence import MOBIUS_METHODS, ZETA_METHODS, coding_matrix, eta, \
-    eta_inverse, kroton, level_eta, level_eta_inverse, level_max, \
+from .incidence import MOBIUS_METHODS, ZETA_METHODS, _label_rows, coding_matrix, \
+    eta, eta_inverse, kroton, level_eta, level_eta_inverse, level_max, \
     level_max_inverse, level_mobius, level_zeta, max_inverse, max_matrix, \
     mobius, zeta
 from .invariants import RootedPoset, char_poly, root, whitney_second
@@ -193,11 +193,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return p
 
 
-def _is_matrix(b) -> bool:
-    return (isinstance(b, list) and len(b) > 0
-            and all(isinstance(row, list) and len(row) == len(b[0]) > 0 for row in b))
-
-
 def _cmd_gen(args) -> int:
     if args.blocks:
         try:
@@ -205,9 +200,12 @@ def _cmd_gen(args) -> int:
                 blocks = json.load(fh)
         except (OSError, json.JSONDecodeError, RecursionError) as e:
             raise CliError(f"cannot read blocks file {args.blocks}: {e}")
-        if not isinstance(blocks, list) or not blocks or not all(map(_is_matrix, blocks)):
-            raise CliError("blocks file must hold a nonempty list of nonempty "
-                           "rectangular 0/1 matrices")
+        # the level sizes are read off each block's first row; the poset
+        # checks the rest and names a fault by its path in the file
+        if not isinstance(blocks, list) or not blocks or not all(
+                isinstance(b, list) and b and isinstance(b[0], list) and b[0] for b in blocks):
+            raise CliError("blocks file must hold a nonempty list of 0/1 matrices, "
+                           "each with a nonempty first row")
         sizes = [len(blocks[0])] + [len(b[0]) for b in blocks]
         if args.levels is not None and args.levels != len(sizes):
             raise CliError(f"--levels {args.levels} disagrees with {len(sizes)} "
@@ -253,19 +251,19 @@ def _cmd_chains(args) -> int:
 
 
 # Cobweb matrices are computed in the level algebra and expanded to node rows
-# only while being written; every other poset, and the label formulas of
-# zeta, take the dense route.
+# only while being written, and the label formulas of zeta are written row by
+# row as they are made; every other poset takes the dense route.
 
 def _cmd_zeta(args) -> int:
     P = _load_poset(args.poset)
     method = ZETA_FLAG_TO_METHOD[args.method]
     # every label route equals the closure where it is defined; elsewhere
-    # zeta() below refuses it, whatever the format
+    # _label_rows below refuses it, whatever the format
     if args.format == "ascii" and (P.is_cobweb or method == "closure"):
         return _emit_text(args, formats.la_scala(P))
-    if P.is_cobweb and method == "closure":
-        return _emit_matrix(level_zeta(P), args)
-    return _emit_matrix(zeta(P, method), args)
+    if method != "closure":
+        return _emit_matrix(_label_rows(P, method), args)
+    return _emit_matrix(level_zeta(P) if P.is_cobweb else zeta(P, method), args)
 
 
 def _cmd_mobius(args) -> int:

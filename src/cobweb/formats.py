@@ -1,15 +1,20 @@
 """Serialization and rendering: poset JSON, matrix CSV/JSON, DOT export,
-and the ASCII staircase view of the zeta matrix."""
+and the ASCII staircase view of the zeta matrix.
+
+A cobweb's poset JSON is written from its level sizes, and a text that is
+exactly what gen writes for a cobweb is read back from them without
+decoding one entry; every other text is decoded and checked by GradedPoset.
+"""
 
 from __future__ import annotations
 
 import json
 from typing import IO, List
 
-from .blockmat import BlockMatrix
 from .chains import Chain, _walk
-from .incidence import CodingMatrix, level_zeta, zeta
-from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes
+from .incidence import CodingMatrix, LevelMatrix, level_zeta, zeta
+from .poset import GradedPoset, PosetError, check_layer_bounds, check_level_sizes, \
+    cobweb_of_sizes
 
 
 class FormatError(ValueError):
@@ -17,19 +22,70 @@ class FormatError(ValueError):
 
 
 # -- poset JSON -------------------------------------------------------------
+#
+# The loader reads a cobweb's sizes off the head of a text and its name off
+# the tail, and compares the length of the text they fix before it builds
+# any text or poset, so a short file that claims huge levels costs only its
+# own length.  Any text that is not then the cobweb's text, up to trailing
+# whitespace, gets json.loads and GradedPoset, with their result or message.
+
+_SIZES_HEAD = '{"level_sizes": '
+_BLOCKS_KEY = ', "blocks": '
+_COBWEB_TAIL = ', "flags": {"cobweb": true, "no_mute": true}, "sequence": '
+
+
+def _ones_blocks_text(sizes) -> str:
+    """json.dumps of the all-ones blocks between levels of these sizes."""
+    return "[" + ", ".join("[" + ", ".join(["[" + "1, " * (b - 1) + "1]"] * a) + "]"
+                           for a, b in zip(sizes, sizes[1:])) + "]"
+
+
+def _ones_blocks_length(sizes) -> int:
+    """len(_ones_blocks_text(sizes)), in O(levels): a row of b ones takes 3b
+    characters, a block of a rows a(3b + 2), and each block 2 more for its
+    separator or the brackets of the list."""
+    return sum(a * (3 * b + 2) + 2 for a, b in zip(sizes, sizes[1:])) or 2
+
 
 def poset_to_json(P: GradedPoset) -> str:
-    """Canonical poset JSON, fields in fixed order."""
-    obj = {
-        "level_sizes": P.level_sizes,
-        "blocks": P.blocks,
-        "flags": {"cobweb": P.is_cobweb, "no_mute": not P.has_mute_nodes},
-        "sequence": P.sequence_name,
-    }
-    return json.dumps(obj)
+    """Canonical poset JSON, fields in fixed order: the text of json.dumps
+    of the object.  A cobweb's blocks are written from its level sizes."""
+    blocks = _ones_blocks_text(P.level_sizes) if P.is_cobweb else json.dumps(P.blocks)
+    flags = json.dumps({"cobweb": P.is_cobweb, "no_mute": not P.has_mute_nodes})
+    return (f'{_SIZES_HEAD}{json.dumps(P.level_sizes)}{_BLOCKS_KEY}{blocks}, '
+            f'"flags": {flags}, "sequence": {json.dumps(P.sequence_name)}}}')
+
+
+def _canonical_cobweb(text: str):
+    """The cobweb whose poset_to_json is text up to trailing whitespace, or
+    None."""
+    body = text.rstrip(" \t\n\r")
+    if not body.startswith(_SIZES_HEAD) or not body.endswith("}"):
+        return None
+    end = body.find("]", len(_SIZES_HEAD))
+    tail = body.rfind(_COBWEB_TAIL)
+    if end < 0 or tail < 0:
+        return None
+    try:
+        sizes = json.loads(body[len(_SIZES_HEAD):end + 1])
+        name = json.loads(body[tail + len(_COBWEB_TAIL):-1])
+    except (ValueError, RecursionError):
+        return None
+    if (not isinstance(sizes, list) or not sizes
+            or any(type(s) is not int or s < 1 for s in sizes)
+            or not (name is None or isinstance(name, str))):
+        return None
+    # the blocks lie between the sizes and the flags
+    if tail - (end + 1 + len(_BLOCKS_KEY)) != _ones_blocks_length(sizes):
+        return None
+    P = cobweb_of_sizes(sizes, name)
+    return P if poset_to_json(P) == body else None
 
 
 def poset_from_json(text: str) -> GradedPoset:
+    P = _canonical_cobweb(text) if isinstance(text, str) else None
+    if P is not None:
+        return P
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -67,9 +123,10 @@ def poset_from_json(text: str) -> GradedPoset:
 
 # -- matrix CSV / JSON -------------------------------------------------------
 #
-# Both writers stream one row at a time and take a dense BlockMatrix or a
-# cobweb LevelMatrix; the latter is expanded here and never held densely.
-# Dense entries are plain ints (see blockmat).  A row of entries 0..9 goes out
+# Both writers stream one row at a time and take a dense BlockMatrix, the
+# streamed rows of a zeta label route, or a cobweb LevelMatrix; the last two
+# are never held densely.  Dense entries are plain ints (see blockmat), or
+# the bytes of a label route's bytearray rows.  A row of entries 0..9 goes out
 # without one str() per entry: bytes(row) checks range and type in C, a
 # translation makes each byte its digit (any other byte becomes '?'), and the
 # digits are laid over a template "0<sep>0<sep>...0".  Any other row converts
@@ -97,9 +154,11 @@ def write_matrix_json(M, out: IO[str]):
 def _row_texts(M, sep: str):
     """Each row's entries in decimal, joined by sep.  A LevelMatrix row is
     put together from text built once per level: the zeros left of the
-    diagonal 1, and the constant tail right of the diagonal block."""
-    if isinstance(M, BlockMatrix):
-        template = (("0" + sep) * (M.size - 1) + "0").encode()
+    diagonal 1, and the constant tail right of the diagonal block.  Any
+    other M gives its rows as int sequences: a BlockMatrix, or the rows of
+    a zeta label route, read one at a time as they are made."""
+    if not isinstance(M, LevelMatrix):
+        template = (("0" + sep) * (sum(M.level_sizes) - 1) + "0").encode()
         step = len(sep) + 1
         for row in M.rows:
             try:

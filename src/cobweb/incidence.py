@@ -16,7 +16,10 @@ per level instead of one subtraction per node.
 Each label route evaluates its own formula from the prefix sums S and the
 level sizes alone, one row at a time: every term is taken once and adds
 its contribution to the whole run of columns it covers, so a label route
-costs O(N^2) for N nodes.
+costs O(N^2) for N nodes.  A row is a bytearray, and a term takes 1 off its
+run with one translate in C.  zeta() holds the rows in a BlockMatrix; the
+CLI writes each row as it is made, so there a label route, like a level
+route, holds no N x N matrix.
 
 In a cobweb every off-diagonal block of zeta, Moebius, max, eta and their
 inverses is constant and every diagonal block is the identity, so each fits
@@ -39,7 +42,7 @@ from functools import reduce
 from itertools import chain, compress, count
 from math import prod
 from operator import or_
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, add, \
     nilpotent_closure, unitriangular_inverse
@@ -78,22 +81,39 @@ def zeta(P: GradedPoset, method: str = "closure") -> BlockMatrix:
     """
     if method == "closure":
         return nilpotent_closure(kappa(P, BOOL))
-    if method not in ZETA_METHODS:
+    return BlockMatrix(*_label_rows(P, method), BOOL)
+
+
+class _LabelRows(NamedTuple):
+    # the rows of a label route, each made when it is read: a matrix writer
+    # streams them, and zeta() holds them in a BlockMatrix
+    level_sizes: Tuple[int, ...]
+    rows: Iterator[bytearray]
+
+
+def _label_rows(P: GradedPoset, method: str) -> _LabelRows:
+    # the method and the poset are checked here, before any row is made
+    if method not in _LABEL_ROUTES:
         raise ValueError(f"unknown zeta method {method!r}")
     if not P.is_cobweb:
         raise PosetError(f"zeta method {method!r} is defined for cobwebs only")
-    rows = {"label_delta": _rows_delta,
-            "label_knuth": _rows_knuth,
-            "label_S": _rows_S}[method]
     S = [P.S(m) for m in range(P.n_levels + 1)]
-    return BlockMatrix(P.level_sizes, rows(S, P.level_sizes, P.node_count), BOOL)
+    return _LabelRows(P.level_sizes, _LABEL_ROUTES[method](S, P.level_sizes, P.node_count))
 
 
-# The formulas are 1-based in x and y and the row lists 0-based: column y
-# sits at index y - 1, so columns x+1..e are the slice [x:e].
+# The formulas are 1-based in x and y and the rows 0-based: column y sits at
+# index y - 1, so columns x+1..e are the slice [x:e].  A row is a bytearray
+# of its 0/1 entries, and a term takes 1 off its whole run of columns with
+# one translate; a run that holds a 0 is refused, so no entry wraps to 255.
 
-def _take_one(row, lo, hi):
-    row[lo:hi] = [v - 1 for v in row[lo:hi]]
+_MINUS_ONE = bytes([0, *range(255)])  # b -> b - 1; a run with a 0 never gets here
+
+
+def _take_one(row: bytearray, lo: int, hi: int):
+    run = row[lo:hi]
+    if 0 in run:
+        raise MatrixError(f"a label term takes 1 off a 0 in columns {lo + 1}..{hi}")
+    row[lo:hi] = run.translate(_MINUS_ONE)
 
 
 def _rows_delta(S, sizes, N):
@@ -102,7 +122,7 @@ def _rows_delta(S, sizes, N):
     # zeta_0 carves out the same-level staircase: the term (s, k) with
     # delta(x, S(s-1)+k) = 1 takes 1 off columns x+1..x+s_F-k.
     for x in range(1, N + 1):
-        row = [0] * (x - 1) + [1] * (N - x + 1)
+        row = bytearray(x - 1) + b"\1" * (N - x + 1)
         for s in range(1, len(sizes) + 1):
             for k in range(1, sizes[s - 1] + 1):
                 if x == S[s - 1] + k:
@@ -114,7 +134,7 @@ def _rows_knuth(S, sizes, N):
     # Bracket form: each window (S(s-1), S(s-1) + s_F] with x inside or
     # above it takes 1 off columns x+1..S(s-1) + s_F.
     for x in range(1, N + 1):
-        row = [0] * (x - 1) + [1] * (N - x + 1)
+        row = bytearray(x - 1) + b"\1" * (N - x + 1)
         for s in range(1, len(sizes) + 1):
             if x > S[s - 1]:
                 _take_one(row, x, S[s - 1] + sizes[s - 1])
@@ -124,11 +144,15 @@ def _rows_knuth(S, sizes, N):
 def _rows_S(S, sizes, N):
     # Prefix-sum form: the same with the windows (S(m), S(m+1)].
     for x in range(1, N + 1):
-        row = [0] * (x - 1) + [1] * (N - x + 1)
+        row = bytearray(x - 1) + b"\1" * (N - x + 1)
         for m in range(0, len(sizes)):
             if x > S[m]:
                 _take_one(row, x, S[m + 1])
         yield row
+
+
+_LABEL_ROUTES = {"label_delta": _rows_delta, "label_knuth": _rows_knuth,
+                 "label_S": _rows_S}
 
 
 # -- Kroton functions and the coding matrix --------------------------------

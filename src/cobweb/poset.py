@@ -7,7 +7,10 @@ construction.
 
 GradedPoset is the one validator of level blocks: the JSON loader and the
 CLI hand it their blocks as read, and it names a malformed block, row or
-entry by its 0-based path, blocks[k][i][j].
+entry by its 0-based path, blocks[k][i][j].  An all-ones block repeats one
+row tuple, and the validator checks a row once when it is the same object
+as the row before it, so a cobweb is built and checked in time linear in
+its node count, not in its cover count.
 """
 
 from __future__ import annotations
@@ -62,25 +65,34 @@ class GradedPoset:
                 if not isinstance(row, (list, tuple)) or len(row) != sizes[k + 1]:
                     raise PosetError(f"blocks[{k}][{i}]: expected {sizes[k + 1]} entries")
         blocks = tuple(tuple(map(tuple, blk)) for blk in blocks)
-        # one C-level pass per row: every entry an int, and each 0 or 1
-        is_cobweb = True
+        # one C-level pass per row: every entry an int, and each 0 or 1.  A
+        # row that is the very object of the row before it (ones_block
+        # repeats one tuple) was checked there; identity, not equality,
+        # since [1, 1.0] == [1, 1]
+        is_cobweb, empty_row = True, False
         for k, blk in enumerate(blocks):
+            prev = None
             for i, row in enumerate(blk):
+                if row is prev:
+                    continue
+                prev = row
                 ones = row.count(1)
                 if ones + row.count(0) != len(row) or not set(map(type, row)) <= {int}:
                     j, v = next((j, v) for j, v in enumerate(row)
                                 if type(v) is not int or v not in (0, 1))
                     raise PosetError(f"blocks[{k}][{i}][{j}]: expected 0 or 1, got {v!r}")
                 is_cobweb = is_cobweb and ones == len(row)
+                empty_row = empty_row or ones == 0
         self.level_sizes = sizes
         self.blocks = blocks
         self.sequence_name = sequence_name
         # prefix sums: _offsets[k] = S(k) = number of nodes in levels 1..k
         self._offsets = tuple(accumulate(sizes, initial=0))
         self.is_cobweb = is_cobweb
-        # all-ones blocks between levels of at least one node leave no node
-        # without a lower and an upper cover, so a cobweb skips the scan
-        self.has_mute_nodes = not is_cobweb and len(self.mute_nodes()) > 0
+        # a node lacks an upper cover exactly where a block row has no 1, and
+        # a lower cover where a block column has none
+        self.has_mute_nodes = not is_cobweb and (
+            empty_row or not all(all(map(any, zip(*blk))) for blk in blocks))
 
     # -- size bookkeeping ---------------------------------------------------
 
@@ -154,7 +166,8 @@ class GradedPoset:
 
 
 def ones_block(rows: int, cols: int):
-    return tuple(tuple(1 for _ in range(cols)) for _ in range(rows))
+    """The all-ones block: one row tuple, repeated."""
+    return ((1,) * cols,) * rows
 
 
 def cobweb(F: FSequence, n: int) -> GradedPoset:

@@ -386,13 +386,24 @@ def test_missing_sequence_file_is_a_diagnostic(tmp_path):
     assert_one_line_diagnostic(code, err)
 
 
-@pytest.mark.parametrize("blocks", [[[]], [[[1, 1], [1]]], [[1]], [[[1]], []]])
-def test_empty_or_ragged_blocks_are_a_diagnostic(tmp_path, blocks):
+_NO_SIZES = ("cobweb: blocks file must hold a nonempty list of 0/1 matrices, "
+             "each with a nonempty first row\n")
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[]], _NO_SIZES),
+    # the sizes are read off the first rows, and the poset names the short row
+    ([[[1, 1], [1]]], "cobweb: blocks[0][1]: expected 2 entries\n"),
+    ([[1]], _NO_SIZES),
+    ([[[1]], []], _NO_SIZES),
+    ([[[]]], _NO_SIZES),
+], ids=[f"blocks{i}" for i in range(5)])
+def test_empty_or_ragged_blocks_are_a_diagnostic(tmp_path, blocks, message):
     path = tmp_path / "blocks.json"
     path.write_text(json.dumps(blocks))
     code, _, err = run_cli_process("gen", "--blocks", str(path))
     assert_one_line_diagnostic(code, err)
-    assert "rectangular" in err
+    assert err == message
 
 
 def test_gen_blocks_refuses_entries_other_than_the_ints_0_and_1(tmp_path):

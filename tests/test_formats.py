@@ -3,13 +3,15 @@
 import io
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BOOL, BlockMatrix, INT, PosetError, antichain, cobweb, coding_matrix, \
-    const, enumerate_max_chains, fib, from_blocks, gauss, nat, zeta
+from cobweb import BOOL, BlockMatrix, FSequence, INT, PosetError, antichain, cobweb, \
+    cobweb_of_sizes, coding_matrix, const, enumerate_max_chains, fib, formats, from_blocks, \
+    gauss, nat, root, zeta
 from cobweb.formats import FormatError, chains_to_json, coding_to_json, la_scala, \
     poset_from_json, poset_to_json, to_dot, write_chains_json, write_matrix_csv, \
     write_matrix_json
@@ -29,7 +31,10 @@ def test_poset_json_snapshot(nat3):
 @pytest.mark.parametrize("seed", range(10))
 def test_poset_json_roundtrip(seed):
     P = random_no_mute_poset(seed)
-    assert poset_from_json(poset_to_json(P)) == P
+    text = poset_to_json(P)
+    assert poset_from_json(text) == P
+    assert text == json.dumps({"level_sizes": P.level_sizes, "blocks": P.blocks,
+                               "flags": {"cobweb": False, "no_mute": True}, "sequence": None})
 
 
 def test_poset_json_roundtrip_preserves_flags(nat3):
@@ -54,6 +59,128 @@ def test_poset_json_errors_name_the_path(broken, path):
     with pytest.raises(FormatError) as e:
         poset_from_json(broken)
     assert path in str(e.value)
+
+
+# -- canonical cobweb files ----------------------------------------------------
+
+_BASE = poset_to_json(cobweb_of_sizes([2, 3, 1], "nat"))
+_TAIL = ', "flags": {"cobweb": true, "no_mute": true}, "sequence": '
+_EXTRA_DATA = "not valid JSON: Extra data: line 1 column {0} (char {1})"
+
+
+def _loaded(text):
+    """What poset_from_json makes of text: the poset's fields, or the
+    FormatError text."""
+    try:
+        P = poset_from_json(text)
+    except FormatError as e:
+        return str(e)
+    return P.level_sizes, P.blocks, P.sequence_name, P.is_cobweb, P.has_mute_nodes
+
+
+# (text, whether it is read from its level sizes, the name or message)
+NEAR_CANONICAL = [
+    (_BASE, True, "nat"),
+    (_BASE + " \n\t\r\n", True, "nat"),
+    (" " + _BASE, False, "nat"),
+    (_BASE.replace("[1, 1, 1]", "[0, 1, 1]", 1), False,
+     "flags.cobweb: stored True, recomputed False"),
+    (_BASE.replace("[[[1, ", "[[[1.0, "), False, "blocks[0][0][0]: expected 0 or 1, got 1.0"),
+    (_BASE.replace("[[[1, ", "[[[true, "), False, "blocks[0][0][0]: expected 0 or 1, got True"),
+    (_BASE.replace("[[[1, 1, 1]", "[[[1,  1, 1]"), False, "nat"),
+    (_BASE.replace("[2, 3, 1]", "[2,  3, 1]"), False, "nat"),
+    (_BASE.replace('"nat"', '"fib"'), True, "fib"),
+    (_BASE.replace('"nat"', '"n\\u0061t"'), False, "nat"),
+    (_BASE.replace('"nat"', json.dumps('na"t\\')), True, 'na"t\\'),
+    (_BASE.replace('"nat"', json.dumps("gau\u00df")), True, "gau\u00df"),
+    (_BASE.replace('"nat"', '"gau\u00df"'), False, "gau\u00df"),
+    (_BASE.replace('"nat"', json.dumps(_TAIL)), True, _TAIL),
+    (_BASE.replace('"nat"', "null"), True, None),
+    (_BASE.replace('"nat"', "7"), False, "sequence: expected a string or null"),
+    (_BASE.replace('"nat"', '"nat", "sequence": "fib"'), False, "fib"),
+    (_BASE.replace('"no_mute": true', '"no_mute": false'), False,
+     "flags.no_mute: stored False, recomputed True"),
+    (_BASE.replace('"cobweb": true', '"cobweb": false'), False,
+     "flags.cobweb: stored False, recomputed True"),
+    (_BASE + "x", False, _EXTRA_DATA.format(len(_BASE) + 1, len(_BASE))),
+    (_BASE + "}", False, _EXTRA_DATA.format(len(_BASE) + 1, len(_BASE))),
+    (poset_to_json(cobweb_of_sizes([4], "nat")), True, "nat"),
+    (poset_to_json(cobweb_of_sizes([4], "nat")).replace("[4]", "[0]"), False,
+     "level_sizes: expected a nonempty list of positive integers"),
+    (poset_to_json(cobweb_of_sizes([1, 2])).replace("[1, 2]", "[true, 2]"), False,
+     "level_sizes: expected a nonempty list of positive integers"),
+    (_BASE.replace("[2, 3, 1]", "[2.0, 3, 1]"), False,
+     "level_sizes: expected a nonempty list of positive integers"),
+    (_BASE.replace("[2, 3, 1]", "[3, 2, 1]"), False, "blocks[0]: expected 3 rows"),
+]
+
+
+@pytest.mark.parametrize("text, fast, want", NEAR_CANONICAL,
+                         ids=[f"text{i}" for i in range(len(NEAR_CANONICAL))])
+def test_the_cobweb_shortcut_changes_no_load_result(monkeypatch, text, fast, want):
+    # the result of the full decode and validation, with the shortcut off
+    # and on, and whether the shortcut gave it
+    real = formats._canonical_cobweb
+    monkeypatch.setattr(formats, "_canonical_cobweb", lambda text: None)
+    full = _loaded(text)
+    taken = []
+    monkeypatch.setattr(formats, "_canonical_cobweb",
+                        lambda text: taken.append(real(text)) or taken[-1])
+    assert _loaded(text) == full
+    assert (taken[-1] is not None) == fast
+    if isinstance(full, str):
+        assert full == want
+    else:
+        assert full[2] == want
+
+
+def test_a_cobweb_file_is_read_from_its_level_sizes():
+    # a gen file, and one written as json.dumps of the object plus a newline
+    P = cobweb(gauss(2), 6)
+    obj = {"level_sizes": list(P.level_sizes),
+           "blocks": [[[1] * len(row) for row in blk] for blk in P.blocks],
+           "flags": {"cobweb": True, "no_mute": True}, "sequence": "gauss:q=2"}
+    for text in (poset_to_json(P), json.dumps(obj) + "\n"):
+        Q = poset_from_json(text)
+        assert Q == P and Q.sequence_name == "gauss:q=2"
+        # the rows of each block are one shared tuple: no entry was decoded
+        assert all(len({id(row) for row in blk}) == 1 for blk in Q.blocks)
+    assert poset_from_json(poset_to_json(P).encode()) == P
+
+
+def test_a_short_file_claiming_huge_levels_is_refused_without_building_them():
+    text = ('{"level_sizes": [3000, 3000], "blocks": [], '
+            '"flags": {"cobweb": true, "no_mute": true}, "sequence": null}')
+    assert len(text) < 110
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as e:
+            poset_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == "blocks: expected 1 blocks"
+    assert peak < 2 ** 20
+
+
+_NAMES = st.one_of(st.none(), st.text(max_size=6), st.sampled_from(["nat", 'q"', "\u00e9", _TAIL]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6), _NAMES,
+       st.booleans())
+@example([1], None, False)
+@example([1, 1], "x", True)
+def test_cobweb_json_is_json_dumps_and_reads_back_from_its_sizes(sizes, name, rooted):
+    P = root(FSequence(sizes, name=name), len(sizes)) if rooted else cobweb_of_sizes(sizes, name)
+    obj = {"level_sizes": P.level_sizes, "blocks": P.blocks,
+           "flags": {"cobweb": True, "no_mute": True}, "sequence": name}
+    text = poset_to_json(P)
+    assert text == json.dumps(obj)
+    sizes = P.level_sizes
+    assert formats._ones_blocks_length(sizes) == len(formats._ones_blocks_text(sizes))
+    Q = formats._canonical_cobweb(text + "\n")
+    assert Q == P and Q.sequence_name == name
 
 
 def test_poset_json_flag_mismatch_rejected(nat3):

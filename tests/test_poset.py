@@ -129,13 +129,18 @@ def test_mute_nodes_reported():
 
 def test_mute_nodes_match_their_definition_on_random_posets():
     # a node is mute when it has no lower cover above level 1 or no upper
-    # cover below the top; both sets are read off the list of cover arcs
-    seen_mute = 0
-    for seed in range(60):
+    # cover below the top; both sets are read off the list of cover arcs.
+    # has_mute_nodes is one row and one column test per block, and blocks
+    # come as lists, as tuples, and as one row tuple repeated
+    counts = {True: 0, False: 0}
+    for seed in range(300):
         rng = random.Random(seed)
-        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
-        blocks = [[[int(rng.random() < 0.5) for _ in range(b)] for _ in range(a)]
-                  for a, b in zip(sizes, sizes[1:])]
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+        density = rng.choice((0.3, 0.6, 0.9, 1.0))
+        blocks = []
+        for a, b in zip(sizes, sizes[1:]):
+            rows = [tuple(int(rng.random() < density) for _ in range(b)) for _ in range(a)]
+            blocks.append(rng.choice([rows, [list(r) for r in rows], (rows[0],) * a]))
         arcs = [((k + 1, i + 1), (k + 2, j + 1)) for k, blk in enumerate(blocks)
                 for i, row in enumerate(blk) for j, v in enumerate(row) if v]
         has_upper = {lo for lo, _ in arcs}
@@ -146,9 +151,9 @@ def test_mute_nodes_match_their_definition_on_random_posets():
                 or (level < len(sizes) and (level, pos) not in has_upper)]
         P = from_blocks(sizes, blocks)
         assert [(x.level, x.position) for x in P.mute_nodes()] == want, seed
-        assert P.has_mute_nodes == bool(want)
-        seen_mute += len(want)
-    assert seen_mute > 0
+        assert P.has_mute_nodes == (len(P.mute_nodes()) > 0) == bool(want), seed
+        counts[P.has_mute_nodes] += 1
+    assert min(counts.values()) >= 50, counts
 
 
 def test_a_cobweb_is_built_without_the_mute_scan(monkeypatch):
@@ -164,6 +169,22 @@ def test_a_cobweb_is_built_without_the_mute_scan(monkeypatch):
     assert poset_from_json(text) == P
     with pytest.raises(FormatError, match="flags.no_mute: stored False, recomputed True"):
         poset_from_json(text.replace('"no_mute": true', '"no_mute": false'))
+
+
+def test_a_repeated_row_object_is_checked_once_and_an_equal_row_again():
+    assert all(len({id(row) for row in blk}) == 1 for blk in cobweb(gauss(2), 5).blocks)
+    # the first of the repeated rows is checked and named
+    row = (1, 2)
+    with pytest.raises(PosetError, match=r"^blocks\[0\]\[0\]\[1\]: expected 0 or 1, got 2$"):
+        from_blocks([2, 2], [(row, row)])
+    # (1, 1) == (1, 1.0) == (1, True), so only identity may skip a row
+    for bad in (1.0, True):
+        for blocks in ([((1, 1), (1, bad))], [[[1, 1], [1, bad]]]):
+            with pytest.raises(PosetError) as e:
+                from_blocks([2, 2], blocks)
+            assert str(e.value) == f"blocks[0][1][1]: expected 0 or 1, got {bad!r}"
+    empty = (0, 0)
+    assert from_blocks([2, 2, 1], [(empty, empty), ((1,), (1,))]).has_mute_nodes
 
 
 def test_extremal_levels_are_never_mute():

@@ -8,12 +8,14 @@ reproduce exactly.
 
 import io
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BOOL, BlockMatrix, cobweb, cobweb_of_sizes, fib, gauss, zeta
-from cobweb import cli
+from cobweb import BOOL, BlockMatrix, MatrixError, cobweb, cobweb_of_sizes, const, fib, \
+    gauss, nat, zeta
+from cobweb import cli, incidence
 from cobweb.formats import poset_to_json, write_matrix_csv, write_matrix_json
 
 from conftest import random_cobweb
@@ -147,3 +149,75 @@ def test_cli_label_output_matches_literal_bytes(tmp_path, make, flag, method, fm
         write_matrix_json(lit, ref)
         ref.write("\n")
     assert out.read_bytes() == ref.getvalue().encode()
+
+
+# -- the CLI streams the label rows ------------------------------------------
+
+FLAGS = [("label-delta", "label_delta"), ("label-knuth", "label_knuth"), ("label-s", "label_S")]
+
+
+def _zeta_matrix_unused(*args, **kwargs):
+    raise AssertionError("the CLI built a zeta matrix for a label route")
+
+
+@pytest.mark.parametrize("make", [lambda: cobweb(nat(), 5), lambda: cobweb(fib(), 7),
+                                  lambda: cobweb(gauss(2), 5), lambda: cobweb(const(1), 6),
+                                  lambda: cobweb_of_sizes((5,))],
+                         ids=["nat", "fib", "gauss2", "const1", "one-level"])
+@pytest.mark.parametrize("flag, method", FLAGS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_label_rows_are_the_bytes_of_the_zeta_matrix(tmp_path, monkeypatch, make, flag,
+                                                          method, fmt):
+    P = make()
+    ref = io.StringIO()
+    if fmt == "csv":
+        write_matrix_csv(zeta(P, method), ref)
+    else:
+        write_matrix_json(zeta(P, method), ref)
+        ref.write("\n")
+    path, out = tmp_path / "p.json", tmp_path / "out.txt"
+    path.write_text(poset_to_json(P))
+    monkeypatch.setattr(cli, "zeta", _zeta_matrix_unused)
+    assert cli.main(["zeta", str(path), "--method", flag, "--format", fmt,
+                     "-o", str(out)]) == 0
+    assert out.read_bytes() == ref.getvalue().encode()
+
+
+def test_cli_label_route_holds_no_dense_matrix(tmp_path):
+    # 502 nodes: the dense zeta of 502 row tuples alone takes about 2 MiB
+    P = cobweb(gauss(2), 8)
+    path, out = tmp_path / "p.json", tmp_path / "out.txt"
+    path.write_text(poset_to_json(P))
+    tracemalloc.start()
+    try:
+        assert cli.main(["zeta", str(path), "--method", "label-s", "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def _staircase_twice(S, sizes, N):
+    # the prefix-sum route with its staircase term taken a second time
+    for x, row in enumerate(incidence._rows_S(S, sizes, N), start=1):
+        m = next(m for m in range(len(sizes)) if S[m] < x <= S[m + 1])
+        incidence._take_one(row, x, S[m + 1])
+        yield row
+
+
+def test_a_term_that_lands_on_a_zero_is_an_error_not_a_wrap(tmp_path, monkeypatch, capsys):
+    row = bytearray(b"\1\1\0\1")
+    with pytest.raises(MatrixError, match=r"takes 1 off a 0 in columns 2\.\.4"):
+        incidence._take_one(row, 1, 4)
+    assert row == bytearray(b"\1\1\0\1")
+    monkeypatch.setitem(incidence._LABEL_ROUTES, "label_S", _staircase_twice)
+    P = cobweb(nat(), 4)
+    with pytest.raises(MatrixError, match="takes 1 off a 0"):
+        zeta(P, "label_S")
+    path, out = tmp_path / "p.json", tmp_path / "out.txt"
+    path.write_text(poset_to_json(P))
+    capsys.readouterr()
+    assert cli.main(["zeta", str(path), "--method", "label-s", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cobweb: a label term takes 1 off a 0") and err.count("\n") == 1
+    assert "255" not in out.read_text()
