@@ -11,15 +11,14 @@ from .blockmat import BOOL, INT, BlockMatrix, MatrixError, RingError, add, mul, 
 from .chains import BijectionReport, Chain, HyperBox, PartitionReport, \
     box_join, chain_box_bijection, count_head_chains, count_interval_chains, \
     count_layer_chains, count_tail_chains, enumerate_max_chains, \
-    fnomial_chain_probe, fnomial_partition_check, hyperbox, layer_chain_counts
+    fnomial_partition_check, hyperbox, layer_chain_counts
 from .fsequence import AdmissibilityVerdict, FSequence, SequenceError, const, \
     custom, f_factorial, f_falling, fib, fnomial, from_file, gauss, \
     is_cobweb_admissible, nat, preset
 from .incidence import CodingMatrix, LevelMatrix, coding_matrix, \
     coding_recurrence, eta, eta_inverse, interval_mobius, kappa, kroton, \
     level_eta, level_eta_inverse, level_max, level_max_inverse, level_mobius, \
-    level_zeta, logic_L, max_inverse, max_matrix, mobius, mobius_krot, \
-    reachable_sets, zeta
+    level_zeta, logic_L, max_inverse, max_matrix, mobius, reachable_sets, zeta
 from .invariants import CharPoly, RootedPoset, char_poly, root, whitney_first, \
     whitney_second
 from .poset import GradedPoset, NodeLabel, PosetError, antichain, cobweb, \

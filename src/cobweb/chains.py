@@ -262,29 +262,3 @@ def fnomial_partition_check(F: FSequence, n: int, k: int) -> PartitionReport:
     fn = fnomial(F, n, k)
     return PartitionReport(layer_count, block_count, ratio.denominator == 1,
                            ratio, fn, ratio == fn)
-
-
-class ProbeReport(NamedTuple):
-    """Both sides of the conjectured fnomial / chain-count index relation,
-    left to the caller to compare: the offsets do not work out for every
-    sequence, so this is a probe, not an assertion."""
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
-
-
-def fnomial_chain_probe(F: FSequence, l: int, k: int) -> ProbeReport:
-    """Report fnomial(F, l, k) against the count of maximal chains from a
-    level k-2 node to a level l+1 node, divided by (l-k)_F!."""
-    if k < 2:
-        raise ValueError(f"probe needs k >= 2 so that level k-2 exists rooted, got {k}")
-    if l < k:
-        raise ValueError(f"probe needs l >= k, got l={l} k={k}")
-    # level 0 is realized by rooting: a single bottom node, under which
-    # level j of F's cobweb is level j + 1
-    P = cobweb(F.rooted(), l + 2)
-    count = count_interval_chains(P, P.node(k - 1, 1), P.node(l + 2, 1))
-    from fractions import Fraction  # imported on first use, as in fnomial
-    rhs = Fraction(count, f_factorial(F, l - k))
-    lhs = fnomial(F, l, k)
-    return ProbeReport(lhs, rhs, lhs == rhs)

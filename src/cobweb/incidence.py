@@ -18,8 +18,8 @@ level sizes alone, one row at a time: every term is taken once and adds
 its contribution to the whole run of columns it covers, so a label route
 costs O(N^2) for N nodes.  A row is a bytearray, and a term takes 1 off its
 run with one translate in C.  zeta() holds the rows in a BlockMatrix; the
-CLI writes each row as it is made, so there a label route, like a level
-route, holds no N x N matrix.
+CLI writes each row as it is made and check compares it, so there a label
+route, like a level route, holds no N x N matrix.
 
 In a cobweb every off-diagonal block of zeta, Moebius, max, eta and their
 inverses is constant and every diagonal block is the identity, so each fits
@@ -354,28 +354,6 @@ def interval_mobius(F: FSequence, r: int, s: int) -> int:
     return (-1) ** (s - r) * kroton(F, r, s)
 
 
-def mobius_krot(F: FSequence, x: Tuple[int, int], y: Tuple[int, int]) -> int:
-    """Coordinate-pair Moebius form: x and y are (position, level) pairs.
-
-    Positions are bounded by the level sizes.  Within one level the value
-    is the Kronecker delta of the positions; across levels it is the
-    rank-only interval form.
-    """
-    s, t = x
-    u, v = y
-    for pos, lev, who in ((s, t, "x"), (u, v, "y")):
-        if lev < 1:
-            raise ValueError(f"{who}: level must be >= 1, got {lev}")
-        if not 1 <= pos <= F.value(lev):
-            raise ValueError(
-                f"{who}: position {pos} out of range 1..{F.value(lev)} at level {lev}")
-    if v < t:
-        return 0
-    if v == t:
-        return 1 if s == u else 0
-    return interval_mobius(F, t, v)
-
-
 # -- maximal chain counting matrix -----------------------------------------
 
 def max_matrix(P: GradedPoset) -> BlockMatrix:
@@ -386,9 +364,9 @@ def max_matrix(P: GradedPoset) -> BlockMatrix:
 
 def max_inverse(P: GradedPoset) -> BlockMatrix:
     """Identity minus the cover matrix: the exact inverse of max_matrix."""
-    I = BlockMatrix.identity(P.level_sizes, INT)
-    k = kappa(P, INT)
-    rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(I.rows, k.rows)]
+    rows = [[-v for v in row] for row in kappa(P, INT).rows]
+    for x, row in enumerate(rows):
+        row[x] = 1  # the cover matrix is 0 on the diagonal
     return BlockMatrix(P.level_sizes, rows, INT)
 
 

@@ -13,18 +13,15 @@ The Markov suite reads every C(r, s) from layer_chain_counts, one sweep per
 top level s.  Both oracles come from chains, which reads only the cover
 blocks, so they stay independent of the matrix closure they are checking.
 
-On a cobweb the zeta, mobius and max suites also expand the level forms the
-CLI writes and hold them entry by entry to the dense matrices the suite has
-already built.
-
-Each inverse-pair law is one exact product: zeta * mu == I, and
+Every comparison streams one route's rows against the other's through
+_first_mismatch, so no matrix is built only to be compared.  The label
+routes of zeta, the closed form of mu and, on a cobweb, the level forms the
+CLI writes are read a row at a time, and each inverse-pair law is one exact
+product held to unit rows made one at a time: zeta * mu == I, and
 (I - cover) * max == I.  A one-sided inverse of a square matrix is
 two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
 Prop. 3.6.2) and over the integers alike, since det A * det B = 1; so the
-product in the other order could never change a verdict.  With the level
-rule and the packed rows of blockmat.mul the two sides cost about the same
-on a cobweb, where every row of all four matrices holds one value across
-each level above its own, so the sides kept do not change.
+product in the other order could never change a verdict.
 
 Every suite takes the poset and a Dense, which builds zeta(P, "closure")
 and max_matrix(P) on first use: run_checks hands one Dense to all the
@@ -35,12 +32,13 @@ its own.  The markov and whitney suites read neither.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import zip_longest
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .blockmat import INT, BlockMatrix, mul, unitriangular_inverse
 from .chains import _interval_rows, layer_chain_counts
-from .incidence import ZETA_METHODS, _bit_row, level_max, level_max_inverse, level_mobius, \
-    level_zeta, logic_L, max_inverse, max_matrix, mobius, reachable_sets, zeta
+from .incidence import ZETA_METHODS, _bit_row, _label_rows, level_max, level_max_inverse, \
+    level_mobius, level_zeta, logic_L, max_inverse, max_matrix, mobius, reachable_sets, zeta
 from .invariants import RootedPoset, char_poly, whitney_second
 from .poset import GradedPoset
 
@@ -61,14 +59,23 @@ def _skip(suite, name, why):
     return CheckResult(suite, name, True, f"skipped: {why}")
 
 
-def _first_mismatch(rows, dense_rows):
+def _first_mismatch(rows, want_rows):
     """(x, y, a, b) at the first difference in row-major order: 1-based x
-    and y, a from rows and b from dense_rows.  None when the rows agree."""
-    for x, (got, want) in enumerate(zip(rows, dense_rows), start=1):
-        if tuple(got) != want:
-            y = next(j for j in range(len(want)) if got[j] != want[j])
-            return x, y + 1, got[y], want[y]
+    and y, a from rows and b from want_rows, "no entry" where that side has
+    no such row or column.  None when the rows agree."""
+    for x, (got, want) in enumerate(zip_longest(rows, want_rows, fillvalue=()), start=1):
+        got, want = tuple(got), tuple(want)
+        if got != want:
+            y = next((j for j, (a, b) in enumerate(zip(got, want)) if a != b),
+                     min(len(got), len(want)))
+            return (x, y + 1, *(r[y] if y < len(r) else "no entry" for r in (got, want)))
     return None
+
+
+def _is_identity(M: BlockMatrix) -> bool:
+    """M == I, held to unit rows made one at a time."""
+    n = M.size
+    return not _first_mismatch(M.rows, ((0,) * x + (1,) + (0,) * (n - x - 1) for x in range(n)))
 
 
 def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
@@ -80,9 +87,8 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
     for route, build, dense in routes:
         bad = _first_mismatch(build(P).rows(), dense.rows)
         if bad:
-            x, y, got, want = bad
-            return _verdict(suite, name, False, f"{route}: entry ({x}, {y}): "
-                            f"level form has {got}, dense has {want}")
+            return _verdict(suite, name, False, f"{route}: entry {bad[:2]}: "
+                            f"level form has {bad[2]}, dense has {bad[3]}")
     return _verdict(suite, name, True)
 
 
@@ -110,11 +116,13 @@ def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResul
                         f"entry {bad[:2]}: reachability has {bad[2]}, closure has {bad[3]}"))
     if P.is_cobweb:
         # the closure route is Z itself; hold the three label routes to it
-        bad = [m for m in ZETA_METHODS if m != "closure" and zeta(P, m).rows != Z.rows]
+        bad = [m for m in ZETA_METHODS if m != "closure" and _first_mismatch(
+            _label_rows(P, m).rows, Z.rows)]
         out.append(_verdict("zeta", "method-agreement", not bad, f"methods disagree: {bad}"))
     else:
         out.append(_skip("zeta", "method-agreement", "label formulas need a cobweb"))
-    out.append(_verdict("zeta", "logic-of-max", logic_L(dense.max).rows == Z.rows,
+    out.append(_verdict("zeta", "logic-of-max",
+                        not _first_mismatch(logic_L(dense.max).rows, Z.rows),
                         "L(max) differs from zeta"))
     out.append(_level_agreement("zeta", P, [("closure", level_zeta, Z)]))
     return out
@@ -126,17 +134,17 @@ def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRes
     # Dense already holds
     zi = (dense or Dense(P)).closure.with_ring(INT)
     mu = unitriangular_inverse(zi)
-    rec = mobius(P, "recurrence")
-    out.append(_verdict("mobius", "invert-vs-recurrence", mu.rows == rec.rows,
+    out.append(_verdict("mobius", "invert-vs-recurrence",
+                        not _first_mismatch(mobius(P, "recurrence").rows, mu.rows),
                         "inversion and recurrence disagree"))
     if P.is_cobweb:
-        cf = mobius(P, "closed_form")
-        out.append(_verdict("mobius", "closed-form-agreement", cf.rows == mu.rows,
+        # the rows of mobius(P, "closed_form"), read from its level form
+        out.append(_verdict("mobius", "closed-form-agreement",
+                            not _first_mismatch(level_mobius(P, "closed_form").rows(), mu.rows),
                             "closed form disagrees with inversion"))
     else:
         out.append(_skip("mobius", "closed-form-agreement", "closed form needs a cobweb"))
-    I = BlockMatrix.identity(P.level_sizes, INT)
-    out.append(_verdict("mobius", "inverse-pair", mul(zi, mu) == I,
+    out.append(_verdict("mobius", "inverse-pair", _is_identity(mul(zi, mu)),
                         "mu is not an exact two-sided inverse of zeta"))
     if P.is_cobweb:
         rank_ok = all(len({v for row in mu.block(r, s) for v in row}) <= 1
@@ -157,9 +165,8 @@ def suite_max(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult
     bad = _first_mismatch(_interval_rows(P), M.rows)
     out.append(_verdict("max", "chain-count-oracle", bad is None,
                         bad and f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
-    I = BlockMatrix.identity(P.level_sizes, INT)
     inv = max_inverse(P)
-    out.append(_verdict("max", "inverse-pair", mul(inv, M) == I,
+    out.append(_verdict("max", "inverse-pair", _is_identity(mul(inv, M)),
                         "identity minus cover is not the inverse"))
     diag_ok = all(M.rows[i][i] == 1 for i in range(P.node_count))
     out.append(_verdict("max", "unit-diagonal", diag_ok, "diagonal entry differs from 1"))

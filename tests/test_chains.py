@@ -11,7 +11,7 @@ from cobweb import Chain, PosetError, box_join, chain_box_bijection, cobweb, \
     cobweb_of_sizes, count_head_chains, count_interval_chains, count_layer_chains, \
     count_tail_chains, custom, enumerate_max_chains, f_factorial, f_falling, \
     fib, fnomial, fnomial_partition_check, from_blocks, gauss, hyperbox, \
-    fnomial_chain_probe, layer_chain_counts, \
+    layer_chain_counts, \
     max_matrix, nat, suites
 
 from conftest import brute_chains, brute_interval_count, random_cobweb, \
@@ -263,18 +263,20 @@ def test_fnomial_partition_block_count_is_factorial():
                 assert rep.matches
 
 
-def test_fnomial_chain_probe_reports_both_sides():
-    rep = fnomial_chain_probe(nat(), 4, 2)
-    assert isinstance(rep.lhs, Fraction) and isinstance(rep.rhs, Fraction)
-    assert rep.equal == (rep.lhs == rep.rhs)
-    rep3 = fnomial_chain_probe(nat(), 5, 3)
-    assert rep3.lhs == fnomial(nat(), 5, 3)
+def fnomial_against_chains(F, l, k):
+    """fnomial(F, l, k), and the maximal chains from a level k-2 node to a
+    level l+1 node divided by (l-k)_F!.  Level 0 is the root of F's rooted
+    cobweb, under which level j of F's cobweb is level j + 1."""
+    P = cobweb(F.rooted(), l + 2)
+    count = count_interval_chains(P, P.node(k - 1, 1), P.node(l + 2, 1))
+    return fnomial(F, l, k), Fraction(count, f_factorial(F, l - k))
+
+
+def test_fnomial_chain_index_relation_holds_for_fib_at_k_2_only():
     # the stated offsets do hold for Fibonacci at k = 2, where the two
-    # bottom sizes are 1 and the index slack cancels
-    assert fnomial_chain_probe(fib(), 4, 2).equal
-    assert fnomial_chain_probe(fib(), 5, 2).equal
-    assert not fnomial_chain_probe(nat(), 4, 2).equal
-    with pytest.raises(ValueError):
-        fnomial_chain_probe(nat(), 3, 1)
-    with pytest.raises(ValueError):
-        fnomial_chain_probe(nat(), 2, 3)
+    # bottom sizes are 1 and the index slack cancels; for nat they do not
+    for l in (4, 5):
+        lhs, rhs = fnomial_against_chains(fib(), l, 2)
+        assert lhs == rhs
+    lhs, rhs = fnomial_against_chains(nat(), 4, 2)
+    assert lhs != rhs

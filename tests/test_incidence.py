@@ -7,7 +7,7 @@ import pytest
 from cobweb import BOOL, INT, BlockMatrix, CodingMatrix, MatrixError, PosetError, \
     antichain, cobweb, cobweb_of_sizes, coding_matrix, coding_recurrence, custom, \
     eta, eta_inverse, fib, from_blocks, interval_mobius, kappa, kroton, logic_L, \
-    max_inverse, max_matrix, mobius, mobius_krot, mul, nat, natural_join, \
+    max_inverse, max_matrix, mobius, mul, nat, natural_join, \
     reachable_sets, root, zeta
 from cobweb.blockmat import natural_join as mat_join
 from cobweb.incidence import MOBIUS_METHODS, ZETA_METHODS
@@ -160,6 +160,12 @@ def test_coding_matrix_recurrence_route():
                 route(nat(), n)
 
 
+def test_coding_recurrence_reads_no_value_at_the_top_level():
+    # custom([1, 2, 3]) has no 4_F, and neither route for 4 levels needs it
+    F = custom([1, 2, 3])
+    assert coding_recurrence(F, 4) == coding_matrix(F, 4)
+
+
 def test_coding_matrix_structure_enforced():
     C = coding_matrix(fib(), 7)
     n = C.n
@@ -253,25 +259,20 @@ def test_interval_mobius_matches_coding():
                 assert interval_mobius(F, r, s) == C.c(r, s)
 
 
-def test_mobius_krot_grid_agreement():
+def test_mobius_in_position_level_coordinates_on_a_grid():
+    # within one level mu is the Kronecker delta of the positions, across
+    # levels the rank-only interval form
     for F in (nat(), fib(), EX12):
         P = cobweb(F, 5)
         mu = mobius(P, "invert")
         for x in P.nodes():
             for y in P.nodes():
-                got = mobius_krot(F, (x.position, x.level), (y.position, y.level))
-                assert got == mu.rows[x.global_label - 1][y.global_label - 1]
-
-
-def test_mobius_krot_pinned_and_bounds():
+                want = (int(x.position == y.position) if x.level == y.level
+                        else interval_mobius(F, x.level, y.level) if x.level < y.level else 0)
+                assert mu.rows[x.global_label - 1][y.global_label - 1] == want
     # unique rank-1 and rank-2 nodes of the Fibonacci cobweb
-    assert mobius_krot(fib(), (1, 1), (1, 2)) == -1
-    assert mobius_krot(fib(), (1, 3), (1, 3)) == 1
-    assert mobius_krot(nat(), (1, 1), (1, 4)) == -2
-    with pytest.raises(ValueError):
-        mobius_krot(fib(), (2, 1), (1, 2))  # position 2 exceeds 1_F = 1
-    with pytest.raises(ValueError):
-        mobius_krot(fib(), (1, 0), (1, 2))
+    assert interval_mobius(fib(), 1, 2) == -1
+    assert interval_mobius(nat(), 1, 4) == -2
 
 
 # -- max matrix and the logic reduction ----------------------------------------

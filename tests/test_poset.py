@@ -208,8 +208,10 @@ def test_natural_join_identity_glue():
 
 
 def test_natural_join_size_mismatch():
-    with pytest.raises(PosetError):
+    with pytest.raises(PosetError) as err:
         natural_join(cobweb(nat(), 2), cobweb(nat(), 3))
+    assert str(err.value) == \
+        "join condition violated: top of P has size 2, bottom of Q has size 1"
 
 
 def test_cobweb_is_fold_of_di_bicliques():

@@ -10,7 +10,6 @@ import pytest
 from cobweb import BOOL, INT, AdmissibilityVerdict, BijectionReport, Chain, CharPoly, \
     CheckResult, CodingMatrix, HyperBox, LevelMatrix, NodeLabel, PartitionReport, \
     cobweb_of_sizes, level_zeta, max_matrix, mul
-from cobweb.chains import ProbeReport
 
 
 def all_records():
@@ -18,7 +17,7 @@ def all_records():
     return [NodeLabel(1, 2, 2), Chain(1, (1, 2)), HyperBox(1, 2, (1, 2)),
             BijectionReport(True, 2, 2),
             PartitionReport(6, 2, True, Fraction(3), Fraction(3), True),
-            ProbeReport(Fraction(1), Fraction(1), True), AdmissibilityVerdict(True),
+            AdmissibilityVerdict(True),
             CodingMatrix(((1, -1), (0, 1))), LevelMatrix((1, 2), ((1, 1), (0, 1))),
             CharPoly((1, -2)), CheckResult("zeta", "x", True)]
 
@@ -32,6 +31,8 @@ CHECKED = [
     (CodingMatrix, dict(entries=((1, -1),)), "square"),
     (CodingMatrix, dict(entries=((1, 1), (0, 1))), "superdiagonal"),
     (CodingMatrix, dict(entries=((1, -1), (1, 1))), "diagonal"),
+    (CodingMatrix, dict(entries=((1, -1, -1), (0, 1, -1), (0, 0, 1))),
+     r"^sign violation at \(1,3\)$"),
 ]
 
 

@@ -1,7 +1,9 @@
 """Check suites: failure details name the same entry as a pair-by-pair scan."""
 
-from cobweb import BlockMatrix, LevelMatrix, cobweb, cobweb_of_sizes, from_blocks, \
-    incidence, invariants, nat, run_checks, suites
+from types import SimpleNamespace
+
+from cobweb import BlockMatrix, CodingMatrix, LevelMatrix, cobweb, cobweb_of_sizes, \
+    from_blocks, gauss, incidence, invariants, nat, root, run_checks, suites
 
 
 def corrupted(M, *entries):
@@ -35,12 +37,17 @@ def test_max_oracle_reports_lower_row_in_an_earlier_column(monkeypatch):
 
 
 def corrupt_every_dense_mu(monkeypatch, entry):
-    """Every dense Moebius route, the suite's inverse of the closure
-    included, returns mu with 7 added at entry."""
+    """Every dense Moebius route, the suite's inverse of the closure and the
+    closed form's rows, which the suite reads from its level form, included,
+    returns mu with 7 added at entry."""
     real, real_inverse = suites.mobius, suites.unitriangular_inverse
+    real_level = suites.level_mobius
     monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(real(Q, m), entry))
     monkeypatch.setattr(suites, "unitriangular_inverse",
                         lambda M: corrupted(real_inverse(M), entry))
+    monkeypatch.setattr(suites, "level_mobius", lambda Q, m: SimpleNamespace(
+        rows=lambda: iter(corrupted(real(Q, m), entry).rows)) if m == "closed_form"
+        else real_level(Q, m))
 
 
 def test_mobius_inverse_pair_fails_on_a_consistently_wrong_mu(monkeypatch):
@@ -118,15 +125,21 @@ def test_markov_failure_names_first_triple():
 
 def test_zeta_suite_builds_the_closure_once(monkeypatch):
     calls = []
-    real = suites.zeta
+    real, real_rows = suites.zeta, suites._label_rows
 
     def recording(Q, method="closure"):
         calls.append(method)
         return real(Q, method)
 
+    def recording_rows(Q, method):
+        calls.append(method)
+        return real_rows(Q, method)
+
     monkeypatch.setattr(suites, "zeta", recording)
+    monkeypatch.setattr(suites, "_label_rows", recording_rows)
     assert all(r.passed for r in suites.suite_zeta(cobweb(nat(), 4)))
-    assert sorted(calls) == ["closure", "label_S", "label_delta", "label_knuth"]
+    # the closure is built, and each label route's rows are read
+    assert calls == ["closure", "label_delta", "label_knuth", "label_S"]
 
 
 def test_zeta_method_agreement_names_the_disagreeing_label_routes(monkeypatch):
@@ -137,9 +150,14 @@ def test_zeta_method_agreement_names_the_disagreeing_label_routes(monkeypatch):
     res = {r.name: r for r in suites.suite_zeta(P)}
     assert res["method-agreement"].detail == \
         "methods disagree: ['label_delta', 'label_knuth', 'label_S']"
-    real = suites.zeta
-    monkeypatch.setattr(suites, "zeta", lambda Q, m="closure": corrupted(
-        real(Q, m), (1, 2)) if m == "label_knuth" else real(Q, m))
+    real = suites._label_rows
+
+    def knuth_off(Q, m):
+        L = real(Q, m)
+        return L._replace(rows=corrupted(BlockMatrix(*L), (1, 2)).rows) \
+            if m == "label_knuth" else L
+
+    monkeypatch.setattr(suites, "_label_rows", knuth_off)
     res = {r.name: r for r in suites.suite_zeta(cobweb(nat(), 3))}
     assert res["method-agreement"].detail == "methods disagree: ['label_knuth']"
 
@@ -248,23 +266,33 @@ def test_invert_vs_recurrence_fails_on_a_wrong_recurrence(monkeypatch):
 
 
 def test_closed_form_agreement_fails_on_a_wrong_closed_form(monkeypatch):
+    # c(1, 4) off by 7, which is mu at (1, 7)..(1, 10); of the routes the
+    # suite compares, only the closed form reads the coding matrix
     P = cobweb(nat(), 4)
-    real = suites.mobius
-    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(
-        real(Q, m), (1, 10)) if m == "closed_form" else real(Q, m))
+    real = incidence.coding_matrix
+
+    def wrong(F, n):
+        entries = [list(row) for row in real(F, n).entries]
+        entries[0][3] -= 7
+        return CodingMatrix(tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(incidence, "coding_matrix", wrong)
     assert failures(suites.suite_mobius(P)) == {
         "closed-form-agreement": "closed form disagrees with inversion"}
 
 
 def test_rank_dependence_fails_on_a_mu_that_varies_inside_a_block(monkeypatch):
-    # every dense route returns the same corrupted mu at (2, 4), inside
-    # level block (2, 3); the product with zeta and the level forms see it too
+    # every dense route returns the same corrupted mu inside level block
+    # (2, 3), then (1, 2) and (3, 4), the first and last level rows; the
+    # product with zeta and the level forms see it too
     P = cobweb(nat(), 4)
-    corrupt_every_dense_mu(monkeypatch, (2, 4))
-    assert failures(suites.suite_mobius(P)) == {
-        "inverse-pair": "mu is not an exact two-sided inverse of zeta",
-        "rank-dependence": "mu varies inside a level block of a cobweb",
-        "level-form-agreement": "invert: entry (2, 4): level form has -1, dense has 6"}
+    for entry in ((2, 4), (1, 3), (5, 8)):
+        monkeypatch.undo()
+        corrupt_every_dense_mu(monkeypatch, entry)
+        assert failures(suites.suite_mobius(P)) == {
+            "inverse-pair": "mu is not an exact two-sided inverse of zeta",
+            "rank-dependence": "mu varies inside a level block of a cobweb",
+            "level-form-agreement": f"invert: entry {entry}: level form has -1, dense has 6"}
 
 
 def test_unit_diagonal_fails_on_a_wrong_diagonal_entry(monkeypatch):
@@ -290,6 +318,17 @@ def test_markov_factorization_fails_on_a_wrong_chain_count(monkeypatch):
     assert (res.name, res.passed, res.detail) == ("factorization", False, "(1,1,2): 16 != 2")
 
 
+def test_markov_reaches_the_triple_at_the_top_level_pair(monkeypatch):
+    # every count from a level below 3 read as 0 passes each triple with
+    # r < 3, so only (3, 3, 4) can see C(4, 4) read as 11
+    P = cobweb(nat(), 4)
+    real = suites.layer_chain_counts
+    monkeypatch.setattr(suites, "layer_chain_counts", lambda Q, s: [
+        0 if r < 3 else c + 7 * (r == s == 4) for r, c in enumerate(real(Q, s), start=1)])
+    (res,) = suites.suite_markov(P)
+    assert (res.name, res.passed, res.detail) == ("split-form", False, "(3,3,4): 33 != 12")
+
+
 def test_whitney_closed_vs_direct_fails_on_a_wrong_closed_form(monkeypatch):
     P = cobweb(nat(), 4)
     real = invariants.interval_mobius
@@ -297,3 +336,52 @@ def test_whitney_closed_vs_direct_fails_on_a_wrong_closed_form(monkeypatch):
     (res,) = suites.suite_whitney(P)
     assert (res.name, res.passed) == ("closed-vs-direct", False)
     assert res.detail == "whitney_first(2): closed form 6 != direct sum 3"
+
+
+# -- the comparator on rows of the wrong shape --------------------------------
+
+def test_first_mismatch_names_a_missing_or_extra_row():
+    assert suites._first_mismatch([(1, 0)], [(1, 0), (0, 1)]) == (2, 1, "no entry", 0)
+    assert suites._first_mismatch([(1, 0), (0, 1), (0, 0)], [(1, 0), (0, 1)]) == \
+        (3, 1, 0, "no entry")
+
+
+def test_first_mismatch_names_the_end_of_a_short_row():
+    assert suites._first_mismatch([(1, 0), (0,)], [(1, 0), (0, 1)]) == (2, 2, "no entry", 1)
+
+
+def test_first_mismatch_names_the_entry_past_the_wanted_row():
+    assert suites._first_mismatch([(1, 0, 0)], [(1, 0)]) == (1, 3, 0, "no entry")
+
+
+def test_closure_matches_reachability_fails_on_a_stray_bit_past_the_last_node(monkeypatch):
+    # bit 10 of row 2 on the 10 nodes of nat:4 makes the bit row one entry
+    # longer than the closure row
+    P = cobweb(nat(), 4)
+    flip_reach(monkeypatch, 2, 11)
+    assert failures(suites.suite_zeta(P)) == {
+        "closure-matches-reachability": "entry (2, 11): reachability has 1, closure has no entry"}
+
+
+def test_closure_matches_reachability_fails_on_a_missing_row(monkeypatch):
+    P = cobweb(nat(), 4)
+    real = suites.reachable_sets
+    monkeypatch.setattr(suites, "reachable_sets", lambda Q: real(Q)[:-1])
+    assert failures(suites.suite_zeta(P)) == {
+        "closure-matches-reachability": "entry (10, 1): reachability has no entry, closure has 0"}
+
+
+def test_run_checks_builds_no_matrix_only_to_compare_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix built only to be compared")
+
+    monkeypatch.setattr(BlockMatrix, "identity", refuse)
+    monkeypatch.setattr(LevelMatrix, "to_block", refuse)
+    for module in (incidence, suites):
+        real = module.zeta
+        monkeypatch.setattr(module, "zeta", lambda Q, method="closure", real=real:
+                            real(Q, method) if method == "closure" else refuse())
+    non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
+    for P in (cobweb(nat(), 5), root(gauss(2), 3), non_cobweb):
+        results = run_checks(P, "all")
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
