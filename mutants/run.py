@@ -7,14 +7,16 @@ sample of the points runs one mutant at a time: the module, unparsed with
 the one change, is written into a temporary copy of the repository, and
 `pytest -x tests` runs there.  The checkout is never written.
 
-A mutant is killed when the tests fail, survives when they pass, and times
-out when they run past the limit.  A survivor that equivalent.json names is
-reported as equivalent instead: each entry gives the module, the stripped
-source line, the column, the mutation and the reason no test can tell it
-from the original.  A control run of the unparsed, unmutated modules comes first,
-and three times its duration is the limit.
+The sample is SAMPLE points drawn with the fixed SEED, so two runs on the
+same source run the same mutants.  A mutant is killed when the tests fail,
+survives when they pass, and times out when they run past the limit.  A
+survivor that equivalent.json names is reported as equivalent instead: each
+entry gives the module, the stripped source line, the column, the mutation
+and the reason no test can tell it from the original.  A control run of the
+unparsed, unmutated modules comes first, and three times its duration is
+the limit.
 
-    python3 mutants/run.py suites incidence chains --sample 40 --seed 0
+    python3 mutants/run.py suites incidence chains
 
 The exit status is 1 when the control run fails or a mutant survives that
 equivalent.json does not name, and 0 otherwise.
@@ -35,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cobweb"
 ALLOWLIST = Path(__file__).resolve().parent / "equivalent.json"
+SEED, SAMPLE = 0, 60
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                      ".perfbench_*", "*.egg-info", "build", "dist")
 
@@ -110,14 +113,12 @@ def run_tests(copy, timeout):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="module names under src/cobweb, e.g. suites")
-    parser.add_argument("--sample", type=int, default=40, help="mutants to run (default 40)")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     args = parser.parse_args(argv)
 
     # read once, so that an edit of the checkout during the run changes nothing
     sources = {m: (SRC / f"{m}.py").read_text(encoding="utf-8") for m in args.modules}
     points = [p for m in args.modules for p in mutation_points(m, sources[m])]
-    sample = sorted(random.Random(args.seed).sample(points, min(args.sample, len(points))),
+    sample = sorted(random.Random(SEED).sample(points, min(SAMPLE, len(points))),
                     key=lambda p: (p[0], p[2], p[3], p[1]))
     allowed = {(e["module"], e["line"], e["column"], e["mutation"])
                for e in json.loads(ALLOWLIST.read_text(encoding="utf-8"))}
@@ -127,7 +128,7 @@ def main(argv=None):
             print(f"note: equivalent.json names no current mutant: "
                   f"{module}: {line} (column {col}, {what})")
     print(f"{len(points)} mutation points in {', '.join(args.modules)}; "
-          f"running {len(sample)} (seed {args.seed})", flush=True)
+          f"running {len(sample)} (seed {SEED})", flush=True)
 
     tally = dict.fromkeys(("killed", "survived", "equivalent", "timed out"), 0)
     with tempfile.TemporaryDirectory(prefix="cobweb-mutants-") as tmp:

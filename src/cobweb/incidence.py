@@ -221,11 +221,9 @@ def coding_matrix(F: FSequence, n: int) -> CodingMatrix:
     """Closed form: c_(r,s) = interval_mobius(F, r, s) on and above the
     diagonal, 0 below it."""
     _check_coding_levels(n)
-    ent = []
-    for r in range(1, n + 1):
-        ent.append(tuple(interval_mobius(F, r, s) if s >= r else 0
-                         for s in range(1, n + 1)))
-    return CodingMatrix(tuple(ent))
+    return CodingMatrix(tuple(
+        tuple(interval_mobius(F, r, s) if s >= r else 0 for s in range(1, n + 1))
+        for r in range(1, n + 1)))
 
 
 def coding_recurrence(F: FSequence, n: int) -> CodingMatrix:
@@ -267,7 +265,7 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
     if method == "invert":
         return unitriangular_inverse(zeta(P, "closure").with_ring(INT))
     if method == "recurrence":
-        return _mobius_recurrence(P)
+        return BlockMatrix(P.level_sizes, _mobius_recurrence_rows(P), INT)
     if method == "closed_form":
         if not P.is_cobweb:
             raise PosetError("closed form Moebius is defined for cobwebs only")
@@ -298,16 +296,16 @@ def _bit_row(bits: int, width: int = 0) -> bytes:
     return f"{bits:0{width}b}"[::-1].encode().translate(_ZERO_ONE)
 
 
-def _mobius_recurrence(P: GradedPoset) -> BlockMatrix:
-    # mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, solved from
-    # the left over reachability alone, so it uses neither a zeta construction
-    # nor the inversion's row solve: walking the up-set of x in label order,
-    # mu(x, z) is final when z is reached and is taken off every y above z.
-    # The strict up-set of z is a head of single nodes below a suffix of
-    # whole levels.  Only the head is walked; mu(x, z) joins a total pending
-    # for the suffix's first level, taken off every node the walk reaches
-    # from that level on, so on a cobweb, where every head is empty, a row
-    # costs its up-set.
+def _mobius_recurrence_rows(P: GradedPoset):
+    # The rows of mu, one at a time.  mu(x, x) = 1 and mu(x, y) = -sum of
+    # mu(x, z) over x <= z < y, solved from the left over reachability alone,
+    # so it uses neither a zeta construction nor the inversion's row solve:
+    # walking the up-set of x in label order, mu(x, z) is final when z is
+    # reached and is taken off every y above z.  The strict up-set of z is a
+    # head of single nodes below a suffix of whole levels.  Only the head is
+    # walked; mu(x, z) joins a total pending for the suffix's first level,
+    # taken off every node the walk reaches from that level on, so on a
+    # cobweb, where every head is empty, a row costs its up-set.
     N, n, off = P.node_count, P.n_levels, P._offsets
     full = (1 << N) - 1
     # the suffix of z is the levels suffix[z] .. n - 1, empty at n
@@ -318,8 +316,8 @@ def _mobius_recurrence(P: GradedPoset) -> BlockMatrix:
         below = (up & ((1 << off[L]) - 1)) >> (z + 1)
         head.append(list(compress(count(z + 1), _bit_row(below))))
         suffix.append(L)
-    rows = [[0] * N for _ in range(N)]
-    for x, row in enumerate(rows):
+    for x in range(N):
+        row = [0] * N
         row[x] = 1
         # pending[k]: the sum still to be taken off every node of level k
         # and above.  A suffix of z lies whole in the up-set of x, so it
@@ -340,7 +338,7 @@ def _mobius_recurrence(P: GradedPoset) -> BlockMatrix:
                     for y in head[z]:
                         row[y] -= m
                     pending[suffix[z]] -= m
-    return BlockMatrix(P.level_sizes, rows, INT)
+        yield row
 
 
 def interval_mobius(F: FSequence, r: int, s: int) -> int:
@@ -373,12 +371,16 @@ def max_inverse(P: GradedPoset) -> BlockMatrix:
 def logic_L(M: BlockMatrix) -> BlockMatrix:
     """Entrywise positivity indicator, mapping a chain-counting matrix back
     to the underlying zeta.  Refuses negative entries."""
+    return BlockMatrix(M.level_sizes, _logic_L_rows(M), BOOL)
+
+
+def _logic_L_rows(M: BlockMatrix):
+    """The rows of logic_L(M), one at a time."""
     for i, row in enumerate(M.rows):
         for j, v in enumerate(row):
             if v < 0:
                 raise MatrixError(f"logic_L is undefined on negative entry at ({i},{j})")
-    rows = [[1 if v > 0 else 0 for v in row] for row in M.rows]
-    return BlockMatrix(M.level_sizes, rows, BOOL)
+        yield [1 if v > 0 else 0 for v in row]
 
 
 # -- the level algebra of cobwebs ------------------------------------------

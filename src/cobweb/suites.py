@@ -14,12 +14,12 @@ top level s.  Both oracles come from chains, which reads only the cover
 blocks, so they stay independent of the matrix closure they are checking.
 
 Every comparison streams one route's rows against the other's through
-_first_mismatch, so no matrix is built only to be compared.  The label
-routes of zeta, the closed form of mu and, on a cobweb, the level forms the
-CLI writes are read a row at a time, and each inverse-pair law is one exact
-product held to unit rows made one at a time: zeta * mu == I, and
-(I - cover) * max == I.  A one-sided inverse of a square matrix is
-two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
+_first_mismatch.  The label routes of zeta, L(max), the recurrence and the
+closed form of mu and, on a cobweb, the level forms the CLI writes are read a
+row at a time, and each inverse-pair law is one exact product held to unit
+rows made one at a time: zeta * mu == I, and (I - cover) * max == I.  No other
+matrix is built only to be compared.  A one-sided inverse of a square matrix
+is two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
 Prop. 3.6.2) and over the integers alike, since det A * det B = 1; so the
 product in the other order could never change a verdict.
 
@@ -37,8 +37,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .blockmat import INT, BlockMatrix, mul, unitriangular_inverse
 from .chains import _interval_rows, layer_chain_counts
-from .incidence import ZETA_METHODS, _bit_row, _label_rows, level_max, level_max_inverse, \
-    level_mobius, level_zeta, logic_L, max_inverse, max_matrix, mobius, reachable_sets, zeta
+from .incidence import ZETA_METHODS, _bit_row, _label_rows, _logic_L_rows, \
+    _mobius_recurrence_rows, level_max, level_max_inverse, level_mobius, level_zeta, \
+    max_inverse, max_matrix, reachable_sets, zeta
 from .invariants import RootedPoset, char_poly, whitney_second
 from .poset import GradedPoset
 
@@ -122,7 +123,7 @@ def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResul
     else:
         out.append(_skip("zeta", "method-agreement", "label formulas need a cobweb"))
     out.append(_verdict("zeta", "logic-of-max",
-                        not _first_mismatch(logic_L(dense.max).rows, Z.rows),
+                        not _first_mismatch(_logic_L_rows(dense.max), Z.rows),
                         "L(max) differs from zeta"))
     out.append(_level_agreement("zeta", P, [("closure", level_zeta, Z)]))
     return out
@@ -135,10 +136,9 @@ def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRes
     zi = (dense or Dense(P)).closure.with_ring(INT)
     mu = unitriangular_inverse(zi)
     out.append(_verdict("mobius", "invert-vs-recurrence",
-                        not _first_mismatch(mobius(P, "recurrence").rows, mu.rows),
+                        not _first_mismatch(_mobius_recurrence_rows(P), mu.rows),
                         "inversion and recurrence disagree"))
     if P.is_cobweb:
-        # the rows of mobius(P, "closed_form"), read from its level form
         out.append(_verdict("mobius", "closed-form-agreement",
                             not _first_mismatch(level_mobius(P, "closed_form").rows(), mu.rows),
                             "closed form disagrees with inversion"))

@@ -241,7 +241,7 @@ def test_chain_box_bijection_refuses_non_cobweb():
         chain_box_bijection(P, 1, 2)
 
 
-# -- partition cardinality and probe --------------------------------------------
+# -- partition cardinality and the fnomial/chain index relation -----------------
 
 def test_fnomial_partition_pinned():
     rep = fnomial_partition_check(nat(), 4, 2)

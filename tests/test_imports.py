@@ -123,6 +123,7 @@ UNREAD_EXPORTS = {
     ("chains", "count_tail_chains"): TRACED,
     ("chains", "enumerate_max_chains"): TRACED,
     ("invariants", "whitney_first"): TRACED,
+    ("incidence", "logic_L"): "the matrix of the rows the zeta suite reads from _logic_L_rows",
     ("poset", "antichain"): JOIN,
     ("poset", "layer"): JOIN,
     ("poset", "natural_join"): JOIN,

@@ -4,12 +4,12 @@ max suite's chain-count oracle, held to the versions they replaced.
 blockmat._unit_solve and blockmat.mul hold each row as one packed int and add
 c times a level's row sum once wherever a row holds one value c across a
 whole level, incidence.reachable_sets ORs the bit rows of the up-covers read
-straight from the cover blocks, and incidence._mobius_recurrence takes each
-finished mu(x, z) off the whole levels above z with one pending total per
-level.  The functions below are the earlier forms: two generations of each.
-The list forms hold a row as a list of entries, with the same level rule,
-and push mu(x, z) into every node above z; the older ones add one row per
-nonzero column, walk every nonzero pair, traverse node labels into label
+straight from the cover blocks, and incidence._mobius_recurrence_rows takes
+each finished mu(x, z) off the whole levels above z with one pending total
+per level.  The functions below are the earlier forms: two generations of
+each.  The list forms hold a row as a list of entries, with the same level
+rule, and push mu(x, z) into every node above z; the older ones add one row
+per nonzero column, walk every nonzero pair, traverse node labels into label
 sets, and pull each mu(x, y) from every z below y.  Both recurrence oracles
 read the label traversal, not the library's reachability, so a fault there
 cannot reach both sides of a comparison.  The new routes must reproduce the

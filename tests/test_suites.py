@@ -37,12 +37,13 @@ def test_max_oracle_reports_lower_row_in_an_earlier_column(monkeypatch):
 
 
 def corrupt_every_dense_mu(monkeypatch, entry):
-    """Every dense Moebius route, the suite's inverse of the closure and the
-    closed form's rows, which the suite reads from its level form, included,
-    returns mu with 7 added at entry."""
-    real, real_inverse = suites.mobius, suites.unitriangular_inverse
+    """Every dense Moebius route, the suite's inverse of the closure, the
+    recurrence's rows and the closed form's rows, which the suite reads from
+    its level form, included, returns mu with 7 added at entry."""
+    real, real_inverse = incidence.mobius, suites.unitriangular_inverse
     real_level = suites.level_mobius
-    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(real(Q, m), entry))
+    monkeypatch.setattr(suites, "_mobius_recurrence_rows",
+                        lambda Q: corrupted(real(Q, "recurrence"), entry).rows)
     monkeypatch.setattr(suites, "unitriangular_inverse",
                         lambda M: corrupted(real_inverse(M), entry))
     monkeypatch.setattr(suites, "level_mobius", lambda Q, m: SimpleNamespace(
@@ -74,7 +75,7 @@ def test_each_inverse_pair_costs_one_product(monkeypatch):
     for P in (cobweb(nat(), 4), non_cobweb):
         calls.clear()
         assert all(r.passed for r in run_checks(P))
-        zi, mu = suites.zeta(P).with_ring(suites.INT), suites.mobius(P, "invert")
+        zi, mu = suites.zeta(P).with_ring(suites.INT), incidence.mobius(P, "invert")
         inv, M = suites.max_inverse(P), suites.max_matrix(P)
         assert calls == [(zi, mu), (inv, M)]
 
@@ -258,9 +259,8 @@ def test_logic_of_max_fails_on_a_chain_count_below_the_diagonal(monkeypatch):
 
 def test_invert_vs_recurrence_fails_on_a_wrong_recurrence(monkeypatch):
     P = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
-    real = suites.mobius
-    monkeypatch.setattr(suites, "mobius", lambda Q, m: corrupted(
-        real(Q, m), (1, 6)) if m == "recurrence" else real(Q, m))
+    monkeypatch.setattr(suites, "_mobius_recurrence_rows", lambda Q: corrupted(
+        incidence.mobius(Q, "recurrence"), (1, 6)).rows)
     assert failures(suites.suite_mobius(P)) == {
         "invert-vs-recurrence": "inversion and recurrence disagree"}
 
@@ -371,7 +371,9 @@ def test_closure_matches_reachability_fails_on_a_missing_row(monkeypatch):
         "closure-matches-reachability": "entry (10, 1): reachability has no entry, closure has 0"}
 
 
-def test_run_checks_builds_no_matrix_only_to_compare_it(monkeypatch):
+def test_run_checks_compares_routes_without_building_their_matrices(monkeypatch):
+    # the two inverse-pair products are the only matrices built only to be
+    # compared; every other route is read a row at a time
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix built only to be compared")
 
@@ -381,6 +383,9 @@ def test_run_checks_builds_no_matrix_only_to_compare_it(monkeypatch):
         real = module.zeta
         monkeypatch.setattr(module, "zeta", lambda Q, method="closure", real=real:
                             real(Q, method) if method == "closure" else refuse())
+        # the suite's mu is the inverse of the closure it already holds
+        monkeypatch.setattr(module, "mobius", refuse, raising=False)
+        monkeypatch.setattr(module, "logic_L", refuse, raising=False)
     non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
     for P in (cobweb(nat(), 5), root(gauss(2), 3), non_cobweb):
         results = run_checks(P, "all")
