@@ -18,7 +18,9 @@ are unpacked once, at the end: adding the word with every field's top bit
 set lifts each field into 0 .. 2^w - 1 without a carry out of it, and an
 xor with the same word leaves each in two's complement, read as native
 64-bit words when w = 64 on a little-endian machine and field by field
-otherwise.  A BOOL row is its bytes.
+otherwise.  A BOOL row is its bytes.  The Moebius recurrence of
+incidence.py packs columns, not rows; _unpack_columns reads them back as
+rows, through the same lift.
 
 One pass makes both, a row x at a time: the sum of c * V[k] over the
 entries c = A[x][k], where V is B in the product and the finished rows of
@@ -264,6 +266,21 @@ def _unpack(packed, n, w):
                     [int.from_bytes(raw[i:i + step], "little", signed=True)
                      for i in range(0, size, step)])
     return rows
+
+
+def _unpack_columns(packed, n, w):
+    """The transpose of _unpack(packed, n, w), one row at a time: row i
+    lists field i of every packed int, so packed columns read back as
+    rows.  At w = 64 on a little-endian machine the words of all the ints
+    lie end to end, and each row is read off them with a stride of n."""
+    if w != 64 or not _LITTLE:
+        yield from map(list, zip(*_unpack(packed, n, w)))
+        return
+    top = _top(n, w)
+    words = memoryview(b"".join([((v + top) ^ top).to_bytes(n * 8, "little")
+                                 for v in packed])).cast("q")
+    for i in range(n):
+        yield words[i::n].tolist()
 
 
 def _unit_solve(rows, sizes, ring, negate):

@@ -129,11 +129,22 @@ def poset_from_json(text: str) -> GradedPoset:
 # the bytes of a label route's bytearray rows.  A row of entries 0..9 goes out
 # without one str() per entry: bytes(row) checks range and type in C, a
 # translation makes each byte its digit (any other byte becomes '?'), and the
-# digits are laid over a template "0<sep>0<sep>...0".  Any other row converts
-# each distinct value once; +v writes a bool as 1 or 0 there too, as the
-# digit path does, and leaves every other number as str() writes it.
+# digits are laid over a template "0<sep>0<sep>...0".  Any other row is
+# joined from one text cache per matrix, which converts each distinct value
+# once, when a row first holds it, and is cleared once it holds more than
+# _TEXTS_HELD values; +v writes a bool as 1 or 0 there too, as the digit
+# path does, and leaves every other number as str() writes it.
 
 _DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"?" * 246)
+_TEXTS_HELD = 1 << 12
+
+
+class _Texts(dict):
+    """The decimal text of each value looked up, made on first lookup."""
+
+    def __missing__(self, v):
+        text = self[v] = str(+v)
+        return text
 
 
 def write_matrix_csv(M, out: IO[str]):
@@ -160,13 +171,15 @@ def _row_texts(M, sep: str):
     if not isinstance(M, LevelMatrix):
         template = (("0" + sep) * (sum(M.level_sizes) - 1) + "0").encode()
         step = len(sep) + 1
+        texts = _Texts()
         for row in M.rows:
             try:
                 digits = bytes(row).translate(_DIGITS)
             except (ValueError, TypeError):  # an entry outside 0..255, or not an int
                 digits = b"?"
             if b"?" in digits:
-                texts = {v: str(+v) for v in set(row)}
+                if len(texts) > _TEXTS_HELD:
+                    texts.clear()
                 yield sep.join(map(texts.__getitem__, row))
             else:
                 text = bytearray(template)

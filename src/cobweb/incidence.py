@@ -6,12 +6,16 @@ three label-formula constructions for cobwebs, and the Moebius matrix has a
 closed form (cobwebs), a series inversion, and the textbook recurrence.
 Tests and the check suites hold all routes to exact agreement.
 
-The recurrence reads reachability alone, one int per node with bit y set
-when x <= y (0-based labels, no sentinel).  It solves each row of mu from
-the left, and where the strict up-set of a node ends in whole levels, as it
-does on every cobweb and above the first few levels of a dense random
-poset, it takes a finished value off those levels with one pending total
-per level instead of one subtraction per node.
+The recurrence solves the left equation mu = I - mu N, N the strict zeta,
+from the cover blocks alone; the inversion solves the right one from the
+closure.  One downward traversal, the mirror of reachable_sets, gives each
+node's strict down-set as one int, read as the whole levels below some
+level, less a few holes, plus a head of single nodes.  It solves 64 rows at
+a time, column by column: each column of a band is one packed int with a
+signed field per row, so a column is one running level total and two
+C-level sums of whole columns.  It shares only blockmat._unpack_columns,
+which reads the fields back as rows, and never calls the packed pass, the
+row solve, mul, the closure or zeta.
 
 Each label route evaluates its own formula from the prefix sums S and the
 level sizes alone, one row at a time: every term is taken once and adds
@@ -39,13 +43,13 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from functools import reduce
-from itertools import chain, compress, count
+from itertools import compress, count
 from math import prod
 from operator import or_
 from typing import Iterator, List, NamedTuple, Tuple
 
-from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, add, \
-    nilpotent_closure, unitriangular_inverse
+from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, _unpack_columns, \
+    add, nilpotent_closure, unitriangular_inverse
 from .fsequence import FSequence
 from .poset import GradedPoset, PosetError
 
@@ -296,49 +300,91 @@ def _bit_row(bits: int, width: int = 0) -> bytes:
     return f"{bits:0{width}b}"[::-1].encode().translate(_ZERO_ONE)
 
 
+# rows of mu solved together: each packed column holds one field per row
+_BAND = 64
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _down_terms(P: GradedPoset):
+    """Per node y, (L, holes, head): the strict down-set of y is every node
+    of the levels below L but those in holes, plus the nodes in head, each
+    list in label order.  Below L lie the levels whole in the down-set and
+    then each next level at least half in it, so a level costs the fewer of
+    its members and its gaps; a cobweb node has no holes and no head."""
+    off, sizes = P._offsets, P.level_sizes
+    # one downward traversal, the mirror of reachable_sets: each node ORs
+    # the down-sets of its down-covers, read from its column of the cover
+    # block; a column equal to the one before shares its OR
+    down = [1 << g for g in range(P.node_count)]
+    for k, blk in enumerate(P.blocks):
+        below = down[off[k]:off[k + 1]]
+        prev = None
+        for g, column in enumerate(zip(*blk), off[k + 1]):
+            if column != prev:
+                prev, covered = column, reduce(or_, compress(below, column), 0)
+            down[g] |= covered
+    terms = []
+    for lvl in range(P.n_levels):
+        end = off[lvl]  # the strict down-set lies in 0 .. end - 1
+        for y in range(end, off[lvl + 1]):
+            strict = down[y] ^ 1 << y
+            # every level below the lowest node strict misses is whole
+            L = bisect_right(off, ((strict + 1) & ~strict).bit_length() - 1) - 1
+            m0 = off[L]
+            if m0 == end:
+                terms.append((L, (), ()))
+                continue
+            row = _bit_row(strict >> m0, end - m0)
+            while L < lvl and 2 * row.count(1, off[L] - m0, off[L + 1] - m0) >= sizes[L]:
+                L += 1
+            m = off[L] - m0
+            terms.append((L, list(compress(count(m0), row[:m].translate(_FLIP))),
+                          list(compress(count(m0 + m), row[m:]))))
+    return terms
+
+
 def _mobius_recurrence_rows(P: GradedPoset):
-    # The rows of mu, one at a time.  mu(x, x) = 1 and mu(x, y) = -sum of
-    # mu(x, z) over x <= z < y, solved from the left over reachability alone,
-    # so it uses neither a zeta construction nor the inversion's row solve:
-    # walking the up-set of x in label order, mu(x, z) is final when z is
-    # reached and is taken off every y above z.  The strict up-set of z is a
-    # head of single nodes below a suffix of whole levels.  Only the head is
-    # walked; mu(x, z) joins a total pending for the suffix's first level,
-    # taken off every node the walk reaches from that level on, so on a
-    # cobweb, where every head is empty, a row costs its up-set.
+    # The rows of mu, _BAND at a time, solved from mu = I - mu N, N the
+    # strict zeta, column by column from the left: mu(x, y) = [x = y] minus
+    # the sum of mu(x, z) over the strict down-set of y, which _down_terms
+    # reads off the cover blocks.  Column y of a band is one packed int, the
+    # sum of mu(b0 + i, y) times 2^(w*i) (see blockmat), so the down-set
+    # sum is a sum of whole columns: column y is minus the running total of
+    # the levels below L, plus the holes, minus the head, plus its unit
+    # field when y is a row of the band.  Columns left of the band's first
+    # row b0 are 0 there.  |mu(x, y)| <= B_k on level k, where B_0 = 1 and
+    # B_(k+1) = B_k (1 + size of level k), since mu(x, y) is minus a sum
+    # over the nodes below y; w doubles from 64 while that bound can reach
+    # 2^(w-2), so every field holds its entry.  blockmat._unpack_columns
+    # reads the fields back as rows; nothing else of blockmat runs here.
     N, n, off = P.node_count, P.n_levels, P._offsets
-    full = (1 << N) - 1
-    # the suffix of z is the levels suffix[z] .. n - 1, empty at n
-    head, suffix = [], []
-    for z, up in enumerate(reachable_sets(P)):
-        # the first level above the highest node the strict up-set misses
-        L = bisect_right(off, (full ^ up ^ 1 << z).bit_length() - 1)
-        below = (up & ((1 << off[L]) - 1)) >> (z + 1)
-        head.append(list(compress(count(z + 1), _bit_row(below))))
-        suffix.append(L)
-    for x in range(N):
-        row = [0] * N
-        row[x] = 1
-        # pending[k]: the sum still to be taken off every node of level k
-        # and above.  A suffix of z lies whole in the up-set of x, so it
-        # starts inside the suffix of x: the head of x needs no carry
-        pending = [0] * (n + 1)
-        for z in chain((x,), head[x]):
-            m = row[z]
-            if m:
-                for y in head[z]:
-                    row[y] -= m
-                pending[suffix[z]] -= m
-        carry = 0
-        for k in range(suffix[x], n):
-            carry += pending[k]
-            for z in range(off[k], off[k + 1]):
-                row[z] = m = row[z] + carry
-                if m:
-                    for y in head[z]:
-                        row[y] -= m
-                    pending[suffix[z]] -= m
-        yield row
+    terms = _down_terms(P)
+    bound, w = prod(size + 1 for size in P.level_sizes[:-1]), 64
+    while bound >= 1 << (w - 2):
+        w *= 2
+    lvl = 0
+    for b0 in range(0, N, _BAND):
+        b1 = min(b0 + _BAND, N)
+        while off[lvl + 1] <= b0:
+            lvl += 1
+        col = [0] * N
+        get = col.__getitem__
+        # minus[k]: minus the sum of the columns on the levels below k
+        minus = [0] * n
+        for k in range(lvl, n):
+            if k > lvl:
+                minus[k] = minus[k - 1] - sum(col[off[k - 1]:off[k]])
+            for y in range(max(off[k], b0), off[k + 1]):
+                L, holes, head = terms[y]
+                v = minus[L]
+                if holes:
+                    v += sum(map(get, holes))
+                if head:
+                    v -= sum(map(get, head))
+                col[y] = v + (1 << w * (y - b0)) if y < b1 else v
+        zeros = [0] * b0
+        for row in _unpack_columns(col[b0:], b1 - b0, w):
+            yield zeros + row
 
 
 def interval_mobius(F: FSequence, r: int, s: int) -> int:
@@ -379,7 +425,8 @@ def _logic_L_rows(M: BlockMatrix):
     for i, row in enumerate(M.rows):
         for j, v in enumerate(row):
             if v < 0:
-                raise MatrixError(f"logic_L is undefined on negative entry at ({i},{j})")
+                raise MatrixError(
+                    f"logic_L is undefined on negative entry {v} at ({i + 1}, {j + 1})")
         yield [1 if v > 0 else 0 for v in row]
 
 

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .blockmat import INT, BlockMatrix, mul, unitriangular_inverse
+from .blockmat import INT, BlockMatrix, MatrixError, mul, unitriangular_inverse
 from .chains import _interval_rows, layer_chain_counts
 from .incidence import ZETA_METHODS, _bit_row, _label_rows, _logic_L_rows, \
     _mobius_recurrence_rows, level_max, level_max_inverse, level_mobius, level_zeta, \
@@ -122,9 +122,13 @@ def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResul
         out.append(_verdict("zeta", "method-agreement", not bad, f"methods disagree: {bad}"))
     else:
         out.append(_skip("zeta", "method-agreement", "label formulas need a cobweb"))
-    out.append(_verdict("zeta", "logic-of-max",
-                        not _first_mismatch(_logic_L_rows(dense.max), Z.rows),
-                        "L(max) differs from zeta"))
+    # a negative chain count has no L: the check fails there and names it
+    detail = "L(max) differs from zeta"
+    try:
+        ok = not _first_mismatch(_logic_L_rows(dense.max), Z.rows)
+    except MatrixError as e:
+        ok, detail = False, str(e)
+    out.append(_verdict("zeta", "logic-of-max", ok, detail))
     out.append(_level_agreement("zeta", P, [("closure", level_zeta, Z)]))
     return out
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BOOL, INT, BlockMatrix, MatrixError, RingError, add, mul, \
+from cobweb import BOOL, INT, BlockMatrix, MatrixError, RingError, add, blockmat, mul, \
     nilpotent_closure, unitriangular_inverse
 from cobweb.blockmat import natural_join as mat_join
 
@@ -321,3 +321,18 @@ def near_triangular(draw):
 def test_structure_predicates_match_the_entry_loops(M):
     assert M.is_strictly_upper_block() == loop_is_strictly_upper_block(M)
     assert M.is_unitriangular() == loop_is_unitriangular(M)
+
+
+@pytest.mark.parametrize("little", [True, False])
+@pytest.mark.parametrize("w", [64, 128, 256])
+def test_unpack_columns_reads_each_field_of_every_packed_int(monkeypatch, little, w):
+    # columns of signed entries up to a quarter of the field's range read back
+    # as rows, on the native-word path and on the path through _unpack
+    monkeypatch.setattr(blockmat, "_LITTLE", little)
+    rng = random.Random(w)
+    limit = 1 << (w - 2)
+    for n, m in [(1, 1), (3, 5), (64, 7)]:
+        columns = [[rng.choice([0, 1, -1, limit - 1, 1 - limit, rng.randrange(1 - limit, limit)])
+                    for _ in range(n)] for _ in range(m)]
+        rows = list(blockmat._unpack_columns(blockmat._pack(columns, w), n, w))
+        assert rows == [list(r) for r in zip(*columns)]

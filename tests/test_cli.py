@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import cobweb as cobweb_pkg
-from cobweb import cli, cobweb, cobweb_of_sizes, const, fib, from_blocks, mobius, nat, \
-    root, zeta
+from cobweb import BlockMatrix, cli, cobweb, cobweb_of_sizes, const, fib, from_blocks, \
+    mobius, nat, root, suites, zeta
 from cobweb.formats import poset_from_json, poset_to_json
 
 from conftest import brute_chains
@@ -312,6 +312,25 @@ def test_check_failure_exits_2(nat5_file, capsys, monkeypatch):
     assert code == 2
     assert "FAIL zeta/broken-on-purpose" in out
     assert "zeta/broken-on-purpose" in err
+
+
+def test_check_fails_a_negative_chain_count_by_the_exit_contract(tmp_path, capsys,
+                                                                  monkeypatch):
+    p = tmp_path / "nat3.json"
+    p.write_text(poset_to_json(cobweb(nat(), 3)))
+    real = suites.max_matrix
+
+    def negative(Q):
+        rows = [list(r) for r in real(Q).rows]
+        rows[1][4] = -3
+        return BlockMatrix(Q.level_sizes, rows)
+    monkeypatch.setattr(suites, "max_matrix", negative)
+    code, out, err = run_cli(capsys, "check", str(p), "--suite", "zeta")
+    assert code == 2
+    assert "FAIL zeta/logic-of-max: logic_L is undefined on negative entry -3 at (2, 5)" \
+        in out.splitlines()
+    assert "Traceback" not in err
+    assert err == "check failed: zeta/logic-of-max\n"
 
 
 def test_dot_and_lascala(nat5_file, capsys):

@@ -273,6 +273,37 @@ def test_dense_writers_write_a_bool_entry_as_its_digit():
     assert literal_csv(M).startswith("True,False,0\n")
 
 
+def text_cache_matrix():
+    """Digit rows between rows that leave the digit path: negative entries,
+    entries above 255 and above 2^64, and bools, with more distinct values
+    than the writers' text cache holds."""
+    n = 128
+    rows = []
+    for x in range(n):
+        kind = x % 4
+        if kind == 0:
+            rows.append([(x + y) % 10 for y in range(n)])
+        elif kind == 1:
+            rows.append([-(x * n + y) for y in range(n)])
+        elif kind == 2:
+            rows.append([2 ** 64 + x * n + y if y % 2 else 256 + y for y in range(n)])
+        else:
+            rows.append([True, False] + [x * n + y for y in range(2, n)])
+    return BlockMatrix([n], rows, INT)
+
+
+@pytest.mark.parametrize("held", [None, 0, 5])
+def test_the_text_cache_writes_each_entry_as_str_does(monkeypatch, held):
+    # a bool is written as its int, as the digit path writes it
+    if held is not None:
+        monkeypatch.setattr(formats, "_TEXTS_HELD", held)
+    M = text_cache_matrix()
+    assert len({v for row in M.rows for v in row}) > formats._TEXTS_HELD
+    want = BlockMatrix(M.level_sizes, [[int(v) for v in row] for row in M.rows], INT)
+    assert written(write_matrix_csv, M) == literal_csv(want)
+    assert written(write_matrix_json, M) == literal_json(want)
+
+
 def test_digit_rows_write_faster_than_one_str_per_entry():
     Z = zeta(cobweb(gauss(2), 9), "label_S")
     assert Z.size == 1013

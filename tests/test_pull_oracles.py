@@ -4,16 +4,19 @@ max suite's chain-count oracle, held to the versions they replaced.
 blockmat._unit_solve and blockmat.mul hold each row as one packed int and add
 c times a level's row sum once wherever a row holds one value c across a
 whole level, incidence.reachable_sets ORs the bit rows of the up-covers read
-straight from the cover blocks, and incidence._mobius_recurrence_rows takes
-each finished mu(x, z) off the whole levels above z with one pending total
-per level.  The functions below are the earlier forms: two generations of
-each.  The list forms hold a row as a list of entries, with the same level
-rule, and push mu(x, z) into every node above z; the older ones add one row
-per nonzero column, walk every nonzero pair, traverse node labels into label
-sets, and pull each mu(x, y) from every z below y.  Both recurrence oracles
-read the label traversal, not the library's reachability, so a fault there
-cannot reach both sides of a comparison.  The new routes must reproduce the
-earlier forms exactly, at every field width the packed rows need.
+straight from the cover blocks, and incidence._mobius_recurrence_rows solves
+mu column by column, a band of rows at a time, each column one packed int.
+The functions below are the earlier forms: two generations of each, and for
+the recurrence a third, the suffix walk the library ran before the packed
+columns.  The list forms hold a row as a list of entries, with the same
+level rule, and push mu(x, z) into every node above z; the older ones add
+one row per nonzero column, walk every nonzero pair, traverse node labels
+into label sets, and pull each mu(x, y) from every z below y.  The push and
+pull recurrences read the label traversal, not the library's reachability,
+and the suffix walk reads reachable_sets, which the packed columns do not,
+so a fault in either traversal cannot reach both sides of a comparison.  The
+new routes must reproduce the earlier forms exactly, at every field width
+the packed rows need.
 
 chains._interval_rows counts the chains of every pair with one tally sweep
 per level, each node's tally packed as one bit field per node of the level;
@@ -23,20 +26,23 @@ compare column by column, and that loop is kept below as its reference.
 
 import random
 import time
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import List, Set
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobweb import BOOL, INT, BlockMatrix, chains, cobweb, cobweb_of_sizes, \
-    count_interval_chains, from_blocks, gauss, incidence, max_matrix, mobius, mul, nat, \
-    reachable_sets, suites, zeta
+from cobweb import BOOL, INT, BlockMatrix, blockmat, chains, cobweb, cobweb_of_sizes, const, \
+    count_interval_chains, fib, from_blocks, gauss, incidence, max_matrix, mobius, mul, nat, \
+    reachable_sets, root, suites, zeta
 from cobweb.blockmat import _check_compatible, _packed_pass, _unit_solve
 from cobweb.chains import _interval_rows, _tallies, _unit
-from cobweb.incidence import kappa, level_eta_inverse, level_max, level_mobius, level_zeta
+from cobweb.incidence import _bit_row, kappa, level_eta_inverse, level_max, level_mobius, \
+    level_zeta
 from cobweb.poset import GradedPoset, NodeLabel
 
 from conftest import bit_labels, brute_interval_count, fraction_inverse, random_cobweb, \
@@ -444,6 +450,209 @@ def test_mobius_recurrence_matches_the_pull_recurrence_and_gauss_jordan(P):
     assert mu == push_mobius_recurrence(P) == pull_mobius_recurrence(P)
     oracle = fraction_inverse(zeta(P, "closure").rows)
     assert [[Fraction(v) for v in row] for row in mu.rows] == oracle
+
+
+# -- the recurrence by packed columns, held to the suffix walk it replaced ----------
+#
+# suffix_walk_rows is the library's recurrence before the packed columns,
+# kept verbatim: one row at a time over reachability, each finished
+# mu(x, z) taken off the head of z and, through a pending total, off the
+# whole levels above it.  The packed columns read down-sets instead and
+# solve _BAND rows at once, so the two share no step but the cover blocks.
+
+def suffix_walk_rows(P: GradedPoset):
+    # The rows of mu, one at a time.  mu(x, x) = 1 and mu(x, y) = -sum of
+    # mu(x, z) over x <= z < y, solved from the left over reachability alone,
+    # so it uses neither a zeta construction nor the inversion's row solve:
+    # walking the up-set of x in label order, mu(x, z) is final when z is
+    # reached and is taken off every y above z.  The strict up-set of z is a
+    # head of single nodes below a suffix of whole levels.  Only the head is
+    # walked; mu(x, z) joins a total pending for the suffix's first level,
+    # taken off every node the walk reaches from that level on, so on a
+    # cobweb, where every head is empty, a row costs its up-set.
+    N, n, off = P.node_count, P.n_levels, P._offsets
+    full = (1 << N) - 1
+    # the suffix of z is the levels suffix[z] .. n - 1, empty at n
+    head, suffix = [], []
+    for z, up in enumerate(reachable_sets(P)):
+        # the first level above the highest node the strict up-set misses
+        L = bisect_right(off, (full ^ up ^ 1 << z).bit_length() - 1)
+        below = (up & ((1 << off[L]) - 1)) >> (z + 1)
+        head.append(list(compress(count(z + 1), _bit_row(below))))
+        suffix.append(L)
+    for x in range(N):
+        row = [0] * N
+        row[x] = 1
+        # pending[k]: the sum still to be taken off every node of level k
+        # and above.  A suffix of z lies whole in the up-set of x, so it
+        # starts inside the suffix of x: the head of x needs no carry
+        pending = [0] * (n + 1)
+        for z in chain((x,), head[x]):
+            m = row[z]
+            if m:
+                for y in head[z]:
+                    row[y] -= m
+                pending[suffix[z]] -= m
+        carry = 0
+        for k in range(suffix[x], n):
+            carry += pending[k]
+            for z in range(off[k], off[k + 1]):
+                row[z] = m = row[z] + carry
+                if m:
+                    for y in head[z]:
+                        row[y] -= m
+                    pending[suffix[z]] -= m
+        yield row
+
+
+def packed_rows(P: GradedPoset) -> List[List[int]]:
+    return [list(row) for row in incidence._mobius_recurrence_rows(P)]
+
+
+def suffix_walk(P: GradedPoset) -> List[List[int]]:
+    return [list(row) for row in suffix_walk_rows(P)]
+
+
+CHAIN_70 = from_blocks([1] * 70, [[[1]]] * 69)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_posets(), st.sampled_from([1, 2, 3, 64]))
+@example(from_blocks([3], []), 64)
+@example(from_blocks([1, 1, 1], [[[1]], [[0]]]), 1)
+@example(from_blocks([2, 3, 1, 2], [[[1, 0, 0], [0, 1, 1]], [[1], [1], [0]],
+                                    [[1, 1]]]), 2)
+@example(from_blocks([1, 2, 2], [[[0, 1]], [[1, 0], [1, 1]]]), 3)
+def test_packed_columns_match_the_suffix_walk(P, band):
+    # mute nodes, single levels and levels of size 1 all occur, and the
+    # band sizes below 64 cut the rows of one level apart
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "_BAND", band)
+        assert packed_rows(P) == suffix_walk(P)
+
+
+@pytest.mark.parametrize("seq", ["nat", "fib", "gauss2", "const3"])
+def test_packed_columns_match_the_suffix_walk_on_cobwebs_and_rooted_cobwebs(seq):
+    F = {"nat": nat(), "fib": fib(), "gauss2": gauss(2), "const3": const(3)}[seq]
+    for n in range(1, 7):
+        for P in (cobweb(F, n), root(F, n)):
+            assert packed_rows(P) == suffix_walk(P), (seq, n)
+
+
+def recorded_widths(monkeypatch):
+    """The field widths the recurrence reads its columns back at."""
+    widths, real = [], incidence._unpack_columns
+
+    def unpack_columns(packed, n, w):
+        widths.append(w)
+        return real(packed, n, w)
+    monkeypatch.setattr(incidence, "_unpack_columns", unpack_columns)
+    return widths
+
+
+@pytest.mark.parametrize("n, width", [(60, 64), (70, 128), (130, 256)])
+def test_chains_take_the_field_width_their_bound_needs(monkeypatch, n, width):
+    # on a chain |mu| <= 1, but the bound doubles with each level: 2^59 fits
+    # 64-bit fields, 2^69 needs 128 and 2^129 needs 256
+    P = CHAIN_70 if n == 70 else from_blocks([1] * n, [[[1]]] * (n - 1))
+    widths = recorded_widths(monkeypatch)
+    assert packed_rows(P) == suffix_walk(P)
+    assert set(widths) == {width}
+
+
+def test_entries_past_64_bits_take_wider_fields(monkeypatch):
+    # mu from the bottom to the top is 15 * 63^10, about 2^63.7, which no
+    # 64-bit field holds; the bound over every level but the top, 2 * 65^10
+    # * 17, asks for 128 bits
+    P = cobweb_of_sizes([1] + [64] * 10 + [16, 1])
+    widths = recorded_widths(monkeypatch)
+    rows = packed_rows(P)
+    assert rows[0][-1] == 15 * 63 ** 10
+    assert rows == [list(r) for r in level_mobius(P, "closed_form").rows()]
+    assert set(widths) == {128}
+
+
+def test_down_terms_take_a_half_full_level_whole_with_its_holes():
+    # levels {0, 1}, {2, 3, 4}, {5, 6}; 0 < 2, 3 and 1 < 2, 3, 4 below,
+    # 2, 3 < 5 and 4 < 6 above.  Node 5 lies over two thirds of level 1, so
+    # level 1 is whole with 4 a hole; node 6 over half of level 0 and a third
+    # of level 1, so level 0 is whole with 0 a hole and 4 is its head
+    P = from_blocks([2, 3, 2], [[[1, 1, 0], [1, 1, 1]], [[1, 0], [1, 0], [0, 1]]])
+    assert incidence._down_terms(P) == [
+        (0, (), ()), (0, (), ()), (1, (), ()), (1, (), ()), (1, [0], []),
+        (2, [4], []), (1, [0], [4])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_posets())
+def test_down_terms_are_the_strict_down_sets(P):
+    off = P._offsets
+    reach = label_reachable_sets(P)
+    for y, (L, holes, head) in enumerate(incidence._down_terms(P)):
+        below = {x for x in range(P.node_count) if x != y and y + 1 in reach[x + 1]}
+        assert set(range(off[L])) - set(holes) | set(head) == below
+        assert set(holes) <= set(range(off[L])) and all(z >= off[L] for z in head)
+        assert list(holes) == sorted(holes) and list(head) == sorted(head)
+
+
+BANDS = {"1": lambda N: 1, "2": lambda N: 2, "3": lambda N: 3,
+         "N-1": lambda N: N - 1, "N": lambda N: N, "N+1": lambda N: N + 1}
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("P", [CHAIN_70, cobweb(gauss(2), 5), cobweb_of_sizes([4]),
+                               from_blocks([2, 3, 2], [[[1, 0, 0], [0, 0, 1]],
+                                                       [[1, 0], [0, 0], [0, 1]]]),
+                               random_no_mute_poset(7)])
+def test_every_band_size_gives_the_same_rows(monkeypatch, P, band):
+    monkeypatch.setattr(incidence, "_BAND", BANDS[band](P.node_count))
+    assert packed_rows(P) == suffix_walk(P)
+
+
+def test_the_recurrence_runs_no_step_of_the_inversion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recurrence ran a step of the inversion")
+    for module, name in [(blockmat, "_packed_pass"), (blockmat, "_packed_rows"),
+                         (blockmat, "_unit_solve"), (blockmat, "mul"),
+                         (blockmat, "nilpotent_closure"), (blockmat, "unitriangular_inverse"),
+                         (incidence, "_unit_solve"), (incidence, "nilpotent_closure"),
+                         (incidence, "unitriangular_inverse"), (incidence, "zeta")]:
+        monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(23)
+    sizes = [5, 6, 4, 6, 5]
+    P = from_blocks(sizes, [[[int(rng.random() < 0.4) for _ in range(b)] for _ in range(a)]
+                            for a, b in zip(sizes, sizes[1:])])
+    for Q in (P, CHAIN_70):
+        assert [list(r) for r in mobius(Q, "recurrence").rows] == suffix_walk(Q)
+
+
+def test_streaming_the_rows_holds_no_dense_matrix():
+    # 2036 nodes: one band of packed columns and its fields, not 2036^2 entries
+    P = cobweb(gauss(2), 10)
+    tracemalloc.start()
+    try:
+        for _ in incidence._mobius_recurrence_rows(P):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, peak
+
+
+def test_packed_columns_are_faster_than_the_suffix_walk():
+    # a dense random poset of 260 nodes on 7 levels, where the suffix walk
+    # visits most heads node by node; best of 3 CPU times, taken in turn
+    rng = random.Random(5)
+    sizes = [37] * 7
+    P = from_blocks(sizes, [[[int(rng.random() < 0.5) for _ in range(b)] for _ in range(a)]
+                            for a, b in zip(sizes, sizes[1:])])
+    best = {packed_rows: float("inf"), suffix_walk: float("inf")}
+    for _ in range(3):
+        for f in best:
+            t = time.process_time()
+            f(P)
+            best[f] = min(best[f], time.process_time() - t)
+    assert best[packed_rows] <= 0.6 * best[suffix_walk], best
 
 
 # -- the product --------------------------------------------------------------------

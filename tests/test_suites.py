@@ -257,6 +257,24 @@ def test_logic_of_max_fails_on_a_chain_count_below_the_diagonal(monkeypatch):
     assert failures(suites.suite_zeta(P)) == {"logic-of-max": "L(max) differs from zeta"}
 
 
+def test_logic_of_max_fails_on_a_negative_chain_count(monkeypatch):
+    # L is undefined on a negative entry: the check fails and names it, and
+    # the other zeta checks still run
+    P = cobweb(nat(), 3)
+    real = suites.max_matrix
+
+    def negative(Q):
+        rows = [list(r) for r in real(Q).rows]
+        rows[1][4] = -3
+        return BlockMatrix(Q.level_sizes, rows)
+    monkeypatch.setattr(suites, "max_matrix", negative)
+    results = suites.run_checks(P, "zeta")
+    assert [r.name for r in results] == ["closure-matches-reachability", "method-agreement",
+                                         "logic-of-max", "level-form-agreement"]
+    assert failures(results) == {
+        "logic-of-max": "logic_L is undefined on negative entry -3 at (2, 5)"}
+
+
 def test_invert_vs_recurrence_fails_on_a_wrong_recurrence(monkeypatch):
     P = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
     monkeypatch.setattr(suites, "_mobius_recurrence_rows", lambda Q: corrupted(
