@@ -8,10 +8,8 @@ chain enumeration.  All arithmetic is exact.
 
 from .blockmat import BOOL, INT, BlockMatrix, MatrixError, RingError, add, mul, \
     nilpotent_closure, unitriangular_inverse
-from .chains import BijectionReport, Chain, HyperBox, PartitionReport, \
-    box_join, chain_box_bijection, count_head_chains, count_interval_chains, \
-    count_layer_chains, count_tail_chains, enumerate_max_chains, \
-    fnomial_partition_check, hyperbox, layer_chain_counts
+from .chains import Chain, count_head_chains, count_interval_chains, \
+    count_layer_chains, count_tail_chains, enumerate_max_chains, layer_chain_counts
 from .fsequence import AdmissibilityVerdict, FSequence, SequenceError, const, \
     custom, f_factorial, f_falling, fib, fnomial, from_file, gauss, \
     is_cobweb_admissible, nat, preset

@@ -1,5 +1,4 @@
-"""Maximal chains: exhaustive enumeration, memoized counting, and the
-hyper-box coding of cobweb layers.
+"""Maximal chains: exhaustive enumeration and memoized counting.
 
 Enumeration is one private walk, depth-first in lexicographic position order,
 so listings are deterministic.  It keeps its path on an explicit stack, so no
@@ -18,21 +17,17 @@ _interval_rows every pair count from one packed sweep per level.
 
 These counts are the oracle that the closed-form matrices are measured
 against, so the counters read nothing but P.blocks and this module imports
-neither blockmat nor incidence: a fault in the matrix closure cannot reach
-both sides of a comparison.
+nothing from the package but poset: a fault in the matrix closure cannot
+reach both sides of a comparison.
 """
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import compress
 from math import prod
-from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
-from .fsequence import FSequence, f_factorial, fnomial
-from .poset import GradedPoset, NodeLabel, PosetError, check_layer_bounds, cobweb
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .poset import GradedPoset, NodeLabel, PosetError, check_layer_bounds
 
 
 class Chain(NamedTuple):
@@ -71,18 +66,12 @@ def _walk(P: GradedPoset, k: int, n: int, start, frag):
             yield prefix, positions
 
 
-def iter_max_chain_positions(P: GradedPoset, k: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """Yield the position tuples of all maximal chains of levels k..n in
-    lexicographic order."""
-    check_layer_bounds(P, k, n)
-    for prefix, tops in _walk(P, k, n, (), lambda level, p: (p,)):
-        for p in tops:
-            yield prefix + (p,)
-
-
 def enumerate_max_chains(P: GradedPoset, k: int, n: int) -> List[Chain]:
-    """Every maximal chain of the layer on levels k..n."""
-    return [Chain(k, pos) for pos in iter_max_chain_positions(P, k, n)]
+    """Every maximal chain of the layer on levels k..n, in lexicographic
+    position order."""
+    check_layer_bounds(P, k, n)
+    return [Chain(k, prefix + (p,))
+            for prefix, tops in _walk(P, k, n, (), lambda level, p: (p,)) for p in tops]
 
 
 def _tallies(P: GradedPoset, tally: List[int], top: int, bottom: int) -> List[List[int]]:
@@ -159,106 +148,3 @@ def layer_chain_counts(P: GradedPoset, s: int) -> List[int]:
     single sweep down from level s."""
     check_layer_bounds(P, 1, s)
     return [sum(tally) for tally in _tallies(P, [1] * P.level_sizes[s - 1], s, 1)]
-
-
-# -- hyper-boxes -----------------------------------------------------------
-
-class _HyperBox(NamedTuple):
-    # a NamedTuple may not define __new__, so HyperBox checks the fields
-    lo: int
-    hi: int
-    dims: Tuple[int, ...]
-
-
-class HyperBox(_HyperBox):
-    """Discrete box with one axis per level of a layer: the coordinate view
-    of the layer's maximal chains."""
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.dims) != self.hi - self.lo + 1:
-            raise ValueError(
-                f"box over levels {self.lo}..{self.hi} needs {self.hi - self.lo + 1} "
-                f"dimensions, got {len(self.dims)}")
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"box dimensions must be positive, got {self.dims}")
-        return self
-
-    @property
-    def cardinality(self) -> int:
-        return prod(self.dims)
-
-    def points(self) -> Iterator[Tuple[int, ...]]:
-        return product(*(range(1, d + 1) for d in self.dims))
-
-
-def hyperbox(F: FSequence, k: int, n: int) -> HyperBox:
-    """The box [k_F] x ... x [n_F]."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got ({k},{n})")
-    return HyperBox(k, n, tuple(F.value(j) for j in range(k, n + 1)))
-
-
-def box_join(A: HyperBox, B: HyperBox) -> HyperBox:
-    """Cartesian product with the shared face identified once."""
-    if A.hi != B.lo:
-        raise ValueError(f"face mismatch: A ends at level {A.hi}, B starts at {B.lo}")
-    if A.dims[-1] != B.dims[0]:
-        raise ValueError(
-            f"shared face size mismatch: {A.dims[-1]} vs {B.dims[0]}")
-    return HyperBox(A.lo, B.hi, A.dims + B.dims[1:])
-
-
-class BijectionReport(NamedTuple):
-    bijective: bool
-    chain_count: int
-    box_cardinality: int
-
-
-def chain_box_bijection(P: GradedPoset, k: int, n: int) -> BijectionReport:
-    """Verify that position tuples of the layer's maximal chains hit every
-    box point exactly once.  The identification is stated for cobwebs."""
-    if not P.is_cobweb:
-        raise PosetError("the chain-box identification is stated for cobwebs only")
-    check_layer_bounds(P, k, n)
-    box = HyperBox(k, n, tuple(P.level_sizes[k - 1:n]))
-    seen = set()
-    count = 0
-    for pos in iter_max_chain_positions(P, k, n):
-        count += 1
-        seen.add(pos)
-    bijective = (count == len(seen) == box.cardinality
-                 and all(p in seen for p in box.points()))
-    return BijectionReport(bijective, count, box.cardinality)
-
-
-# -- combinatorial interpretation checks ------------------------------------
-
-class PartitionReport(NamedTuple):
-    """Cardinality consequence of the chain-partition interpretation: the
-    layer's chain count divided by the block chain count m_F! must equal the
-    F-nomial exactly."""
-    layer_count: int
-    block_count: int
-    divisible: bool
-    ratio: Fraction
-    fnomial_value: Fraction
-    matches: bool
-
-
-def fnomial_partition_check(F: FSequence, n: int, k: int) -> PartitionReport:
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
-    m = n - k
-    if m == 0:
-        layer_count = block_count = 1  # empty spans: the single empty chain
-    else:
-        layer_count = count_layer_chains(cobweb(F, n), k + 1, n)
-        block_count = count_layer_chains(cobweb(F, m), 1, m)
-    assert block_count == f_factorial(F, m)
-    from fractions import Fraction  # imported on first use, as in fnomial
-    ratio = Fraction(layer_count, block_count)
-    fn = fnomial(F, n, k)
-    return PartitionReport(layer_count, block_count, ratio.denominator == 1,
-                           ratio, fn, ratio == fn)

@@ -41,7 +41,7 @@ from .incidence import ZETA_METHODS, _bit_row, _label_rows, _logic_L_rows, \
     _mobius_recurrence_rows, level_max, level_max_inverse, level_mobius, level_zeta, \
     max_inverse, max_matrix, reachable_sets, zeta
 from .invariants import RootedPoset, char_poly, whitney_second
-from .poset import GradedPoset
+from .poset import GradedPoset, antichain, ordinal_sum
 
 
 class CheckResult(NamedTuple):
@@ -215,8 +215,12 @@ def suite_whitney(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRe
                   for r in range(R.top_rank + 1))
     out.append(_verdict("whitney", "second-kind-sizes", wsec_ok,
                         "W_r differs from the rank size"))
-    out.append(_verdict("whitney", "sum-is-chi-at-one", sum(chi.coefficients) == chi.evaluate(1),
-                        f"sum {sum(chi.coefficients)} != chi(1) {chi.evaluate(1)}"))
+    # chi(1) is the sum of mu(0^, x) over R, so with a top 1^ adjoined the
+    # defining recurrence of mu(0^, 1^) makes it -mu(0^, 1^)
+    chi1 = chi.evaluate(1)
+    mu01 = next(_mobius_recurrence_rows(ordinal_sum(R, antichain(1))))[-1]
+    out.append(_verdict("whitney", "chi-at-one-is-minus-mu", chi1 == -mu01,
+                        f"chi(1) {chi1} != -mu(0^, 1^) {-mu01}"))
     return out
 
 

@@ -7,11 +7,12 @@ computed inside the tests themselves.
 
 import time
 
-from cobweb import INT, BlockMatrix, chain_box_bijection, cobweb, \
-    cobweb_of_sizes, coding_matrix, coding_recurrence, count_layer_chains, \
-    count_interval_chains, custom, enumerate_max_chains, eta_inverse, \
-    f_falling, fib, fnomial, fnomial_partition_check, gauss, hyperbox, \
-    is_cobweb_admissible, kroton, max_matrix, mobius, mul, nat, \
+from itertools import product
+
+from cobweb import INT, BlockMatrix, cobweb, cobweb_of_sizes, coding_matrix, \
+    coding_recurrence, count_layer_chains, count_interval_chains, custom, \
+    enumerate_max_chains, eta_inverse, f_factorial, f_falling, fib, fnomial, \
+    gauss, is_cobweb_admissible, kroton, max_matrix, mobius, mul, nat, \
     natural_join, root, whitney_first, char_poly, zeta
 from cobweb.blockmat import natural_join as mat_join
 from cobweb.incidence import MOBIUS_METHODS, ZETA_METHODS
@@ -235,11 +236,18 @@ def test_criterion_7_fnomial_suite():
                 v = fnomial(F, n, k)
                 assert v == fnomial(F, n, n - k)
                 assert v.denominator == 1 and v >= 0
+        # the maximal chains of the layer <k+1 -> n> split into F-nomial
+        # many blocks, each as large as the chain set of an m-level cobweb
         for name, G in preset_table().items():
-            for n in range(7):
-                for k in range(n + 1):
-                    rep = fnomial_partition_check(G, n, k)
-                    assert rep.divisible and rep.matches, name
+            for m in range(1, 7):
+                assert count_layer_chains(cobweb(G, m), 1, m) == f_factorial(G, m), name
+            for n in range(1, 7):
+                P = cobweb(G, n)
+                for k in range(n):
+                    assert count_layer_chains(P, k + 1, n) == \
+                        fnomial(G, n, k) * f_factorial(G, n - k), name
+            # an empty span: the one empty chain, in one block
+            assert all(fnomial(G, n, n) == 1 for n in range(7)), name
         assert is_cobweb_admissible(nat(), 8).admissible
         assert is_cobweb_admissible(fib(), 8).admissible
         assert is_cobweb_admissible(gauss(2), 8).admissible
@@ -253,14 +261,11 @@ def test_criterion_8_chain_box_bijection():
             P = cobweb(F, 6)
             for k in range(1, 7):
                 for n in range(k, 7):
-                    rep = chain_box_bijection(P, k, n)
-                    assert rep.bijective, (name, k, n)
-        V23 = hyperbox(nat(), 2, 3)
-        V34 = hyperbox(nat(), 3, 4)
-        from cobweb import box_join
-        joined = box_join(V23, V34)
-        assert joined.cardinality * V23.dims[-1] == \
-            V23.cardinality * V34.cardinality
+                    # the position tuples are the box's points, once each
+                    # and in lexicographic order
+                    assert [c.positions for c in enumerate_max_chains(P, k, n)] == \
+                        list(product(*(range(1, s + 1) for s in P.level_sizes[k - 1:n]))), \
+                        (name, k, n)
 
 
 def test_criterion_9_whitney_charpoly():

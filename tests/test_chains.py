@@ -1,4 +1,5 @@
-"""Chain enumeration, counting, Markov factorization, hyper-box coding."""
+"""Chain enumeration, counting, the hyper-box coding of a cobweb layer,
+Markov factorization and the F-nomial partition count."""
 
 from fractions import Fraction
 from itertools import product
@@ -7,15 +8,13 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cobweb import Chain, PosetError, box_join, chain_box_bijection, cobweb, \
-    cobweb_of_sizes, count_head_chains, count_interval_chains, count_layer_chains, \
-    count_tail_chains, custom, enumerate_max_chains, f_factorial, f_falling, \
-    fib, fnomial, fnomial_partition_check, from_blocks, gauss, hyperbox, \
-    layer_chain_counts, \
-    max_matrix, nat, suites
+from cobweb import Chain, PosetError, cobweb, cobweb_of_sizes, count_head_chains, \
+    count_interval_chains, count_layer_chains, count_tail_chains, custom, \
+    enumerate_max_chains, f_factorial, f_falling, fib, fnomial, from_blocks, gauss, \
+    layer_chain_counts, max_matrix, nat, suites
 
-from conftest import brute_chains, brute_interval_count, random_cobweb, \
-    random_no_mute_poset
+from conftest import brute_chains, brute_interval_count, preset_table, \
+    random_cobweb, random_no_mute_poset
 
 
 def test_layer_chain_counts_pinned():
@@ -65,9 +64,48 @@ def test_enumeration_walks_a_layer_deeper_than_the_recursion_limit():
     assert enumerate_max_chains(P, 1, 1100) == [Chain(1, (1,) * 1100)]
 
 
-def test_chain_box_bijection_on_a_layer_deeper_than_the_recursion_limit():
-    P = cobweb_of_sizes([1] * 1100)
-    assert chain_box_bijection(P, 1, 1100) == (True, 1, 1)
+def test_counting_sweeps_a_layer_deeper_than_the_recursion_limit():
+    P = cobweb_of_sizes([1, 2] * 550)
+    assert count_layer_chains(P, 1, 1100) == 2 ** 550
+    assert count_head_chains(P, P.node(1, 1), 1100) == 2 ** 550
+    assert count_tail_chains(P, 1, P.node(1100, 2)) == 2 ** 549
+
+
+# -- the hyper-box coding of a cobweb layer ------------------------------------
+
+@pytest.mark.parametrize("F, n, k, m, count", [
+    (nat(), 3, 2, 3, 6),
+    (nat(), 3, 2, 2, 2),
+    # the <2,3> step of the Fibonacci cobweb sits at levels 3..4
+    (fib(), 4, 3, 4, 6),
+    (gauss(2), 3, 1, 3, 21),
+    (custom([3, 3, 3, 3]), 4, 2, 4, 27)])
+def test_max_chain_positions_are_the_level_box(F, n, k, m, count):
+    # on a cobweb the chains of <k -> m> are the points of the box of level
+    # sizes, once each and in lexicographic order
+    P = cobweb(F, n)
+    box = list(product(*(range(1, s + 1) for s in P.level_sizes[k - 1:m])))
+    assert [c.positions for c in enumerate_max_chains(P, k, m)] == box
+    assert len(box) == count == count_layer_chains(P, k, m)
+
+
+def test_max_chains_of_a_non_cobweb_miss_points_of_the_box():
+    # the 1:1 -> 2:2 cover is absent, so the box point (1, 2) is no chain
+    P = from_blocks([2, 2], [[[1, 0], [1, 1]]])
+    assert [c.positions for c in enumerate_max_chains(P, 1, 2)] == \
+        [(1, 1), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("name", sorted(preset_table()))
+def test_layer_chains_join_at_a_shared_level(name):
+    # joining the boxes of <k -> m> and <m -> n> at their shared level m
+    # gives the box of <k -> n>, so the chain counts multiply over it
+    P = cobweb(preset_table()[name], 6)
+    for k in range(1, 7):
+        for m in range(k, 7):
+            for n in range(m, 7):
+                assert count_layer_chains(P, k, m) * count_layer_chains(P, m, n) == \
+                    P.level_sizes[m - 1] * count_layer_chains(P, k, n), (k, m, n)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -195,72 +233,27 @@ def test_top_level_row_sums_small():
         assert total == f_falling(F, n, n - k)
 
 
-# -- hyper-boxes ---------------------------------------------------------------
-
-def test_hyperbox_basics():
-    B = hyperbox(nat(), 2, 3)
-    assert B.dims == (2, 3)
-    assert B.cardinality == 6
-    assert len(list(B.points())) == 6
-    single = hyperbox(nat(), 4, 4)
-    assert list(single.points()) == [(i,) for i in range(1, 5)]
-
-
-def test_box_join():
-    V23 = hyperbox(nat(), 2, 3)
-    V34 = hyperbox(nat(), 3, 4)
-    V24 = box_join(V23, V34)
-    assert V24 == hyperbox(nat(), 2, 4)
-    assert V24.cardinality == 24
-    shared = V23.dims[-1]
-    assert V24.cardinality == V23.cardinality * V34.cardinality // shared
-    with pytest.raises(ValueError):
-        box_join(V34, V23)
-
-
-def test_box_join_associative():
-    A = hyperbox(fib(), 1, 3)
-    B = hyperbox(fib(), 3, 5)
-    C = hyperbox(fib(), 5, 6)
-    assert box_join(box_join(A, B), C) == box_join(A, box_join(B, C))
-
-
-def test_chain_box_bijection_cases():
-    rep = chain_box_bijection(cobweb(nat(), 3), 2, 3)
-    assert rep.bijective and rep.chain_count == rep.box_cardinality == 6
-    rep = chain_box_bijection(cobweb(nat(), 3), 2, 2)
-    assert rep.bijective and rep.chain_count == 2
-    # the <2,3> step of the Fibonacci cobweb sits at levels 3..4
-    rep = chain_box_bijection(cobweb(fib(), 4), 3, 4)
-    assert rep.bijective and rep.chain_count == 6
-
-
-def test_chain_box_bijection_refuses_non_cobweb():
-    P = from_blocks([2, 2], [[[1, 0], [1, 1]]])
-    with pytest.raises(PosetError):
-        chain_box_bijection(P, 1, 2)
-
-
-# -- partition cardinality and the fnomial/chain index relation -----------------
+# -- the F-nomial partition count ----------------------------------------------
 
 def test_fnomial_partition_pinned():
-    rep = fnomial_partition_check(nat(), 4, 2)
-    assert rep.layer_count == 12 and rep.block_count == 2
-    assert rep.divisible and rep.ratio == 6 == rep.fnomial_value
-    rep = fnomial_partition_check(fib(), 4, 2)
-    assert rep.layer_count == 6 and rep.block_count == 1
-    assert rep.ratio == fnomial(fib(), 4, 2) == 6
-    rep = fnomial_partition_check(gauss(2), 5, 5)
-    assert rep.ratio == 1 and rep.matches
+    # the layer <3 -> 4> of nat splits into fnomial(4, 2) = 6 blocks of 2! chains
+    assert count_layer_chains(cobweb(nat(), 4), 3, 4) == 12
+    assert count_layer_chains(cobweb(nat(), 2), 1, 2) == 2 == f_factorial(nat(), 2)
+    assert fnomial(nat(), 4, 2) == 6
+    assert count_layer_chains(cobweb(fib(), 4), 3, 4) == 6 == fnomial(fib(), 4, 2)
+    assert count_layer_chains(cobweb(fib(), 2), 1, 2) == 1
+    # an empty span: the single empty chain, one block
+    assert fnomial(gauss(2), 5, 5) == 1 == f_factorial(gauss(2), 0)
 
 
 def test_fnomial_partition_block_count_is_factorial():
     for F in (nat(), fib(), gauss(2)):
-        for n in range(0, 6):
-            for k in range(0, n + 1):
-                rep = fnomial_partition_check(F, n, k)
-                assert rep.block_count == f_factorial(F, n - k)
-                assert rep.matches
+        for m in range(1, 6):
+            assert count_layer_chains(cobweb(F, m), 1, m) == f_factorial(F, m)
+        for n in range(1, 6):
+            for k in range(n):
+                assert count_layer_chains(cobweb(F, n), k + 1, n) == \
+                    fnomial(F, n, k) * f_factorial(F, n - k)
 
 
 def fnomial_against_chains(F, l, k):

@@ -1,0 +1,28 @@
+"""Every entry of the mutation sampler's allowlist, mutants/equivalent.json,
+names a mutation point that the current source still has."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_sampler():
+    spec = importlib.util.spec_from_file_location("mutants_run", ROOT / "mutants" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_allowlisted_mutant_is_a_current_mutation_point():
+    sampler = load_sampler()
+    entries = json.loads(sampler.ALLOWLIST.read_text(encoding="utf-8"))
+    current = set()
+    for module in {e["module"] for e in entries}:
+        source = (sampler.SRC / f"{module}.py").read_text(encoding="utf-8")
+        current |= {(module, line, col, what)
+                    for _, _, _, col, line, what in sampler.mutation_points(module, source)}
+    stale = [e for e in entries
+             if (e["module"], e["line"], e["column"], e["mutation"]) not in current]
+    assert entries and stale == []

@@ -3,29 +3,22 @@ field names, checks, repr, equality and hashing, and survive pickling."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
-from cobweb import BOOL, INT, AdmissibilityVerdict, BijectionReport, Chain, CharPoly, \
-    CheckResult, CodingMatrix, HyperBox, LevelMatrix, NodeLabel, PartitionReport, \
-    cobweb_of_sizes, level_zeta, max_matrix, mul
+from cobweb import BOOL, INT, AdmissibilityVerdict, Chain, CharPoly, CheckResult, \
+    CodingMatrix, LevelMatrix, NodeLabel, cobweb_of_sizes, level_zeta, max_matrix, mul
 
 
 def all_records():
     """One valid instance of each record type."""
-    return [NodeLabel(1, 2, 2), Chain(1, (1, 2)), HyperBox(1, 2, (1, 2)),
-            BijectionReport(True, 2, 2),
-            PartitionReport(6, 2, True, Fraction(3), Fraction(3), True),
-            AdmissibilityVerdict(True),
+    return [NodeLabel(1, 2, 2), Chain(1, (1, 2)), AdmissibilityVerdict(True),
             CodingMatrix(((1, -1), (0, 1))), LevelMatrix((1, 2), ((1, 1), (0, 1))),
             CharPoly((1, -2)), CheckResult("zeta", "x", True)]
 
 
 # each bad input given positionally and by keyword
 CHECKED = [
-    (HyperBox, dict(lo=1, hi=2, dims=(3,)), "needs 2 dimensions"),
-    (HyperBox, dict(lo=1, hi=2, dims=(3, 0)), "must be positive"),
     (CharPoly, dict(coefficients=()), "monic"),
     (CharPoly, dict(coefficients=(2, 1)), "monic"),
     (CodingMatrix, dict(entries=((1, -1),)), "square"),
@@ -62,7 +55,6 @@ def test_equal_records_are_equal_and_hash_alike(i):
 
 def test_records_keep_their_repr_and_fields():
     assert repr(NodeLabel(1, 2, 2)) == "NodeLabel(level=1, position=2, global_label=2)"
-    assert repr(HyperBox(1, 2, (1, 2))) == "HyperBox(lo=1, hi=2, dims=(1, 2))"
     assert CheckResult("s", "n", True).detail == ""
     assert LevelMatrix((1,), ((1,),)).ring is INT
     assert AdmissibilityVerdict(False, (3, 1)).first_failure == (3, 1)

@@ -2,8 +2,9 @@
 
 from types import SimpleNamespace
 
-from cobweb import BlockMatrix, CodingMatrix, LevelMatrix, cobweb, cobweb_of_sizes, \
-    from_blocks, gauss, incidence, invariants, nat, root, run_checks, suites
+from cobweb import BlockMatrix, CharPoly, CodingMatrix, LevelMatrix, cobweb, \
+    cobweb_of_sizes, custom, from_blocks, gauss, incidence, invariants, nat, root, \
+    run_checks, suites
 
 
 def corrupted(M, *entries):
@@ -354,6 +355,31 @@ def test_whitney_closed_vs_direct_fails_on_a_wrong_closed_form(monkeypatch):
     (res,) = suites.suite_whitney(P)
     assert (res.name, res.passed) == ("closed-vs-direct", False)
     assert res.detail == "whitney_first(2): closed form 6 != direct sum 3"
+
+
+def test_whitney_chi_at_one_fails_on_a_wrong_mobius_route(monkeypatch):
+    # mu(0^, 1^) = -2 above root(<2, 3>, 2), read as -1 against chi(1) = 2
+    R = root(custom([2, 3]), 2)
+    assert all(r.passed for r in suites.suite_whitney(R))
+    real = suites._mobius_recurrence_rows
+
+    def shifted(Q):
+        rows = real(Q)
+        first = list(next(rows))
+        first[-1] += 1
+        yield first
+        yield from rows
+
+    monkeypatch.setattr(suites, "_mobius_recurrence_rows", shifted)
+    assert failures(suites.suite_whitney(R)) == {
+        "chi-at-one-is-minus-mu": "chi(1) 2 != -mu(0^, 1^) 1"}
+
+
+def test_whitney_chi_at_one_fails_on_a_wrong_char_poly(monkeypatch):
+    R = root(custom([2, 3]), 2)
+    monkeypatch.setattr(suites, "char_poly", lambda Q: CharPoly((1, -2, 4)))
+    assert failures(suites.suite_whitney(R)) == {
+        "chi-at-one-is-minus-mu": "chi(1) 3 != -mu(0^, 1^) 2"}
 
 
 # -- the comparator on rows of the wrong shape --------------------------------
