@@ -5,9 +5,11 @@ source: a swap of + and -, | and &, << and >>, < and <=, > and >=, == and
 !=, `and` and `or`; * to //; or an int constant c to c + 1.  A seeded
 sample of the points runs one mutant at a time: the module, unparsed with
 the one change, is written into a temporary copy of the repository, and
-`pytest -x tests` runs there, without tests/test_mutants.py: that test
-reads the allowlist's source lines, which the unparsed copy no longer has.
-The checkout is never written.
+`pytest -x` runs there, first on the test files that import the mutated
+module and then on the rest of tests/, so that most mutants die in the
+first run; tests/test_mutants.py is left out, since it reads the
+allowlist's source lines, which the unparsed copy no longer has.  The
+checkout is never written.
 
 The sample is SAMPLE points drawn with the fixed SEED, so two runs on the
 same source run the same mutants.  A mutant is killed when the tests fail,
@@ -98,19 +100,41 @@ def mutant_source(source, index=None):
     return ast.unparse(tree) + "\n"
 
 
-def run_tests(copy, timeout):
-    """'killed', 'survived' or 'timed out', and the seconds the run took."""
+def importing_tests(module):
+    """The test files, relative to the checkout, that import the module:
+    `from cobweb.<module> import`, `import cobweb.<module>` or
+    `from cobweb import <module>`."""
+    name = f"cobweb.{module}"
+    files = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and (node.module == name or (
+                    node.module == "cobweb" and any(a.name == module for a in node.names))) or
+                    isinstance(node, ast.Import) and any(a.name == name for a in node.names)):
+                files.append(path.relative_to(ROOT).as_posix())
+                break
+    return files
+
+
+def run_tests(copy, timeout, first=()):
+    """'killed', 'survived' or 'timed out', and the seconds the run took:
+    the test files `first` run before the rest of tests/, and the rest runs
+    only if they pass."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+              "--hypothesis-seed=0", "--ignore=tests/test_mutants.py"]
+    runs = [list(first), [f"--ignore={f}" for f in first] + ["tests"]] if first else [["tests"]]
     start = time.monotonic()
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "--ignore=tests/test_mutants.py", "tests"],
-            cwd=copy, env=env, timeout=timeout,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    except subprocess.TimeoutExpired:
-        return "timed out", time.monotonic() - start
-    return ("survived" if done.returncode == 0 else "killed"), time.monotonic() - start
+    for args in runs:
+        left = None if timeout is None else timeout - (time.monotonic() - start)
+        try:
+            done = subprocess.run(pytest + args, cwd=copy, env=env, timeout=left,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        except subprocess.TimeoutExpired:
+            return "timed out", time.monotonic() - start
+        if done.returncode != 0:
+            return "killed", time.monotonic() - start
+    return "survived", time.monotonic() - start
 
 
 def main(argv=None):
@@ -140,10 +164,11 @@ def main(argv=None):
         if status != "survived":
             return 1
         timeout = 3 * seconds
+        first = {m: importing_tests(m) for m in args.modules}
         for module, index, lineno, col, line, what in sample:
             path = target / f"{module}.py"
             path.write_text(mutant_source(sources[module], index), encoding="utf-8")
-            status, seconds = run_tests(copy, timeout)
+            status, seconds = run_tests(copy, timeout, first[module])
             path.write_text(mutant_source(sources[module]), encoding="utf-8")
             if status == "survived" and (module, line, col, what) in allowed:
                 status = "equivalent"

@@ -18,9 +18,11 @@ are unpacked once, at the end: adding the word with every field's top bit
 set lifts each field into 0 .. 2^w - 1 without a carry out of it, and an
 xor with the same word leaves each in two's complement, read as native
 64-bit words when w = 64 on a little-endian machine and field by field
-otherwise.  A BOOL row is its bytes.  The Moebius recurrence of
-incidence.py packs columns, not rows; _unpack_columns reads them back as
-rows, through the same lift.
+otherwise.  A BOOL row is packed from its bytes and read back as bytes, so
+0/1 rows stay bytes from the cover rows of incidence.py through the BOOL
+closure into the INT solve; only a BlockMatrix turns them into tuples.  The
+Moebius recurrence of incidence.py packs columns, not rows;
+_unpack_columns reads them back as rows, through the same lift.
 
 One pass makes both, a row x at a time: the sum of c * V[k] over the
 entries c = A[x][k], where V is B in the product and the finished rows of
@@ -29,7 +31,15 @@ then level by level: where A[x] holds one value c across a whole level,
 that level adds c times the sum of its rows V[k], one packed int.  This
 level rule is exact in both rings by distributivity; it is the reduced
 incidence algebra of Doubilet, Rota and Stanley, and zeta, mu and max of a
-cobweb hold one value across every level above a row's own.  One width
+cobweb hold one value across every level above a row's own.  Over INT a
+level that holds only 0 and 1, ones on more than half of it, adds the same
+level sum less the rows of its holes, and its bound is the level's bound
+sum less theirs, the bound the ones alone give; the count of seg[0] that
+the level rule takes anyway gates it, so a level mostly zeros (a cover row)
+pays no second count.  Subtraction is exact since packing is linear; BOOL
+keeps OR, which has no inverse.  This is the row-side mirror of the down
+terms of the recurrence: a zeta row of a poset that is not a cobweb seldom
+holds a whole level, but often most of one.  One width
 rule serves both: w = 8 over BOOL, and over INT w = 64, doubled until the
 pass succeeds.  The pass keeps bound(x) = sum of |c| * bound(k), at least
 1 in the solve, with bound(k) the largest |B[k]| entry in the product, and
@@ -100,6 +110,8 @@ BOOL = BooleanSemiring()
 
 # the 64-bit fields of a packed row are read as native machine words
 _LITTLE = sys.byteorder == "little"
+# a 0/1 level segment to the 0/1 mask of its holes
+_HOLES = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class BlockMatrix:
@@ -216,7 +228,17 @@ def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     """Exact ring product of two full matrices: each row of A B is one sum
     of B's packed rows and level sums (see the module docstring)."""
     _check_compatible(A, B)
-    return BlockMatrix(A.level_sizes, _packed_rows(A.rows, A.level_sizes, A.ring, B.rows), A.ring)
+    packed, w = _packed_rows(A.rows, A.level_sizes, A.ring, B.rows)
+    return BlockMatrix(A.level_sizes, _unpack(packed, A.size, w), A.ring)
+
+
+def _product_is_identity(A: BlockMatrix, B: BlockMatrix) -> bool:
+    """mul(A, B) == I, read off the packed rows of the product: every field
+    holds its entry below 2^(w-2) in absolute value, so row x is e_x exactly
+    when its packed int is 1 << w*x, and no row is unpacked."""
+    _check_compatible(A, B)
+    packed, w = _packed_rows(A.rows, A.level_sizes, A.ring, B.rows)
+    return all(v == 1 << w * x for x, v in enumerate(packed))
 
 
 def _dot(cs, vs):
@@ -253,7 +275,7 @@ def _unpack(packed, n, w):
     """Rows of n entries from packed rows of field width w: the inverse of
     _pack."""
     if w == 8:
-        return [list(v.to_bytes(n, "little")) for v in packed]
+        return [v.to_bytes(n, "little") for v in packed]
     top = _top(n, w)
     size, step = n * w // 8, w // 8
     rows = []
@@ -286,17 +308,19 @@ def _unpack_columns(packed, n, w):
 def _unit_solve(rows, sizes, ring, negate):
     """Rows of R = I + N R (negate false) or R = I - N R (negate true),
     where N is the part of `rows` right of the diagonal and `sizes` are the
-    level sizes; nothing else of `rows` is read."""
-    return _packed_rows(rows, sizes, ring, None, negate)
+    level sizes; nothing else of `rows` is read.  Over BOOL each row is
+    bytes."""
+    packed, w = _packed_rows(rows, sizes, ring, None, negate)
+    return _unpack(packed, len(rows), w)
 
 
 def _packed_rows(rows, sizes, ring, B, negate=False):
-    """The rows of _packed_pass, at w = 8 over BOOL and over INT at w = 64
-    doubled until the pass succeeds."""
+    """The packed rows of _packed_pass and their field width: w = 8 over
+    BOOL, and over INT w = 64 doubled until the pass succeeds."""
     w = 8 if ring is BOOL else 64
     while (packed := _packed_pass(rows, sizes, w, B, negate)) is None:
         w *= 2
-    return _unpack(packed, len(rows), w)
+    return packed, w
 
 
 def _packed_pass(rows, sizes, w, B=None, negate=False):
@@ -331,19 +355,33 @@ def _packed_pass(rows, sizes, w, B=None, negate=False):
                 a, b = off[m], off[m + 1]
                 seg = row[a:b]
                 c = seg[0]
-                if seg.count(c) < b - a:
-                    cs += compress(seg, seg)
-                    vs += compress(vals[a:b], seg)
-                    if not boolean:
-                        bs += compress(bound[a:b], seg)
-                elif c:
-                    # one c across level m: c times the sum of its rows
-                    if sums[m] is None:
-                        sums[m] = (reduce(operator.or_, vals[a:b]) if boolean
-                                   else sum(vals[a:b]), sum(bound[a:b]))
-                    cs.append(c)
-                    vs.append(sums[m][0])
-                    bs.append(sums[m][1])
+                k = seg.count(c)
+                holes = None
+                if k < b - a:
+                    # over INT, a 0/1 level more than half ones is its sum
+                    # less its holes: k counts the ones where c is 1 and the
+                    # holes where c is 0, and the other value fills the rest
+                    if (boolean or c not in (0, 1) or 2 * (k if c else b - a - k) <= b - a
+                            or seg.count(1 - c) != b - a - k):
+                        cs += compress(seg, seg)
+                        vs += compress(vals[a:b], seg)
+                        if not boolean:
+                            bs += compress(bound[a:b], seg)
+                        continue
+                    c, holes = 1, bytes(seg).translate(_HOLES)
+                elif not c:
+                    continue
+                # c across level m: c times the sum of its rows
+                if sums[m] is None:
+                    sums[m] = (reduce(operator.or_, vals[a:b]) if boolean
+                               else sum(vals[a:b]), sum(bound[a:b]))
+                v, bv = sums[m]
+                if holes:
+                    v -= sum(compress(vals[a:b], holes))
+                    bv -= sum(compress(bound[a:b], holes))
+                cs.append(c)
+                vs.append(v)
+                bs.append(bv)
             if boolean:
                 out[x] = reduce(operator.or_, vs, 1 << 8 * x if B is None else 0)
                 continue

@@ -133,7 +133,10 @@ def poset_from_json(text: str) -> GradedPoset:
 # joined from one text cache per matrix, which converts each distinct value
 # once, when a row first holds it, and is cleared once it holds more than
 # _TEXTS_HELD values; +v writes a bool as 1 or 0 there too, as the digit
-# path does, and leaves every other number as str() writes it.
+# path does, and leaves every other number as str() writes it.  Row x of a
+# unitriangular matrix opens with x zeros, which the join takes as one slice
+# of a prebuilt "0<sep>0<sep>..." text; a row with an entry left of its
+# diagonal is joined whole.
 
 _DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"?" * 246)
 _TEXTS_HELD = 1 << 12
@@ -169,10 +172,10 @@ def _row_texts(M, sep: str):
     other M gives its rows as int sequences: a BlockMatrix, or the rows of
     a zeta label route, read one at a time as they are made."""
     if not isinstance(M, LevelMatrix):
-        template = (("0" + sep) * (sum(M.level_sizes) - 1) + "0").encode()
-        step = len(sep) + 1
+        zeros = ("0" + sep) * sum(M.level_sizes)
+        template, step = zeros[:-len(sep)].encode(), len(sep) + 1
         texts = _Texts()
-        for row in M.rows:
+        for x, row in enumerate(M.rows):
             try:
                 digits = bytes(row).translate(_DIGITS)
             except (ValueError, TypeError):  # an entry outside 0..255, or not an int
@@ -180,7 +183,12 @@ def _row_texts(M, sep: str):
             if b"?" in digits:
                 if len(texts) > _TEXTS_HELD:
                     texts.clear()
-                yield sep.join(map(texts.__getitem__, row))
+                # the first x entries of row x are all zero in a unitriangular
+                # matrix, and go out as one slice of text
+                if row[:x].count(0) == x:
+                    yield zeros[:step * x] + sep.join(map(texts.__getitem__, row[x:]))
+                else:
+                    yield sep.join(map(texts.__getitem__, row))
             else:
                 text = bytearray(template)
                 text[::step] = digits

@@ -6,6 +6,15 @@ three label-formula constructions for cobwebs, and the Moebius matrix has a
 closed form (cobwebs), a series inversion, and the textbook recurrence.
 Tests and the check suites hold all routes to exact agreement.
 
+The dense routes, zeta by closure, max, the inversion and eta^-1, run
+blockmat._unit_solve on 0/1 rows held as bytes.  _cover_rows builds one
+row per node straight from the cover blocks, with no N x N list; the BOOL
+closure of those rows comes back as bytes, and the inversion hands them to
+the INT solve as they are.  eta^-1 solves from the cover rows alone, since
+the solve reads nothing left of the diagonal.  Each route builds its
+BlockMatrix once, from the solved rows, and checks no shape it built
+itself.
+
 The recurrence solves the left equation mu = I - mu N, N the strict zeta,
 from the cover blocks alone; the inversion solves the right one from the
 closure.  One downward traversal, the mirror of reachable_sets, gives each
@@ -48,17 +57,27 @@ from math import prod
 from operator import or_
 from typing import Iterator, List, NamedTuple, Tuple
 
-from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, _unpack_columns, \
-    add, nilpotent_closure, unitriangular_inverse
+from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, _unpack_columns, add
 from .fsequence import FSequence
 from .poset import GradedPoset, PosetError
 
 
 # -- cover and reflexive cover -------------------------------------------
 
+def _cover_rows(P: GradedPoset) -> List[bytes]:
+    """The rows of the cover matrix, one bytes row per node: zeros, its row
+    of the cover block, zeros.  The top level shares one all-zero row."""
+    N, off = P.node_count, P._offsets
+    rows = []
+    for k, blk in enumerate(P.blocks):
+        left, right = bytes(off[k + 1]), bytes(N - off[k + 2])
+        rows += [left + bytes(row) + right for row in blk]
+    return rows + [bytes(N)] * P.level_sizes[-1]
+
+
 def kappa(P: GradedPoset, ring=INT) -> BlockMatrix:
     """Cover relation matrix: block (k, k+1) is the k-th biadjacency block."""
-    return BlockMatrix.from_band_blocks(P.level_sizes, P.blocks, ring)
+    return BlockMatrix(P.level_sizes, _cover_rows(P), ring)
 
 
 def eta(P: GradedPoset) -> BlockMatrix:
@@ -67,8 +86,10 @@ def eta(P: GradedPoset) -> BlockMatrix:
 
 
 def eta_inverse(P: GradedPoset) -> BlockMatrix:
-    """Exact inverse of eta; block (r, s) carries (-1)^(s-r) B_r ... B_(s-1)."""
-    return unitriangular_inverse(eta(P))
+    """Exact inverse of eta; block (r, s) carries (-1)^(s-r) B_r ... B_(s-1).
+    The solve reads only the cover rows, the part of eta right of its
+    diagonal."""
+    return _unit_inverse(P.level_sizes, _cover_rows(P))
 
 
 # -- zeta: four constructions ---------------------------------------------
@@ -84,8 +105,14 @@ def zeta(P: GradedPoset, method: str = "closure") -> BlockMatrix:
     they are refused otherwise.
     """
     if method == "closure":
-        return nilpotent_closure(kappa(P, BOOL))
+        return BlockMatrix(P.level_sizes, _closure_rows(P), BOOL)
     return BlockMatrix(*_label_rows(P, method), BOOL)
+
+
+def _closure_rows(P: GradedPoset) -> List[bytes]:
+    """The rows of zeta(P, "closure"), one bytes row per node: the BOOL
+    closure of the cover rows."""
+    return _unit_solve(_cover_rows(P), P.level_sizes, BOOL, False)
 
 
 class _LabelRows(NamedTuple):
@@ -267,7 +294,7 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
     cobwebs (rank-only dependence fails otherwise), so it is refused there.
     """
     if method == "invert":
-        return unitriangular_inverse(zeta(P, "closure").with_ring(INT))
+        return _unit_inverse(P.level_sizes, _closure_rows(P))
     if method == "recurrence":
         return BlockMatrix(P.level_sizes, _mobius_recurrence_rows(P), INT)
     if method == "closed_form":
@@ -275,6 +302,13 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
             raise PosetError("closed form Moebius is defined for cobwebs only")
         return level_mobius(P, "closed_form").to_block()
     raise ValueError(f"unknown mobius method {method!r}")
+
+
+def _unit_inverse(sizes, rows) -> BlockMatrix:
+    """The INT inverse of I + N, N the part of `rows` right of the
+    diagonal, by the solve R = I - N R; 0/1 rows go to it as bytes, as they
+    are: the closure's for mu, the cover's for eta^-1."""
+    return BlockMatrix(sizes, _unit_solve(rows, sizes, INT, True), INT)
 
 
 def reachable_sets(P: GradedPoset) -> List[int]:
@@ -403,7 +437,7 @@ def interval_mobius(F: FSequence, r: int, s: int) -> int:
 def max_matrix(P: GradedPoset) -> BlockMatrix:
     """Integer closure of the cover matrix; entry (x, y) counts the maximal
     chains of the interval [x, y], with all-ones diagonal."""
-    return nilpotent_closure(kappa(P, INT))
+    return BlockMatrix(P.level_sizes, _unit_solve(_cover_rows(P), P.level_sizes, INT, False), INT)
 
 
 def max_inverse(P: GradedPoset) -> BlockMatrix:

@@ -16,17 +16,20 @@ blocks, so they stay independent of the matrix closure they are checking.
 Every comparison streams one route's rows against the other's through
 _first_mismatch.  The label routes of zeta, L(max), the recurrence and the
 closed form of mu and, on a cobweb, the level forms the CLI writes are read a
-row at a time, and each inverse-pair law is one exact product held to unit
-rows made one at a time: zeta * mu == I, and (I - cover) * max == I.  No other
-matrix is built only to be compared.  A one-sided inverse of a square matrix
+row at a time, and each inverse-pair law is one exact product read off its
+packed rows, never unpacked: zeta * mu == I, and (I - cover) * max == I.  Row
+x of the product is e_x exactly when its packed int is 1 << w*x, since every
+field holds its entry (see blockmat).  No matrix is built only to be
+compared.  A one-sided inverse of a square matrix
 is two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
 Prop. 3.6.2) and over the integers alike, since det A * det B = 1; so the
 product in the other order could never change a verdict.
 
-Every suite takes the poset and a Dense, which builds zeta(P, "closure")
-and max_matrix(P) on first use: run_checks hands one Dense to all the
-suites it runs, so neither is built twice, and a suite called alone builds
-its own.  The markov and whitney suites read neither.
+Every suite takes the poset and a Dense, which builds zeta(P, "closure"),
+its inverse mu and max_matrix(P) on first use: run_checks hands one Dense
+to all the suites it runs, so none is built twice, and a suite called alone
+builds its own.  The mobius and whitney suites share mu; the markov suite
+reads none of them.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .blockmat import INT, BlockMatrix, MatrixError, mul, unitriangular_inverse
+from .blockmat import INT, BlockMatrix, MatrixError, _product_is_identity
 from .chains import _interval_rows, layer_chain_counts
-from .incidence import ZETA_METHODS, _bit_row, _label_rows, _logic_L_rows, \
+from .incidence import ZETA_METHODS, _bit_row, _unit_inverse, _label_rows, _logic_L_rows, \
     _mobius_recurrence_rows, level_max, level_max_inverse, level_mobius, level_zeta, \
     max_inverse, max_matrix, reachable_sets, zeta
-from .invariants import RootedPoset, char_poly, whitney_second
+from .invariants import RootedPoset, char_poly
 from .poset import GradedPoset, antichain, ordinal_sum
 
 
@@ -73,12 +76,6 @@ def _first_mismatch(rows, want_rows):
     return None
 
 
-def _is_identity(M: BlockMatrix) -> bool:
-    """M == I, held to unit rows made one at a time."""
-    n = M.size
-    return not _first_mismatch(M.rows, ((0,) * x + (1,) + (0,) * (n - x - 1) for x in range(n)))
-
-
 def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
     """routes: (route name, level form builder, dense matrix).  The detail
     names the route and its first mismatching entry in row-major order."""
@@ -94,7 +91,8 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
 
 
 class Dense:
-    """zeta(P, "closure") and max_matrix(P), each built on first use."""
+    """zeta(P, "closure"), mobius(P, "invert") and max_matrix(P), each
+    built on first use; mu inverts the closure held here."""
 
     def __init__(self, P: GradedPoset):
         self.P = P
@@ -102,6 +100,10 @@ class Dense:
     @cached_property
     def closure(self) -> BlockMatrix:
         return zeta(self.P, "closure")
+
+    @cached_property
+    def mu(self) -> BlockMatrix:
+        return _unit_inverse(self.P.level_sizes, self.closure.rows)
 
     @cached_property
     def max(self) -> BlockMatrix:
@@ -135,10 +137,8 @@ def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResul
 
 def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     out = []
-    # mobius(P, "invert") is this inverse, taken here from the closure the
-    # Dense already holds
-    zi = (dense or Dense(P)).closure.with_ring(INT)
-    mu = unitriangular_inverse(zi)
+    dense = dense or Dense(P)
+    mu = dense.mu
     out.append(_verdict("mobius", "invert-vs-recurrence",
                         not _first_mismatch(_mobius_recurrence_rows(P), mu.rows),
                         "inversion and recurrence disagree"))
@@ -148,7 +148,8 @@ def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRes
                             "closed form disagrees with inversion"))
     else:
         out.append(_skip("mobius", "closed-form-agreement", "closed form needs a cobweb"))
-    out.append(_verdict("mobius", "inverse-pair", _is_identity(mul(zi, mu)),
+    out.append(_verdict("mobius", "inverse-pair",
+                        _product_is_identity(dense.closure.with_ring(INT), mu),
                         "mu is not an exact two-sided inverse of zeta"))
     if P.is_cobweb:
         rank_ok = all(len({v for row in mu.block(r, s) for v in row}) <= 1
@@ -170,7 +171,7 @@ def suite_max(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult
     out.append(_verdict("max", "chain-count-oracle", bad is None,
                         bad and f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
     inv = max_inverse(P)
-    out.append(_verdict("max", "inverse-pair", _is_identity(mul(inv, M)),
+    out.append(_verdict("max", "inverse-pair", _product_is_identity(inv, M),
                         "identity minus cover is not the inverse"))
     diag_ok = all(M.rows[i][i] == 1 for i in range(P.node_count))
     out.append(_verdict("max", "unit-diagonal", diag_ok, "diagonal entry differs from 1"))
@@ -211,10 +212,14 @@ def suite_whitney(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRe
     except ArithmeticError as e:
         return [_verdict("whitney", "closed-vs-direct", False, str(e))]
     out.append(_verdict("whitney", "closed-vs-direct", True))
-    wsec_ok = all(whitney_second(R, r) == R.level_sizes[r]
-                  for r in range(R.top_rank + 1))
-    out.append(_verdict("whitney", "second-kind-sizes", wsec_ok,
-                        "W_r differs from the rank size"))
+    # w_r is the sum of mu(0^, x) over rank r, read off row 1 of the
+    # inversion
+    row, off = (dense or Dense(P)).mu.rows[0], R._offsets
+    bad = next(((r, w, s) for r, w in enumerate(chi.coefficients)
+                if w != (s := sum(row[off[r]:off[r + 1]]))), None)
+    out.append(_verdict("whitney", "first-kind-vs-inversion", bad is None, bad and
+                        f"rank {bad[0]}: w_r {bad[1]} != {bad[2]}, "
+                        f"the rank sum of row 1 of the inversion"))
     # chi(1) is the sum of mu(0^, x) over R, so with a top 1^ adjoined the
     # defining recurrence of mu(0^, 1^) makes it -mu(0^, 1^)
     chi1 = chi.evaluate(1)

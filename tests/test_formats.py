@@ -258,6 +258,19 @@ def test_dense_writers_match_one_str_per_entry(M):
     assert written(write_matrix_json, M) == literal_json(M)
 
 
+@pytest.mark.parametrize("M", [
+    # entries left of the diagonal, a digit row and a row past one byte
+    BlockMatrix([1, 2], [[1, 2, 3], [5, 1, 0], [0, 7, 1]], INT),
+    BlockMatrix([1, 2], [[1, 0, 0], [0, 1, 0], [-1, 10 ** 30, 1]], INT),
+    BlockMatrix([1, 1, 1], [[0, 0, 0], [0, 0, 0], [1, 0, 0]], BOOL),
+    # unitriangular: every row x opens with x zeros, then digits or other values
+    BlockMatrix([2, 1], [[1, -1, 10 ** 30], [0, 1, -2], [0, 0, 1]], INT),
+    BlockMatrix([1, 2], [[1, 1, 1], [0, 1, 0], [0, 0, 1]], BOOL)])
+def test_zero_prefixes_and_entries_left_of_the_diagonal_match_one_str_per_entry(M):
+    assert written(write_matrix_csv, M) == literal_csv(M)
+    assert written(write_matrix_json, M) == literal_json(M)
+
+
 def test_dense_writers_send_non_int_entries_through_str():
     # a Fraction is not an int, so bytes() refuses it even where it is one digit
     M = BlockMatrix([2], [[Fraction(1, 2), 3], [Fraction(1), 0]], INT)

@@ -120,6 +120,10 @@ UNREAD_EXPORTS = {
     ("chains", "enumerate_max_chains"): TRACED,
     ("invariants", "whitney_first"): TRACED,
     ("incidence", "logic_L"): "the matrix of the rows the zeta suite reads from _logic_L_rows",
+    ("blockmat", "nilpotent_closure"): "the closure of any BlockMatrix, the reference the tests "
+                                       "hold the byte-row dense routes of incidence to",
+    ("blockmat", "unitriangular_inverse"): "the inverse of any BlockMatrix, the reference the tests "
+                                           "hold the byte-row dense routes of incidence to",
     ("poset", "layer"): JOIN,
     ("poset", "natural_join"): JOIN,
     ("fsequence", "custom"): SEQUENCE,

@@ -10,7 +10,7 @@ from cobweb import BOOL, INT, BlockMatrix, CodingMatrix, MatrixError, PosetError
     max_inverse, max_matrix, mobius, mul, nat, natural_join, \
     reachable_sets, root, zeta
 from cobweb.blockmat import natural_join as mat_join
-from cobweb.incidence import MOBIUS_METHODS, ZETA_METHODS
+from cobweb.incidence import MOBIUS_METHODS, ZETA_METHODS, _cover_rows
 
 from conftest import EX11, EX12, bit_labels, brute_reach, fraction_inverse, \
     is_one_band, is_zero, random_cobweb, random_no_mute_poset
@@ -27,6 +27,22 @@ def test_kappa_band_layout(nat3):
 
 def test_kappa_single_level_is_zero():
     assert is_zero(kappa(antichain(4)))
+
+
+@pytest.mark.parametrize("P", [
+    antichain(4), from_blocks([1], []), cobweb(nat(), 4),
+    # mute nodes: an all-zero row of a block, and an all-zero block
+    from_blocks([3, 2, 3], [[[1, 0], [0, 0], [1, 1]], [[0, 0, 0], [1, 0, 1]]]),
+    from_blocks([2, 2, 1], [[[0, 0], [0, 0]], [[1], [0]]]),
+    random_no_mute_poset(5)])
+def test_cover_rows_are_the_band_block_rows(P):
+    rows = _cover_rows(P)
+    assert all(type(row) is bytes for row in rows)
+    assert tuple(map(tuple, rows)) == \
+        BlockMatrix.from_band_blocks(P.level_sizes, P.blocks, INT).rows == kappa(P).rows
+    # the top level shares one all-zero row
+    top = rows[P.node_count - P.level_sizes[-1]:]
+    assert top[0] == bytes(P.node_count) and all(row is top[0] for row in top)
 
 
 def test_kappa_tracks_deleted_arcs():

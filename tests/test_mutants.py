@@ -26,3 +26,14 @@ def test_every_allowlisted_mutant_is_a_current_mutation_point():
     stale = [e for e in entries
              if (e["module"], e["line"], e["column"], e["mutation"]) not in current]
     assert entries and stale == []
+
+
+def test_the_test_files_that_import_a_module_run_first():
+    sampler = load_sampler()
+    first = sampler.importing_tests("blockmat")
+    # `from cobweb.blockmat import` and `from cobweb import ..., blockmat, ...`
+    assert {"tests/test_blockmat.py", "tests/test_pull_oracles.py"} <= set(first)
+    # importing the package alone does not count
+    assert "tests/test_cli.py" not in first
+    assert first == sorted(first)
+    assert all((ROOT / f).is_file() for f in first)

@@ -37,8 +37,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cobweb import BOOL, INT, BlockMatrix, blockmat, chains, cobweb, cobweb_of_sizes, const, \
-    count_interval_chains, fib, from_blocks, gauss, incidence, max_matrix, mobius, mul, nat, \
-    reachable_sets, root, suites, zeta
+    count_interval_chains, eta_inverse, fib, from_blocks, gauss, incidence, max_matrix, mobius, \
+    mul, nat, reachable_sets, root, suites, zeta
 from cobweb.blockmat import _check_compatible, _packed_pass, _unit_solve
 from cobweb.chains import _interval_rows, _tallies, _unit
 from cobweb.incidence import _bit_row, kappa, level_eta_inverse, level_max, level_mobius, \
@@ -335,7 +335,9 @@ def test_row_solve_matches_the_pull_solve_over_int(case, negate):
 def test_row_solve_matches_the_pull_solve_over_bool(case):
     sizes, rows = case
     got = _unit_solve(rows, sizes, BOOL, False)
-    assert got == list_unit_solve(rows, sizes, BOOL, False) == pull_unit_solve(rows, BOOL, False)
+    assert all(type(row) is bytes for row in got)
+    assert list(map(list, got)) == list_unit_solve(rows, sizes, BOOL, False) == \
+        pull_unit_solve(rows, BOOL, False)
 
 
 def test_constant_blocks_add_the_level_sum_with_its_diagonal_and_coefficient():
@@ -353,6 +355,53 @@ def test_constant_blocks_add_the_level_sum_with_its_diagonal_and_coefficient():
         assert got == pull_unit_solve(rows, INT, negate)
     # R = I + N R: row 0 = e_0 + 2 (R[1] + R[2]) - 3 (R[3] + R[4])
     assert _unit_solve(rows, sizes, INT, False)[0] == [1, 2, 2, -1, 7]
+
+
+# Row 0 holds ones across level 2 but for one hole, opening with a 1, and
+# across level 3 but for one hole, opening with the hole: both levels add
+# their sum less the hole.  Row 2 reads 1, 1, 2, 1 on level 3, which is no
+# 0/1 level, row 1 no 0/1 level either and row 5 a level half ones; each
+# goes column by column.
+HOLES_SIZES = (1, 5, 4)
+HOLES_ROWS = [[1, 1, 1, 0, 1, 1, 0, 1, 1, 1],
+              [0, 1, 0, 0, 0, 0, 2, 0, -1, 0],
+              [0, 0, 1, 0, 0, 0, 1, 1, 2, 1],
+              [0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
+              [0, 0, 0, 0, 1, 0, -3, 0, 0, 2],
+              [0, 0, 0, 0, 0, 1, 0, 1, 0, 1]] + \
+             [[0] * x + [1] + [0] * (9 - x) for x in range(6, 10)]
+
+
+def recorded_terms(monkeypatch):
+    """The number of terms of each packed sum the INT pass adds, in order:
+    a row's entries, then its bound."""
+    terms = []
+    real = blockmat._dot
+    monkeypatch.setattr(blockmat, "_dot", lambda cs, vs: terms.append(len(cs)) or real(cs, vs))
+    return terms
+
+
+def test_a_level_mostly_ones_adds_its_sum_less_its_holes(monkeypatch):
+    terms = recorded_terms(monkeypatch)
+    for negate in (False, True):
+        terms.clear()
+        got = _unit_solve(HOLES_ROWS, HOLES_SIZES, INT, negate)
+        assert got == list_unit_solve(HOLES_ROWS, HOLES_SIZES, INT, negate) == \
+            pull_unit_solve(HOLES_ROWS, INT, negate)
+        # rows 9 .. 0, each twice: rows 5, 4, 2 and 1 take their level-3
+        # entries one column at a time, row 3 holds one value there, and
+        # row 0 takes one term per level, not 4 + 3
+        assert terms == [0] * 8 + [2, 2, 2, 2, 1, 1, 4, 4, 2, 2, 2, 2]
+
+
+def test_the_product_adds_a_level_mostly_ones_as_its_sum_less_its_holes(monkeypatch):
+    A = BlockMatrix(HOLES_SIZES, HOLES_ROWS)
+    B = BlockMatrix(HOLES_SIZES, [[(x * 7 + y * 3) % 5 - 2 + BIG * (x == y == 4)
+                                   for y in range(10)] for x in range(10)])
+    terms = recorded_terms(monkeypatch)
+    assert mul(A, B) == list_mul(A, B) == walk_mul(A, B)
+    # row 0 is the last: level 1, then level 2 and level 3 less their holes
+    assert terms[-2:] == [3, 3]
 
 
 @pytest.mark.parametrize("n, widths", [(60, (64,)), (70, (64, 128)), (200, (64, 128, 256))])
@@ -583,6 +632,15 @@ def test_down_terms_take_a_half_full_level_whole_with_its_holes():
         (2, [4], []), (1, [0], [4])]
 
 
+def test_down_terms_weigh_each_level_alone():
+    # levels {0, 1, 2}, {3}, {4}, {5} on the chain 1 < 3 < 4 < 5.  Node 1 is
+    # a third of level 0, so level 0 is never whole, though it and level 1
+    # together are half in the down-sets of 4 and 5: each is a head
+    P = from_blocks([3, 1, 1, 1], [[[0], [1], [0]], [[1]], [[1]]])
+    assert incidence._down_terms(P) == [
+        (0, (), ()), (0, (), ()), (0, (), ()), (0, [], [1]), (0, [], [1, 3]), (0, [], [1, 3, 4])]
+
+
 @settings(max_examples=150, deadline=None)
 @given(zero_one_posets())
 def test_down_terms_are_the_strict_down_sets(P):
@@ -615,8 +673,8 @@ def test_the_recurrence_runs_no_step_of_the_inversion(monkeypatch):
     for module, name in [(blockmat, "_packed_pass"), (blockmat, "_packed_rows"),
                          (blockmat, "_unit_solve"), (blockmat, "mul"),
                          (blockmat, "nilpotent_closure"), (blockmat, "unitriangular_inverse"),
-                         (incidence, "_unit_solve"), (incidence, "nilpotent_closure"),
-                         (incidence, "unitriangular_inverse"), (incidence, "zeta")]:
+                         (incidence, "_unit_solve"), (incidence, "_closure_rows"),
+                         (incidence, "_unit_inverse"), (incidence, "zeta")]:
         monkeypatch.setattr(module, name, refuse)
     rng = random.Random(23)
     sizes = [5, 6, 4, 6, 5]
@@ -653,6 +711,49 @@ def test_packed_columns_are_faster_than_the_suffix_walk():
             f(P)
             best[f] = min(best[f], time.process_time() - t)
     assert best[packed_rows] <= 0.6 * best[suffix_walk], best
+
+
+@st.composite
+def density_posets(draw):
+    """Posets from 0/1 blocks with each entry set at one density drawn from
+    0.05 .. 0.95, so that levels mostly ones, mostly zeros and mute nodes
+    all occur."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    density = draw(st.floats(0.05, 0.95))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return from_blocks(sizes, [[[int(rng.random() < density) for _ in range(b)]
+                                for _ in range(a)] for a, b in zip(sizes, sizes[1:])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(density_posets())
+@example(from_blocks([3], []))
+@example(from_blocks([2, 5, 4], [[[1] * 5, [1, 1, 0, 1, 1]], [[1, 1, 1, 0]] * 5]))
+def test_the_dense_routes_match_the_closure_and_inverse_of_tuple_rows(P):
+    sizes = P.level_sizes
+    K = {ring: BlockMatrix.from_band_blocks(sizes, P.blocks, ring) for ring in (BOOL, INT)}
+    Z = blockmat.nilpotent_closure(K[BOOL])
+    mu = mobius(P, "invert")
+    assert zeta(P, "closure") == Z
+    assert mu == blockmat.unitriangular_inverse(Z.with_ring(INT))
+    assert [list(row) for row in mu.rows] == list_unit_solve(Z.rows, sizes, INT, True)
+    assert max_matrix(P) == blockmat.nilpotent_closure(K[INT])
+    eta = blockmat.add(BlockMatrix.identity(sizes, INT), K[INT])
+    assert eta_inverse(P) == blockmat.unitriangular_inverse(eta)
+
+
+def test_the_inversion_runs_no_step_of_the_recurrence(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inversion ran a step of the recurrence")
+    rng = random.Random(23)
+    sizes = [5, 6, 4, 6, 5]
+    P = from_blocks(sizes, [[[int(rng.random() < 0.4) for _ in range(b)] for _ in range(a)]
+                            for a, b in zip(sizes, sizes[1:])])
+    want = {Q: suffix_walk(Q) for Q in (P, CHAIN_70)}
+    for name in ("_down_terms", "_mobius_recurrence_rows", "reachable_sets"):
+        monkeypatch.setattr(incidence, name, refuse)
+    for Q, rows in want.items():
+        assert [list(r) for r in mobius(Q, "invert").rows] == rows
 
 
 # -- the product --------------------------------------------------------------------
@@ -700,6 +801,32 @@ def test_product_matches_the_pair_walk_over_int(pair):
 def test_product_matches_the_pair_walk_over_bool(pair):
     A, B = pair
     assert mul(A, B) == list_mul(A, B) == walk_mul(A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_pairs(INT) | factor_pairs(BOOL))
+@example((BlockMatrix([1, 1], [[1, -1], [0, 1]]), BlockMatrix([1, 1], [[1, 1], [0, 1]])))
+@example((BlockMatrix([1, 1], [[1, 1], [0, 1]]), BlockMatrix([1, 1], [[1, -1], [0, 1]])))
+# e_0 plus 2^64 at the next column, and e_1 less 1 at the first
+@example((BlockMatrix([2], [[1, 2 ** 64], [0, 1]]), BlockMatrix.identity([2])))
+@example((BlockMatrix([2], [[1, 0], [-1, 1]]), BlockMatrix.identity([2])))
+@example((BlockMatrix([1], [[1]], BOOL), BlockMatrix([1], [[1]], BOOL)))
+def test_a_packed_product_is_the_identity_exactly_when_its_rows_are(pair):
+    A, B = pair
+    assert blockmat._product_is_identity(A, B) == \
+        (mul(A, B) == BlockMatrix.identity(A.level_sizes, A.ring))
+
+
+@pytest.mark.parametrize("P", [cobweb(nat(), 4), from_blocks([2, 5, 4], [
+    [[1] * 5, [1, 1, 0, 1, 1]], [[1, 1, 1, 0]] * 5]), CHAIN_70])
+def test_zeta_times_mu_and_the_max_pair_read_as_the_identity(P):
+    Z, mu = zeta(P, "closure").with_ring(INT), mobius(P, "invert")
+    assert blockmat._product_is_identity(Z, mu)
+    assert blockmat._product_is_identity(incidence.max_inverse(P), max_matrix(P))
+    # one entry off: the field above it reads back wrong
+    rows = [list(row) for row in mu.rows]
+    rows[0][-1] += 1
+    assert not blockmat._product_is_identity(Z, BlockMatrix(P.level_sizes, rows))
 
 
 def test_level_sum_product_is_faster_than_the_pair_walk():

@@ -41,12 +41,12 @@ def corrupt_every_dense_mu(monkeypatch, entry):
     """Every dense Moebius route, the suite's inverse of the closure, the
     recurrence's rows and the closed form's rows, which the suite reads from
     its level form, included, returns mu with 7 added at entry."""
-    real, real_inverse = incidence.mobius, suites.unitriangular_inverse
+    real, real_inverse = incidence.mobius, suites._unit_inverse
     real_level = suites.level_mobius
     monkeypatch.setattr(suites, "_mobius_recurrence_rows",
                         lambda Q: corrupted(real(Q, "recurrence"), entry).rows)
-    monkeypatch.setattr(suites, "unitriangular_inverse",
-                        lambda M: corrupted(real_inverse(M), entry))
+    monkeypatch.setattr(suites, "_unit_inverse",
+                        lambda sizes, rows: corrupted(real_inverse(sizes, rows), entry))
     monkeypatch.setattr(suites, "level_mobius", lambda Q, m: SimpleNamespace(
         rows=lambda: iter(corrupted(real(Q, m), entry).rows)) if m == "closed_form"
         else real_level(Q, m))
@@ -65,13 +65,13 @@ def test_mobius_inverse_pair_fails_on_a_consistently_wrong_mu(monkeypatch):
 
 def test_each_inverse_pair_costs_one_product(monkeypatch):
     calls = []
-    real = suites.mul
+    real = suites._product_is_identity
 
     def counting(A, B):
         calls.append((A, B))
         return real(A, B)
 
-    monkeypatch.setattr(suites, "mul", counting)
+    monkeypatch.setattr(suites, "_product_is_identity", counting)
     non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
     for P in (cobweb(nat(), 4), non_cobweb):
         calls.clear()
@@ -81,14 +81,16 @@ def test_each_inverse_pair_costs_one_product(monkeypatch):
         assert calls == [(zi, mu), (inv, M)]
 
 
-def test_run_checks_builds_the_closure_and_the_max_matrix_once(monkeypatch):
+def test_run_checks_builds_the_closure_mu_and_the_max_matrix_once(monkeypatch):
     calls = []
     real_zeta, real_max = suites.zeta, suites.max_matrix
-    real_closure = incidence.nilpotent_closure
+    real_solve = incidence._unit_solve
 
-    def nilpotent_closure(K):
-        calls.append(K.ring.name)
-        return real_closure(K)
+    def unit_solve(rows, sizes, ring, negate):
+        # the dense solves only: a level route solves an n x n table
+        if len(rows) == P.node_count:
+            calls.append((ring.name, negate))
+        return real_solve(rows, sizes, ring, negate)
 
     def zeta(Q, method="closure"):
         calls.append(method)
@@ -100,15 +102,16 @@ def test_run_checks_builds_the_closure_and_the_max_matrix_once(monkeypatch):
 
     monkeypatch.setattr(suites, "zeta", zeta)
     monkeypatch.setattr(suites, "max_matrix", max_matrix)
-    # every closure, whoever asks for it: the mobius suite inverts the
-    # zeta closure it is handed and builds no other
-    monkeypatch.setattr(incidence, "nilpotent_closure", nilpotent_closure)
+    # every dense solve, whoever asks for it: the mobius and whitney suites
+    # share one inverse of the zeta closure they are handed
+    monkeypatch.setattr(incidence, "_unit_solve", unit_solve)
     non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
-    for P in (cobweb(nat(), 4), cobweb(nat(), 5), non_cobweb):
+    for P in (cobweb(nat(), 4), cobweb(nat(), 5), root(gauss(2), 3), non_cobweb):
         calls.clear()
         assert all(r.passed for r in run_checks(P))
         assert (calls.count("closure"), calls.count("max")) == (1, 1)
-        assert (calls.count("bool"), calls.count("int")) == (1, 1)
+        assert sorted(c for c in calls if isinstance(c, tuple)) == \
+            [("bool", False), ("int", False), ("int", True)]
     # a suite that reads neither builds neither
     calls.clear()
     run_checks(cobweb(nat(), 4), "markov")
@@ -376,10 +379,26 @@ def test_whitney_chi_at_one_fails_on_a_wrong_mobius_route(monkeypatch):
 
 
 def test_whitney_chi_at_one_fails_on_a_wrong_char_poly(monkeypatch):
+    # w_2 = 3 on root(<2, 3>, 2), read as 4: the rank sums of the inversion
+    # see it too
     R = root(custom([2, 3]), 2)
     monkeypatch.setattr(suites, "char_poly", lambda Q: CharPoly((1, -2, 4)))
     assert failures(suites.suite_whitney(R)) == {
+        "first-kind-vs-inversion":
+            "rank 2: w_r 4 != 3, the rank sum of row 1 of the inversion",
         "chi-at-one-is-minus-mu": "chi(1) 3 != -mu(0^, 1^) 2"}
+
+
+def test_whitney_first_kind_fails_on_a_wrong_inversion(monkeypatch):
+    # mu(0^, x) on the first node of rank 1 read as 6, not -1: w_1 = -2
+    # against the rank sum 5; the recurrence and chi still agree
+    R = root(custom([2, 3]), 2)
+    real = suites._unit_inverse
+    monkeypatch.setattr(suites, "_unit_inverse",
+                        lambda sizes, rows: corrupted(real(sizes, rows), (1, 2)))
+    assert failures(suites.suite_whitney(R)) == {
+        "first-kind-vs-inversion":
+            "rank 1: w_r -2 != 5, the rank sum of row 1 of the inversion"}
 
 
 # -- the comparator on rows of the wrong shape --------------------------------
