@@ -9,50 +9,31 @@ negation outright rather than faking it.
 The product and the row solve hold a whole row as one Python int, the sum
 of entry y times 2^(w*y), so that adding a multiple of one row to another
 is one big-int operation in C (Kronecker substitution).  Over BOOL, w = 8
-and | is the ring's add, so every field stays 0 or 1.  Over INT, w is a
-multiple of 64 and an entry is signed: a negative one borrows from the
-field above it.  Packing is linear, so a sum of packed rows is exactly the
-packed sum, whatever the fields hold on the way; the result reads back
-right when each of its entries is below 2^(w-1) in absolute value.  Rows
-are unpacked once, at the end: adding the word with every field's top bit
-set lifts each field into 0 .. 2^w - 1 without a carry out of it, and an
-xor with the same word leaves each in two's complement, read as native
-64-bit words when w = 64 on a little-endian machine and field by field
-otherwise.  A BOOL row is packed from its bytes and read back as bytes, so
-0/1 rows stay bytes from the cover rows of incidence.py through the BOOL
-closure into the INT solve; only a BlockMatrix turns them into tuples.  The
-Moebius recurrence of incidence.py packs columns, not rows;
-_unpack_columns reads them back as rows, through the same lift.
+and | is the ring's add, so every field stays 0 or 1; a BOOL row packs from
+bytes and unpacks to bytes.  Over INT an entry is signed: a negative one
+borrows from the field above it.  Packing is linear, so a sum of packed
+rows is exactly the packed sum, whatever the fields hold on the way, and
+rows are unpacked once, at the end (see _unpack).
 
 One pass makes both, a row x at a time: the sum of c * V[k] over the
-entries c = A[x][k], where V is B in the product and the finished rows of
-R in the row solve.  It takes A[x] column by column up to a start level,
-then level by level: where A[x] holds one value c across a whole level,
-that level adds c times the sum of its rows V[k], one packed int.  This
-level rule is exact in both rings by distributivity; it is the reduced
-incidence algebra of Doubilet, Rota and Stanley, and zeta, mu and max of a
-cobweb hold one value across every level above a row's own.  Over INT a
-level that holds only 0 and 1, ones on more than half of it, adds the same
-level sum less the rows of its holes, and its bound is the level's bound
-sum less theirs, the bound the ones alone give; the count of seg[0] that
-the level rule takes anyway gates it, so a level mostly zeros (a cover row)
-pays no second count.  Subtraction is exact since packing is linear; BOOL
-keeps OR, which has no inverse.  This is the row-side mirror of the down
-terms of the recurrence: a zeta row of a poset that is not a cobweb seldom
-holds a whole level, but often most of one.  One width
-rule serves both: w = 8 over BOOL, and over INT w = 64, doubled until the
-pass succeeds.  The pass keeps bound(x) = sum of |c| * bound(k), at least
-1 in the solve, with bound(k) the largest |B[k]| entry in the product, and
-fails once a bound reaches 2^(w-2), so every entry fits its field.
+entries c = A[x][k], where V is B in the product and the finished rows of R
+in the row solve.  It takes A[x] column by column up to a start level, then
+level by level: where A[x] holds one value c across a whole level, that
+level adds c times the sum of its rows V[k].  This level rule is exact in
+both rings by distributivity, and zeta, mu and max of a cobweb hold one
+value across every level above a row's own.  Over INT a level that holds
+only 0 and 1, ones on more than half of it, adds the same level sum less
+the rows of its holes, with the bound of the ones alone, since a zeta row
+of a poset that is not a cobweb seldom holds a whole level, but often most
+of one; subtraction is exact since packing is linear, and BOOL keeps OR,
+which has no inverse.  The pass fails once a bound on its entries reaches
+2^(w-2), so every entry fits its field.
 
 The closure I + K + K^2 + ... = (I - K)^-1 of a strictly upper K and the
 inverse of a unitriangular I + N are one triangular system, solved a row at
 a time from the bottom: row x of R is e_x plus (closure, R = I + K R) or
-minus (inverse, R = I - N R) the sum over k > x of N[x][k] * R[k], which
-the pass takes column by column on the level of x.  The product starts at
-level 1 and assumes no triangular shape.  The level algebra of cobwebs
-runs the same solve on its n x n table once each column is weighted by the
-size of its level (see incidence.py).
+minus (inverse, R = I - N R) the sum over k > x of N[x][k] * R[k].  The
+product starts at level 1 and assumes no triangular shape.
 """
 
 from __future__ import annotations
@@ -75,8 +56,8 @@ class MatrixError(ValueError):
 
 
 class IntegerRing:
-    # builtins from operator do not bind as methods, and calling them costs
-    # no Python frame per entry
+    """The integers: add, mul and neg are the builtins of operator, which
+    do not bind as methods and cost no Python frame per entry."""
     name = "int"
     zero = 0
     one = 1
@@ -110,7 +91,7 @@ BOOL = BooleanSemiring()
 
 # the 64-bit fields of a packed row are read as native machine words
 _LITTLE = sys.byteorder == "little"
-# a 0/1 level segment to the 0/1 mask of its holes
+# a 0/1 row to the 0/1 mask of its holes
 _HOLES = bytes.maketrans(b"\0\1", b"\1\0")
 
 
@@ -137,26 +118,6 @@ class BlockMatrix:
         for i in range(n):
             rows[i][i] = ring.one
         return cls(level_sizes, rows, ring)
-
-    @classmethod
-    def from_band_blocks(cls, level_sizes, band_blocks, ring=INT):
-        """Place the given blocks on the first superdiagonal block band.
-
-        band_blocks[k] sits at block (k+1, k+2), the shape of a cover
-        relation between adjacent levels.
-        """
-        sizes = check_level_sizes(level_sizes, MatrixError)
-        if len(band_blocks) != len(sizes) - 1:
-            raise MatrixError("one band block per adjacent level pair required")
-        n = sum(sizes)
-        rows = [[ring.zero] * n for _ in range(n)]
-        r0 = 0
-        for k, blk in enumerate(band_blocks):
-            c0 = r0 + sizes[k]
-            for i, row in enumerate(blk):
-                rows[r0 + i][c0:c0 + len(row)] = row
-            r0 = c0
-        return cls(sizes, rows, ring)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -217,6 +178,7 @@ def _check_compatible(A: BlockMatrix, B: BlockMatrix):
 
 
 def add(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
+    """Entrywise ring sum of two full matrices."""
     _check_compatible(A, B)
     radd = A.ring.add
     rows = [[radd(a, b) for a, b in zip(ra, rb)]
@@ -308,8 +270,7 @@ def _unpack_columns(packed, n, w):
 def _unit_solve(rows, sizes, ring, negate):
     """Rows of R = I + N R (negate false) or R = I - N R (negate true),
     where N is the part of `rows` right of the diagonal and `sizes` are the
-    level sizes; nothing else of `rows` is read.  Over BOOL each row is
-    bytes."""
+    level sizes; nothing else of `rows` is read."""
     packed, w = _packed_rows(rows, sizes, ring, None, negate)
     return _unpack(packed, len(rows), w)
 
@@ -329,9 +290,9 @@ def _packed_pass(rows, sizes, w, B=None, negate=False):
     BOOL); None once the bound on some row's entries reaches 2^(w-2)."""
     boolean, limit, n = w == 8, 1 << (w - 2), len(rows)
     off = tuple(accumulate(sizes, initial=0))
-    # bound[k] >= every |V[k][y]| of the rows V read, a level's sum carries
-    # the sum of its bounds; the solve reads its own rows, filled from the
-    # bottom up
+    # bound[k] >= every |V[k][y]|: the largest |B[k]| entry in the product,
+    # and in the solve the sum of |c| * bound(j) over its terms, at least 1,
+    # filled from the bottom up; a level's sum carries the sum of its bounds
     if B is None:
         vals = out = [0] * n
         bound = [1] * n
@@ -358,9 +319,9 @@ def _packed_pass(rows, sizes, w, B=None, negate=False):
                 k = seg.count(c)
                 holes = None
                 if k < b - a:
-                    # over INT, a 0/1 level more than half ones is its sum
-                    # less its holes: k counts the ones where c is 1 and the
-                    # holes where c is 0, and the other value fills the rest
+                    # the holes rule: k counts the ones where c is 1 and the
+                    # holes where c is 0, and the other value fills the rest,
+                    # so a level mostly zeros (a cover row) pays no second count
                     if (boolean or c not in (0, 1) or 2 * (k if c else b - a - k) <= b - a
                             or seg.count(1 - c) != b - a - k):
                         cs += compress(seg, seg)

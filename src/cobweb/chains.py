@@ -1,19 +1,12 @@
 """Maximal chains: exhaustive enumeration and memoized counting.
 
-Enumeration is one private walk, depth-first in lexicographic position order,
-so listings are deterministic.  It keeps its path on an explicit stack, so no
-layer is too deep for it, and it carries each chain's prefix as a value built
-with + from one fragment per node: position tuples for the library, the
-listing's text for formats.write_chains_json.
+Enumeration is one private walk, _walk, depth-first in lexicographic
+position order, so listings are deterministic; it keeps its path on an
+explicit stack, so no layer is too deep for it.
 
-Counting never lists.  One private sweep pushes a tally down the cover blocks
-level by level, each node taking the sum of its upper covers' tallies.
-Started from a unit tally on a node y, the sweep holds at level l the chain
-count of [x, y] for every x on l; started from all ones on a level s, the sum
-of its level-r tally is the layer count C(r, s).  The per-pair counters read
-one entry of one sweep.  Two table forms keep every level of it:
-layer_chain_counts gives every C(r, s) from one sweep per top level, and
-_interval_rows every pair count from one packed sweep per level.
+Counting never lists.  One private sweep, _tallies, pushes a tally down the
+cover blocks level by level, and each counter reads its counts off one
+sweep, or off one sweep per level for the table forms.
 
 These counts are the oracle that the closed-form matrices are measured
 against, so the counters read nothing but P.blocks and this module imports

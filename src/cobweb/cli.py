@@ -4,12 +4,6 @@ Exit codes: 0 on success, 1 on any domain or usage error, 2 when a check
 suite fails.  Data goes to stdout (or -o), diagnostics to stderr.  The
 environment variable COBWEB_MAX_LEVELS (default 12) caps requested level
 counts so a stray argument cannot trigger a huge computation.
-
-Called with no argv, as the process entry (`python -m cobweb.cli` or the
-`cobweb` console script), main freezes the import-time heap with
-gc.freeze: no collection examines it again, so interpreter exit skips the
-full passes over the module graph.  In-process callers pass an explicit
-argv and their heap is left as it was.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from .suites import run_checks
 
 
 class CliError(Exception):
-    pass
+    """A usage or domain error of one call: one `cobweb: ...` line, exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,10 +244,6 @@ def _cmd_chains(args) -> int:
     return 0
 
 
-# Cobweb matrices are computed in the level algebra and expanded to node rows
-# only while being written, and the label formulas of zeta are written row by
-# row as they are made; every other poset takes the dense route.
-
 def _cmd_zeta(args) -> int:
     P = _load_poset(args.poset)
     method = ZETA_FLAG_TO_METHOD[args.method]
@@ -357,8 +347,9 @@ COMMANDS = {"gen": _cmd_gen, "zeta": _cmd_zeta, "mobius": _cmd_mobius,
 
 
 def run(argv) -> int:
-    # only the named command's subparser is built; -h, an unknown command or
-    # none at all get every one, for the full usage and the list of choices
+    """The exit code of one call, errors raised.  Only the named command's
+    subparser is built; -h, an unknown command or none at all get every
+    one, for the full usage and the list of choices."""
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command is None:
@@ -367,12 +358,17 @@ def run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    """The exit code of one call, each error as one `cobweb: ...` line.
+    Called with no argv, as the process entry (`python -m cobweb.cli` or
+    the `cobweb` console script), it freezes the import-time heap with
+    gc.freeze: the whole process is this one call, so nothing imported so
+    far becomes garbage before exit, and exit skips the collector's full
+    passes over the module graph.  A caller that passes argv keeps its
+    heap as it was."""
     # results are exact, so no integer is too long to print
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     if argv is None:
-        # the whole process is this one call, so nothing imported so far
-        # becomes garbage before exit
         gc.freeze()
         argv = sys.argv[1:]
     try:

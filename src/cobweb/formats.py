@@ -26,8 +26,7 @@ class FormatError(ValueError):
 # The loader reads a cobweb's sizes off the head of a text and its name off
 # the tail, and compares the length of the text they fix before it builds
 # any text or poset, so a short file that claims huge levels costs only its
-# own length.  Any text that is not then the cobweb's text, up to trailing
-# whitespace, gets json.loads and GradedPoset, with their result or message.
+# own length.
 
 _SIZES_HEAD = '{"level_sizes": '
 _BLOCKS_KEY = ', "blocks": '
@@ -122,21 +121,6 @@ def poset_from_json(text: str) -> GradedPoset:
 
 
 # -- matrix CSV / JSON -------------------------------------------------------
-#
-# Both writers stream one row at a time and take a dense BlockMatrix, the
-# streamed rows of a zeta label route, or a cobweb LevelMatrix; the last two
-# are never held densely.  Dense entries are plain ints (see blockmat), or
-# the bytes of a label route's bytearray rows.  A row of entries 0..9 goes out
-# without one str() per entry: bytes(row) checks range and type in C, a
-# translation makes each byte its digit (any other byte becomes '?'), and the
-# digits are laid over a template "0<sep>0<sep>...0".  Any other row is
-# joined from one text cache per matrix, which converts each distinct value
-# once, when a row first holds it, and is cleared once it holds more than
-# _TEXTS_HELD values; +v writes a bool as 1 or 0 there too, as the digit
-# path does, and leaves every other number as str() writes it.  Row x of a
-# unitriangular matrix opens with x zeros, which the join takes as one slice
-# of a prebuilt "0<sep>0<sep>..." text; a row with an entry left of its
-# diagonal is joined whole.
 
 _DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"?" * 246)
 _TEXTS_HELD = 1 << 12
@@ -158,6 +142,7 @@ def write_matrix_csv(M, out: IO[str]):
 
 
 def write_matrix_json(M, out: IO[str]):
+    """{"level_sizes": [...], "entries": [[...]]}, streamed row by row."""
     out.write('{"level_sizes":%s,"entries":[' % json.dumps(M.level_sizes))
     for i, text in enumerate(_row_texts(M, ", ")):
         out.write("," if i else "")
@@ -166,11 +151,22 @@ def write_matrix_json(M, out: IO[str]):
 
 
 def _row_texts(M, sep: str):
-    """Each row's entries in decimal, joined by sep.  A LevelMatrix row is
-    put together from text built once per level: the zeros left of the
-    diagonal 1, and the constant tail right of the diagonal block.  Any
-    other M gives its rows as int sequences: a BlockMatrix, or the rows of
-    a zeta label route, read one at a time as they are made."""
+    """Each row's entries in decimal, joined by sep, one row at a time, so
+    neither a cobweb LevelMatrix nor the rows of a zeta label route, made as
+    they are read, is ever held densely.  A LevelMatrix row is put together
+    from text built once per level: the zeros left of the diagonal 1, and
+    the constant tail right of the diagonal block.  Any other M gives its
+    rows as int sequences, a BlockMatrix's or a label route's bytearrays.
+    A row of entries 0..9 goes out without one str() per entry: bytes(row)
+    checks range and type in C, a translation makes each byte its digit
+    (any other byte becomes '?'), and the digits are laid over a template
+    "0<sep>0<sep>...0".  Any other row is joined from one text cache per
+    matrix, which converts each distinct value once, when a row first holds
+    it, and is cleared once it holds more than _TEXTS_HELD values; +v writes
+    a bool as 1 or 0 there too, as the digit path does, and leaves every
+    other number as str() writes it.  Row x of a unitriangular matrix opens
+    with x zeros, which go out as one slice of a prebuilt "0<sep>0<sep>..."
+    text; a row with an entry left of its diagonal is joined whole."""
     if not isinstance(M, LevelMatrix):
         zeros = ("0" + sep) * sum(M.level_sizes)
         template, step = zeros[:-len(sep)].encode(), len(sep) + 1
@@ -183,8 +179,6 @@ def _row_texts(M, sep: str):
             if b"?" in digits:
                 if len(texts) > _TEXTS_HELD:
                     texts.clear()
-                # the first x entries of row x are all zero in a unitriangular
-                # matrix, and go out as one slice of text
                 if row[:x].count(0) == x:
                     yield zeros[:step * x] + sep.join(map(texts.__getitem__, row[x:]))
                 else:

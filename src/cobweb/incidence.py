@@ -1,10 +1,8 @@
 """Incidence algebra elements of a graded poset.
 
-The same objects are built along independent routes on purpose: the zeta
-matrix has a closure construction that works for every graded poset plus
-three label-formula constructions for cobwebs, and the Moebius matrix has a
-closed form (cobwebs), a series inversion, and the textbook recurrence.
-Tests and the check suites hold all routes to exact agreement.
+The same objects are built along independent routes on purpose, four for
+zeta and three for the Moebius matrix (see zeta and mobius), and tests and
+the check suites hold all routes to exact agreement.
 
 The dense routes, zeta by closure, max, the inversion and eta^-1, run
 blockmat._unit_solve on 0/1 rows held as bytes.  _cover_rows builds one
@@ -15,36 +13,21 @@ the solve reads nothing left of the diagonal.  Each route builds its
 BlockMatrix once, from the solved rows, and checks no shape it built
 itself.
 
-The recurrence solves the left equation mu = I - mu N, N the strict zeta,
-from the cover blocks alone; the inversion solves the right one from the
-closure.  One downward traversal, the mirror of reachable_sets, gives each
-node's strict down-set as one int, read as the whole levels below some
-level, less a few holes, plus a head of single nodes.  It solves 64 rows at
-a time, column by column: each column of a band is one packed int with a
-signed field per row, so a column is one running level total and two
-C-level sums of whole columns.  It shares only blockmat._unpack_columns,
-which reads the fields back as rows, and never calls the packed pass, the
-row solve, mul, the closure or zeta.
-
 Each label route evaluates its own formula from the prefix sums S and the
-level sizes alone, one row at a time: every term is taken once and adds
-its contribution to the whole run of columns it covers, so a label route
-costs O(N^2) for N nodes.  A row is a bytearray, and a term takes 1 off its
-run with one translate in C.  zeta() holds the rows in a BlockMatrix; the
-CLI writes each row as it is made and check compares it, so there a label
-route, like a level route, holds no N x N matrix.
+level sizes alone, one bytearray row at a time: every term is taken once,
+as 1 off the whole run of columns it covers with one translate in C, so a
+label route costs O(N^2) for N nodes.
 
 In a cobweb every off-diagonal block of zeta, Moebius, max, eta and their
 inverses is constant and every diagonal block is the identity, so each fits
 in an n x n LevelMatrix: the reduced incidence algebra of Doubilet, Rota and
 Stanley.  There (AB)(r, s) = sum over k of A(r, k) k_F B(k, s), so weighting
 every column s right of the diagonal by s_F turns the level product into
-the plain n x n product: level closure and inverse run the same row solve
-as the dense routes, blockmat._unit_solve, on the size-weighted n x n
-table.  Each level route solves what its dense route solves, and a
-LevelMatrix is expanded to node rows one row at a time, so a level route
-holds no N x N matrix.  The dense routes serve every other poset and are
-the oracles the level forms are held to.
+the plain n x n product, and each level route runs the row solve of its
+dense route on the size-weighted table.  A LevelMatrix is expanded to node
+rows one row at a time, so a level route holds no N x N matrix.  The dense
+routes serve every other poset and are the oracles the level forms are
+held to.
 """
 
 from __future__ import annotations
@@ -57,7 +40,8 @@ from math import prod
 from operator import or_
 from typing import Iterator, List, NamedTuple, Tuple
 
-from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _unit_solve, _unpack_columns, add
+from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _HOLES, _unit_solve, \
+    _unpack_columns, add
 from .fsequence import FSequence
 from .poset import GradedPoset, PosetError
 
@@ -86,9 +70,7 @@ def eta(P: GradedPoset) -> BlockMatrix:
 
 
 def eta_inverse(P: GradedPoset) -> BlockMatrix:
-    """Exact inverse of eta; block (r, s) carries (-1)^(s-r) B_r ... B_(s-1).
-    The solve reads only the cover rows, the part of eta right of its
-    diagonal."""
+    """Exact inverse of eta; block (r, s) carries (-1)^(s-r) B_r ... B_(s-1)."""
     return _unit_inverse(P.level_sizes, _cover_rows(P))
 
 
@@ -110,14 +92,12 @@ def zeta(P: GradedPoset, method: str = "closure") -> BlockMatrix:
 
 
 def _closure_rows(P: GradedPoset) -> List[bytes]:
-    """The rows of zeta(P, "closure"), one bytes row per node: the BOOL
-    closure of the cover rows."""
+    """The rows of zeta(P, "closure"): the BOOL closure of the cover rows."""
     return _unit_solve(_cover_rows(P), P.level_sizes, BOOL, False)
 
 
 class _LabelRows(NamedTuple):
-    # the rows of a label route, each made when it is read: a matrix writer
-    # streams them, and zeta() holds them in a BlockMatrix
+    # the rows of a label route, each made when it is read
     level_sizes: Tuple[int, ...]
     rows: Iterator[bytearray]
 
@@ -133,11 +113,9 @@ def _label_rows(P: GradedPoset, method: str) -> _LabelRows:
 
 
 # The formulas are 1-based in x and y and the rows 0-based: column y sits at
-# index y - 1, so columns x+1..e are the slice [x:e].  A row is a bytearray
-# of its 0/1 entries, and a term takes 1 off its whole run of columns with
-# one translate; a run that holds a 0 is refused, so no entry wraps to 255.
+# index y - 1, so columns x+1..e are the slice [x:e].
 
-_MINUS_ONE = bytes([0, *range(255)])  # b -> b - 1; a run with a 0 never gets here
+_MINUS_ONE = bytes([0, *range(255)])  # b -> b - 1; a run that holds a 0 is refused
 
 
 def _take_one(row: bytearray, lo: int, hi: int):
@@ -306,8 +284,7 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
 
 def _unit_inverse(sizes, rows) -> BlockMatrix:
     """The INT inverse of I + N, N the part of `rows` right of the
-    diagonal, by the solve R = I - N R; 0/1 rows go to it as bytes, as they
-    are: the closure's for mu, the cover's for eta^-1."""
+    diagonal, by the solve R = I - N R."""
     return BlockMatrix(sizes, _unit_solve(rows, sizes, INT, True), INT)
 
 
@@ -336,7 +313,6 @@ def _bit_row(bits: int, width: int = 0) -> bytes:
 
 # rows of mu solved together: each packed column holds one field per row
 _BAND = 64
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _down_terms(P: GradedPoset):
@@ -372,7 +348,7 @@ def _down_terms(P: GradedPoset):
             while L < lvl and 2 * row.count(1, off[L] - m0, off[L + 1] - m0) >= sizes[L]:
                 L += 1
             m = off[L] - m0
-            terms.append((L, list(compress(count(m0), row[:m].translate(_FLIP))),
+            terms.append((L, list(compress(count(m0), row[:m].translate(_HOLES))),
                           list(compress(count(m0 + m), row[m:]))))
     return terms
 
@@ -390,7 +366,7 @@ def _mobius_recurrence_rows(P: GradedPoset):
     # B_(k+1) = B_k (1 + size of level k), since mu(x, y) is minus a sum
     # over the nodes below y; w doubles from 64 while that bound can reach
     # 2^(w-2), so every field holds its entry.  blockmat._unpack_columns
-    # reads the fields back as rows; nothing else of blockmat runs here.
+    # reads the fields back as rows; no other step of the inversion runs.
     N, n, off = P.node_count, P.n_levels, P._offsets
     terms = _down_terms(P)
     bound, w = prod(size + 1 for size in P.level_sizes[:-1]), 64
@@ -510,10 +486,9 @@ def _cobweb_sizes(P: GradedPoset) -> Tuple[int, ...]:
 
 
 def _level_solve(sizes, entries, ring, negate) -> LevelMatrix:
-    # R = I + N R (negate false) or R = I - N R on the table with column s
-    # weighted by s_F, since J_(a x b) J_(b x c) = b J_(a x c); over BOOL
-    # J J = J, so the weight is 1.  Column s of R then carries the factor
-    # s_F right of the diagonal, and dividing it out is exact.
+    # R = I + N R (negate false) or R = I - N R on the size-weighted table;
+    # over BOOL J J = J, so the weight is 1.  Column s of R then carries the
+    # factor s_F right of the diagonal, and dividing it out is exact.
     weights = [1] * len(sizes) if ring is BOOL else sizes
     rows = [[v * weights[s] if s > r else v for s, v in enumerate(row)]
             for r, row in enumerate(entries)]

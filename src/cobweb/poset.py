@@ -65,10 +65,8 @@ class GradedPoset:
                 if not isinstance(row, (list, tuple)) or len(row) != sizes[k + 1]:
                     raise PosetError(f"blocks[{k}][{i}]: expected {sizes[k + 1]} entries")
         blocks = tuple(tuple(map(tuple, blk)) for blk in blocks)
-        # one C-level pass per row: every entry an int, and each 0 or 1.  A
-        # row that is the very object of the row before it (ones_block
-        # repeats one tuple) was checked there; identity, not equality,
-        # since [1, 1.0] == [1, 1]
+        # one C-level pass per row; a row that is the row before it, by
+        # identity, not equality, since [1, 1.0] == [1, 1], was checked there
         is_cobweb, empty_row = True, False
         for k, blk in enumerate(blocks):
             prev = None

@@ -4,32 +4,14 @@ Each suite returns CheckResult records; a suite that does not apply to the
 given poset (Markov needs a cobweb, Whitney needs a root) reports itself as
 skipped rather than failing.
 
-The chain-count oracles cost one tally sweep per level, not one per pair.
-The max suite holds max_matrix(P) to the pair table of chains._interval_rows,
-whose sweep from each level L counts the chains of [x, y] for every y on L
-at once, and names the first mismatch in row-major order: the first row
-that differs, at its first differing column, with the matrix's own entry.
-The Markov suite reads every C(r, s) from layer_chain_counts, one sweep per
-top level s.  Both oracles come from chains, which reads only the cover
-blocks, so they stay independent of the matrix closure they are checking.
-
-Every comparison streams one route's rows against the other's through
-_first_mismatch.  The label routes of zeta, L(max), the recurrence and the
-closed form of mu and, on a cobweb, the level forms the CLI writes are read a
-row at a time, and each inverse-pair law is one exact product read off its
-packed rows, never unpacked: zeta * mu == I, and (I - cover) * max == I.  Row
-x of the product is e_x exactly when its packed int is 1 << w*x, since every
-field holds its entry (see blockmat).  No matrix is built only to be
-compared.  A one-sided inverse of a square matrix
-is two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
-Prop. 3.6.2) and over the integers alike, since det A * det B = 1; so the
-product in the other order could never change a verdict.
-
-Every suite takes the poset and a Dense, which builds zeta(P, "closure"),
-its inverse mu and max_matrix(P) on first use: run_checks hands one Dense
-to all the suites it runs, so none is built twice, and a suite called alone
-builds its own.  The mobius and whitney suites share mu; the markov suite
-reads none of them.
+The max and Markov suites hold the matrices to the chain-count oracle of
+the chains module.  Every comparison streams one route's rows against the
+other's through _first_mismatch, and each inverse-pair law, zeta * mu == I
+and (I - cover) * max == I, is one exact product read by
+blockmat._product_is_identity, so no matrix is built only to be compared.
+One product per law is enough: a one-sided inverse of a square matrix is
+two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
+Prop. 3.6.2) and over the integers alike, since det A * det B = 1.
 """
 
 from __future__ import annotations
@@ -92,7 +74,9 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
 
 class Dense:
     """zeta(P, "closure"), mobius(P, "invert") and max_matrix(P), each
-    built on first use; mu inverts the closure held here."""
+    built on first use; mu inverts the closure held here.  run_checks hands
+    one Dense to every suite it runs, so none is built twice, and a suite
+    called alone builds its own."""
 
     def __init__(self, P: GradedPoset):
         self.P = P

@@ -9,11 +9,11 @@ never against themselves.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
-from cobweb import FSequence, GradedPoset, cobweb, custom, from_blocks, gauss
+from cobweb import BlockMatrix, FSequence, GradedPoset, cobweb, custom, from_blocks, gauss
 
 
 EX11 = custom([1, 1, 3, 3, 3, 3, 3, 3], name="ex11")
@@ -99,6 +99,19 @@ def fraction_inverse(rows):
                 A[r] = [a - f * c for a, c in zip(A[r], A[col])]
                 B[r] = [b - f * c for b, c in zip(B[r], B[col])]
     return B
+
+
+def band_matrix(sizes, blocks, ring):
+    """The matrix with blocks[k] at block (k+1, k+2) and zeros elsewhere,
+    set entry by entry: a poset's cover matrix when the blocks are its
+    cover blocks, and any entries of the ring otherwise."""
+    off = list(accumulate(sizes, initial=0))
+    rows = [[ring.zero] * off[-1] for _ in range(off[-1])]
+    for k, blk in enumerate(blocks):
+        for i, row in enumerate(blk):
+            for j, v in enumerate(row):
+                rows[off[k] + i][off[k + 1] + j] = v
+    return BlockMatrix(sizes, rows, ring)
 
 
 def is_one_band(M) -> bool:

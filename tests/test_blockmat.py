@@ -10,7 +10,7 @@ from cobweb import BOOL, INT, BlockMatrix, MatrixError, RingError, add, blockmat
     nilpotent_closure, unitriangular_inverse
 from cobweb.blockmat import natural_join as mat_join
 
-from conftest import fraction_inverse, is_one_band, is_zero
+from conftest import band_matrix, fraction_inverse, is_one_band, is_zero
 
 
 def rand_matrix(rng, sizes, ring, lo=-3, hi=3):
@@ -100,7 +100,7 @@ def test_strictly_upper_product_shifts_band():
 
 def test_boolean_square_counts_two_step_paths():
     # arcs 1->2, 2->3 over levels of size 1: the square sees exactly 1->3
-    K = BlockMatrix.from_band_blocks([1, 1, 1], [[[1]], [[1]]], BOOL)
+    K = band_matrix([1, 1, 1], [[[1]], [[1]]], BOOL)
     K2 = mul(K, K)
     assert K2.rows[0][2] == 1
     assert sum(v for row in K2.rows for v in row) == 1
@@ -119,7 +119,7 @@ def test_closure_requires_strictly_upper():
 def test_integer_closure_counts_paths():
     # cobweb over sizes <1,2,3>: 2 paths from the bottom to each top node
     blocks = [[[1, 1]], [[1, 1, 1], [1, 1, 1]]]
-    K = BlockMatrix.from_band_blocks([1, 2, 3], blocks, INT)
+    K = band_matrix([1, 2, 3], blocks, INT)
     C = nilpotent_closure(K)
     for j in range(3, 6):
         assert C.rows[0][j] == 2  # brute force: 1->2->target and 1->3->target
@@ -141,7 +141,7 @@ def test_band1_closure_matches_generic_path():
     sizes = [1, 3, 2, 4]
     blocks = [[[rng.randint(0, 2) for _ in range(sizes[k + 1])]
                for _ in range(sizes[k])] for k in range(3)]
-    K = BlockMatrix.from_band_blocks(sizes, blocks, INT)
+    K = band_matrix(sizes, blocks, INT)
     assert is_one_band(K)
     assert nilpotent_closure(K) == series_closure(K)
 
@@ -162,8 +162,8 @@ def test_integer_closure_collapses_to_boolean():
     sizes = [2, 3, 2]
     blocks = [[[rng.randint(0, 1) for _ in range(sizes[k + 1])]
                for _ in range(sizes[k])] for k in range(2)]
-    Ki = BlockMatrix.from_band_blocks(sizes, blocks, INT)
-    Kb = BlockMatrix.from_band_blocks(sizes, blocks, BOOL)
+    Ki = band_matrix(sizes, blocks, INT)
+    Kb = band_matrix(sizes, blocks, BOOL)
     Ci = nilpotent_closure(Ki)
     Cb = nilpotent_closure(Kb)
     assert [[1 if v > 0 else 0 for v in row] for row in Ci.rows] == \

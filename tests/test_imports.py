@@ -49,16 +49,32 @@ def test_unused_imports_sees_every_kind_of_import():
 def unread_names(sources, wanted):
     """(module, name) for each top-level name of a module in sources
     (module name -> source) with wanted(module, name) true that no code of
-    any module reads outside the statement that defines it.  A read is a
-    loaded name or an attribute; an import alone is not one."""
+    any module reads outside the statement that defines it.  Each read
+    resolves to the module that binds the name: a loaded bare name to the
+    module m of a `from .m import name` line of the reading module, else to
+    the reading module itself; `m.name` to m where the reading module binds
+    m by `from . import m`.  No other attribute is a read, and an import
+    alone is not one."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     reads = {}
-    for tree in trees.values():
+    for mod, tree in trees.items():
+        imported, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    else:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
-                reads.setdefault(node.attr, []).append(node)
+                key = imported.get(node.id, (mod, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                key = (node.value.id, node.attr)
+            else:
+                continue
+            reads.setdefault(key, []).append(node)
     out = []
     for mod, tree in trees.items():
         for stmt in tree.body:
@@ -71,8 +87,27 @@ def unread_names(sources, wanted):
                 continue
             inside = set(map(id, ast.walk(stmt)))
             out += [(mod, name) for name in names if wanted(mod, name)
-                    and all(id(node) in inside for node in reads.get(name, []))]
+                    and all(id(node) in inside for node in reads.get((mod, name), []))]
     return sorted(out)
+
+
+def test_unread_names_resolves_each_read_to_the_module_that_binds_it():
+    # operator.mul and a ring's .mul are not reads of a.mul, nor is a local
+    # mul of another module; an aliased import and a module attribute are
+    sources = {"a": ("import operator\n"
+                     "def mul(x, y):\n"
+                     "    return operator.mul(x, y)\n"
+                     "def add(x, y):\n"
+                     "    return x\n"
+                     "def sub(x, y):\n"
+                     "    return x\n"
+                     "class Ring:\n"
+                     "    mul = operator.mul\n"),
+               "b": ("from . import a\n"
+                     "from .a import Ring, add as plus\n"
+                     "def f(ring, mul):\n"
+                     "    return ring.mul(1, 2), mul, plus(1, 2), a.sub(1, 2), Ring\n")}
+    assert unread_names(sources, lambda mod, name: mod == "a") == [("a", "mul")]
 
 
 def unread_private_names(sources):
@@ -93,7 +128,8 @@ def test_every_private_name_is_read_outside_its_definition():
 
 
 def test_unread_private_names_sees_defs_classes_and_assignments():
-    sources = {"a": ("_TABLE = 1\n"
+    sources = {"a": ("from .b import _helper\n"
+                     "_TABLE = 1\n"
                      "_USED: int = 2\n"
                      "def _loop(n):\n"
                      "    return _loop(n - 1) if n else _USED\n"
@@ -101,7 +137,7 @@ def test_unread_private_names_sees_defs_classes_and_assignments():
                      "    pass\n"
                      "def public():\n"
                      "    return _helper(), __name__\n"),
-               "b": ("from a import _Box, _TABLE\n"
+               "b": ("from .a import _Box, _TABLE\n"
                      "def _helper():\n"
                      "    return _Box\n")}
     assert unread_private_names(sources) == [("a", "_TABLE"), ("a", "_loop")]
@@ -120,10 +156,9 @@ UNREAD_EXPORTS = {
     ("chains", "enumerate_max_chains"): TRACED,
     ("invariants", "whitney_first"): TRACED,
     ("incidence", "logic_L"): "the matrix of the rows the zeta suite reads from _logic_L_rows",
-    ("blockmat", "nilpotent_closure"): "the closure of any BlockMatrix, the reference the tests "
-                                       "hold the byte-row dense routes of incidence to",
-    ("blockmat", "unitriangular_inverse"): "the inverse of any BlockMatrix, the reference the tests "
-                                           "hold the byte-row dense routes of incidence to",
+    ("blockmat", "nilpotent_closure"): TRACED,
+    ("blockmat", "unitriangular_inverse"): TRACED,
+    ("blockmat", "mul"): "the algebra's product, which the README's library example calls",
     ("poset", "layer"): JOIN,
     ("poset", "natural_join"): JOIN,
     ("fsequence", "custom"): SEQUENCE,

@@ -12,7 +12,7 @@ from cobweb import BOOL, INT, BlockMatrix, CodingMatrix, MatrixError, PosetError
 from cobweb.blockmat import natural_join as mat_join
 from cobweb.incidence import MOBIUS_METHODS, ZETA_METHODS, _cover_rows
 
-from conftest import EX11, EX12, bit_labels, brute_reach, fraction_inverse, \
+from conftest import EX11, EX12, band_matrix, bit_labels, brute_reach, fraction_inverse, \
     is_one_band, is_zero, random_cobweb, random_no_mute_poset
 
 
@@ -39,7 +39,7 @@ def test_cover_rows_are_the_band_block_rows(P):
     rows = _cover_rows(P)
     assert all(type(row) is bytes for row in rows)
     assert tuple(map(tuple, rows)) == \
-        BlockMatrix.from_band_blocks(P.level_sizes, P.blocks, INT).rows == kappa(P).rows
+        band_matrix(P.level_sizes, P.blocks, INT).rows == kappa(P).rows
     # the top level shares one all-zero row
     top = rows[P.node_count - P.level_sizes[-1]:]
     assert top[0] == bytes(P.node_count) and all(row is top[0] for row in top)

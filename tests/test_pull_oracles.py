@@ -45,8 +45,8 @@ from cobweb.incidence import _bit_row, kappa, level_eta_inverse, level_max, leve
     level_zeta
 from cobweb.poset import GradedPoset, NodeLabel
 
-from conftest import bit_labels, brute_interval_count, fraction_inverse, random_cobweb, \
-    random_no_mute_poset, upper_covers
+from conftest import band_matrix, bit_labels, brute_interval_count, fraction_inverse, \
+    random_cobweb, random_no_mute_poset, upper_covers
 
 
 # -- the earlier forms ----------------------------------------------------------
@@ -731,7 +731,7 @@ def density_posets(draw):
 @example(from_blocks([2, 5, 4], [[[1] * 5, [1, 1, 0, 1, 1]], [[1, 1, 1, 0]] * 5]))
 def test_the_dense_routes_match_the_closure_and_inverse_of_tuple_rows(P):
     sizes = P.level_sizes
-    K = {ring: BlockMatrix.from_band_blocks(sizes, P.blocks, ring) for ring in (BOOL, INT)}
+    K = {ring: band_matrix(sizes, P.blocks, ring) for ring in (BOOL, INT)}
     Z = blockmat.nilpotent_closure(K[BOOL])
     mu = mobius(P, "invert")
     assert zeta(P, "closure") == Z
