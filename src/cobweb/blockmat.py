@@ -96,12 +96,16 @@ _HOLES = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class BlockMatrix:
-    """Square matrix of size S(n) partitioned by level sizes."""
+    """Square matrix of size S(n) partitioned by level sizes.  It keeps the
+    rows it is given as they come, bytes for 0/1 rows and lists or tuples
+    of ints otherwise, and owns them: no caller changes a row afterwards,
+    so with_ring shares them.  Equality and the hash read entries, not
+    containers, so a bytes row equals a tuple row with the same entries."""
 
     def __init__(self, level_sizes: Sequence[int], rows, ring=INT):
         sizes = check_level_sizes(level_sizes, MatrixError)
         n = sum(sizes)
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise MatrixError(f"entries must form a {n}x{n} matrix")
         self.level_sizes = sizes
@@ -144,10 +148,11 @@ class BlockMatrix:
     def __eq__(self, other):
         return (isinstance(other, BlockMatrix)
                 and self.level_sizes == other.level_sizes
-                and self.rows == other.rows)
+                and all(a == b or tuple(a) == tuple(b)
+                        for a, b in zip(self.rows, other.rows)))
 
     def __hash__(self):
-        return hash((self.level_sizes, self.rows))
+        return hash((self.level_sizes, *map(tuple, self.rows)))
 
     def __repr__(self):
         return (f"BlockMatrix({self.ring.name}, sizes={list(self.level_sizes)}, "
@@ -385,13 +390,11 @@ def natural_join(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     if A.block(A.n_levels, A.n_levels) != B.block(1, 1):
         raise MatrixError("shared diagonal block disagrees between operands")
     sizes = A.level_sizes + B.level_sizes[1:]
-    n = sum(sizes)
+    n, zero = sum(sizes), A.ring.zero
     shift = A.size - B.level_sizes[0]
-    rows = [[A.ring.zero] * n for _ in range(n)]
-    for i, row in enumerate(A.rows):
-        rows[i][:A.size] = row
-    for i, row in enumerate(B.rows):
-        for j, v in enumerate(row):
-            if v != B.ring.zero:
-                rows[shift + i][shift + j] = v
+    # on the shared level B's rows repeat A's shared block and fill its zeros
+    rows = [list(row) + [zero] * (n - A.size) for row in A.rows]
+    rows += [[zero] * n for _ in range(n - A.size)]
+    for i, row in enumerate(B.rows, shift):
+        rows[i][shift:] = row
     return BlockMatrix(sizes, rows, A.ring)

@@ -7,11 +7,11 @@ the check suites hold all routes to exact agreement.
 The dense routes, zeta by closure, max, the inversion and eta^-1, run
 blockmat._unit_solve on 0/1 rows held as bytes.  _cover_rows builds one
 row per node straight from the cover blocks, with no N x N list; the BOOL
-closure of those rows comes back as bytes, and the inversion hands them to
-the INT solve as they are.  eta^-1 solves from the cover rows alone, since
-the solve reads nothing left of the diagonal.  Each route builds its
-BlockMatrix once, from the solved rows, and checks no shape it built
-itself.
+closure of those rows comes back as bytes, which zeta keeps and the
+inversion hands to the INT solve as they are.  eta^-1 solves from the cover
+rows alone, since the solve reads nothing left of the diagonal.  Each route
+builds its BlockMatrix once, from the solved rows, and checks no shape it
+built itself.
 
 Each label route evaluates its own formula from the prefix sums S and the
 level sizes alone, one bytearray row at a time: every term is taken once,
@@ -37,7 +37,7 @@ from bisect import bisect_right
 from functools import reduce
 from itertools import compress, count
 from math import prod
-from operator import or_
+from operator import neg, or_
 from typing import Iterator, List, NamedTuple, Tuple
 
 from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _HOLES, _unit_solve, \
@@ -87,13 +87,9 @@ def zeta(P: GradedPoset, method: str = "closure") -> BlockMatrix:
     they are refused otherwise.
     """
     if method == "closure":
-        return BlockMatrix(P.level_sizes, _closure_rows(P), BOOL)
+        sizes = P.level_sizes
+        return BlockMatrix(sizes, _unit_solve(_cover_rows(P), sizes, BOOL, False), BOOL)
     return BlockMatrix(*_label_rows(P, method), BOOL)
-
-
-def _closure_rows(P: GradedPoset) -> List[bytes]:
-    """The rows of zeta(P, "closure"): the BOOL closure of the cover rows."""
-    return _unit_solve(_cover_rows(P), P.level_sizes, BOOL, False)
 
 
 class _LabelRows(NamedTuple):
@@ -272,7 +268,7 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
     cobwebs (rank-only dependence fails otherwise), so it is refused there.
     """
     if method == "invert":
-        return _unit_inverse(P.level_sizes, _closure_rows(P))
+        return _unit_inverse(P.level_sizes, zeta(P).rows)
     if method == "recurrence":
         return BlockMatrix(P.level_sizes, _mobius_recurrence_rows(P), INT)
     if method == "closed_form":
@@ -418,10 +414,9 @@ def max_matrix(P: GradedPoset) -> BlockMatrix:
 
 def max_inverse(P: GradedPoset) -> BlockMatrix:
     """Identity minus the cover matrix: the exact inverse of max_matrix."""
-    rows = [[-v for v in row] for row in kappa(P, INT).rows]
-    for x, row in enumerate(rows):
-        row[x] = 1  # the cover matrix is 0 on the diagonal
-    return BlockMatrix(P.level_sizes, rows, INT)
+    # a cover row is 0 on and left of the diagonal; tuples hold no spare slots
+    return BlockMatrix(P.level_sizes, [(0,) * x + (1, *map(neg, row[x + 1:]))
+                                       for x, row in enumerate(_cover_rows(P))], INT)
 
 
 def logic_L(M: BlockMatrix) -> BlockMatrix:
@@ -437,7 +432,7 @@ def _logic_L_rows(M: BlockMatrix):
             if v < 0:
                 raise MatrixError(
                     f"logic_L is undefined on negative entry {v} at ({i + 1}, {j + 1})")
-        yield [1 if v > 0 else 0 for v in row]
+        yield bytes([v > 0 for v in row])
 
 
 # -- the level algebra of cobwebs ------------------------------------------

@@ -50,8 +50,8 @@ def _first_mismatch(rows, want_rows):
     and y, a from rows and b from want_rows, "no entry" where that side has
     no such row or column.  None when the rows agree."""
     for x, (got, want) in enumerate(zip_longest(rows, want_rows, fillvalue=()), start=1):
-        got, want = tuple(got), tuple(want)
-        if got != want:
+        # two rows of one type compare in C, and others as tuples
+        if got != want and (got := tuple(got)) != (want := tuple(want)):
             y = next((j for j, (a, b) in enumerate(zip(got, want)) if a != b),
                      min(len(got), len(want)))
             return (x, y + 1, *(r[y] if y < len(r) else "no entry" for r in (got, want)))

@@ -69,6 +69,31 @@ def test_identity_is_neutral():
     assert mul(I, A) == A
 
 
+# -- the row rule: a matrix keeps the rows it is given ------------------------
+
+def test_rows_compare_and_hash_by_entries_whatever_holds_them():
+    rows = [b"\1\1\0", b"\0\1\0", b"\0\0\1"]
+    A = BlockMatrix([1, 2], rows, BOOL)
+    assert all(a is b for a, b in zip(A.rows, rows))
+    for other in ([(1, 1, 0), (0, 1, 0), (0, 0, 1)], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]):
+        B = BlockMatrix([1, 2], other, BOOL)
+        assert A == B and B == A and hash(A) == hash(B)
+    # one entry different
+    C = BlockMatrix([1, 2], [(1, 1, 0), (0, 1, 1), (0, 0, 1)], BOOL)
+    assert A != C and C != A
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0]],             # a short row
+    [b"\1\0", b"\1"],          # a short bytes row
+    [[1, 0]],                  # a row too few
+    [[1, 0], [0, 1], [0, 0]],  # a row too many
+])
+def test_rows_of_the_wrong_shape_from_a_generator_raise(rows):
+    with pytest.raises(MatrixError):
+        BlockMatrix([1, 1], (row for row in rows))
+
+
 def test_shape_and_ring_mismatch():
     A = BlockMatrix.identity([1, 2], INT)
     B = BlockMatrix.identity([3], INT)
@@ -259,7 +284,7 @@ def test_matrix_natural_join():
     B = BlockMatrix([2, 1], [[1, 0, 1], [0, 1, 1], [0, 0, 1]], INT)
     J = mat_join(A, B)
     assert J.level_sizes == (1, 2, 1)
-    assert J.rows[0][:3] == (1, 1, 1)
+    assert tuple(J.rows[0][:3]) == (1, 1, 1)
     assert J.rows[0][3] == 0  # outside both spans
     assert J.rows[1][3] == 1
     with pytest.raises(MatrixError):

@@ -38,11 +38,18 @@ def test_kappa_single_level_is_zero():
 def test_cover_rows_are_the_band_block_rows(P):
     rows = _cover_rows(P)
     assert all(type(row) is bytes for row in rows)
-    assert tuple(map(tuple, rows)) == \
-        band_matrix(P.level_sizes, P.blocks, INT).rows == kappa(P).rows
+    assert [list(row) for row in rows] == list(band_matrix(P.level_sizes, P.blocks, INT).rows)
+    assert kappa(P).rows == tuple(rows)
     # the top level shares one all-zero row
     top = rows[P.node_count - P.level_sizes[-1]:]
     assert top[0] == bytes(P.node_count) and all(row is top[0] for row in top)
+
+
+def test_the_closure_and_the_cover_keep_bytes_rows_and_with_ring_shares_them():
+    P = random_no_mute_poset(7)
+    Z = zeta(P, "closure")
+    assert all(type(row) is bytes for row in Z.rows + kappa(P).rows)
+    assert Z.with_ring(INT).rows is Z.rows
 
 
 def test_kappa_tracks_deleted_arcs():

@@ -118,6 +118,23 @@ def test_run_checks_builds_the_closure_mu_and_the_max_matrix_once(monkeypatch):
     assert calls == []
 
 
+def test_dense_mu_solves_the_very_rows_of_the_closure(monkeypatch):
+    solved = []
+    real_solve = incidence._unit_solve
+
+    def unit_solve(rows, sizes, ring, negate):
+        solved.append((ring.name, rows))
+        return real_solve(rows, sizes, ring, negate)
+
+    monkeypatch.setattr(incidence, "_unit_solve", unit_solve)
+    D = suites.Dense(from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]]))
+    D.mu
+    assert [ring for ring, _ in solved] == ["bool", "int"]
+    rows = solved[1][1]
+    assert len(rows) == len(D.closure.rows)
+    assert all(type(a) is bytes and a is b for a, b in zip(rows, D.closure.rows))
+
+
 def test_markov_failure_names_first_triple():
     # a non-cobweb forced past the cobweb gate: C(1,1) * C(2,2) = 6 chains
     # against C(1,2) = 4, caught by the split form at the first triple
