@@ -123,7 +123,6 @@ def poset_from_json(text: str) -> GradedPoset:
 # -- matrix CSV / JSON -------------------------------------------------------
 
 _DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"?" * 246)
-_TEXTS_HELD = 1 << 12
 
 
 class _Texts(dict):
@@ -162,7 +161,7 @@ def _row_texts(M, sep: str):
     (any other byte becomes '?'), and the digits are laid over a template
     "0<sep>0<sep>...0".  Any other row is joined from one text cache per
     matrix, which converts each distinct value once, when a row first holds
-    it, and is cleared once it holds more than _TEXTS_HELD values; +v writes
+    it, and so holds at most the values of a matrix already held; +v writes
     a bool as 1 or 0 there too, as the digit path does, and leaves every
     other number as str() writes it.  Row x of a unitriangular matrix opens
     with x zeros, which go out as one slice of a prebuilt "0<sep>0<sep>..."
@@ -177,8 +176,6 @@ def _row_texts(M, sep: str):
             except (ValueError, TypeError):  # an entry outside 0..255, or not an int
                 digits = b"?"
             if b"?" in digits:
-                if len(texts) > _TEXTS_HELD:
-                    texts.clear()
                 if row[:x].count(0) == x:
                     yield zeros[:step * x] + sep.join(map(texts.__getitem__, row[x:]))
                 else:

@@ -4,14 +4,13 @@ The same objects are built along independent routes on purpose, four for
 zeta and three for the Moebius matrix (see zeta and mobius), and tests and
 the check suites hold all routes to exact agreement.
 
-The dense routes, zeta by closure, max, the inversion and eta^-1, run
-blockmat._unit_solve on 0/1 rows held as bytes.  _cover_rows builds one
-row per node straight from the cover blocks, with no N x N list; the BOOL
-closure of those rows comes back as bytes, which zeta keeps and the
-inversion hands to the INT solve as they are.  eta^-1 solves from the cover
-rows alone, since the solve reads nothing left of the diagonal.  Each route
-builds its BlockMatrix once, from the solved rows, and checks no shape it
-built itself.
+The four dense routes, zeta by closure, max, eta^-1 and the inversion, each
+call _solve, the dense counterpart of _level_solve, on 0/1 rows held as
+bytes: the first three on the cover rows, which _cover_rows builds one per
+node straight from the cover blocks, with no N x N list, and the inversion
+on the rows of the BOOL closure, which come back as bytes and which zeta
+keeps.  eta^-1 solves from the cover rows alone, since the solve reads
+nothing on or left of the diagonal.
 
 Each label route evaluates its own formula from the prefix sums S and the
 level sizes alone, one bytearray row at a time: every term is taken once,
@@ -41,7 +40,7 @@ from operator import neg, or_
 from typing import Iterator, List, NamedTuple, Tuple
 
 from .blockmat import BOOL, INT, BlockMatrix, MatrixError, _HOLES, _unit_solve, \
-    _unpack_columns, add
+    _unpack_columns
 from .fsequence import FSequence
 from .poset import GradedPoset, PosetError
 
@@ -64,14 +63,22 @@ def kappa(P: GradedPoset, ring=INT) -> BlockMatrix:
     return BlockMatrix(P.level_sizes, _cover_rows(P), ring)
 
 
+def _solve(P: GradedPoset, rows, ring, negate=False) -> BlockMatrix:
+    """The matrix of blockmat._unit_solve on rows: the dense counterpart of
+    _level_solve."""
+    return BlockMatrix(P.level_sizes, _unit_solve(rows, P.level_sizes, ring, negate), ring)
+
+
 def eta(P: GradedPoset) -> BlockMatrix:
-    """Reflexive cover: identity plus the cover matrix, over the integers."""
-    return add(BlockMatrix.identity(P.level_sizes, INT), kappa(P, INT))
+    """Reflexive cover I + kappa over the integers: kappa's rows, each with
+    its diagonal byte set."""
+    return BlockMatrix(P.level_sizes, [row[:x] + b"\1" + row[x + 1:]
+                                       for x, row in enumerate(kappa(P).rows)], INT)
 
 
 def eta_inverse(P: GradedPoset) -> BlockMatrix:
     """Exact inverse of eta; block (r, s) carries (-1)^(s-r) B_r ... B_(s-1)."""
-    return _unit_inverse(P.level_sizes, _cover_rows(P))
+    return _solve(P, _cover_rows(P), INT, True)
 
 
 # -- zeta: four constructions ---------------------------------------------
@@ -87,8 +94,7 @@ def zeta(P: GradedPoset, method: str = "closure") -> BlockMatrix:
     they are refused otherwise.
     """
     if method == "closure":
-        sizes = P.level_sizes
-        return BlockMatrix(sizes, _unit_solve(_cover_rows(P), sizes, BOOL, False), BOOL)
+        return _solve(P, _cover_rows(P), BOOL)
     return BlockMatrix(*_label_rows(P, method), BOOL)
 
 
@@ -268,7 +274,7 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
     cobwebs (rank-only dependence fails otherwise), so it is refused there.
     """
     if method == "invert":
-        return _unit_inverse(P.level_sizes, zeta(P).rows)
+        return _solve(P, zeta(P).rows, INT, True)
     if method == "recurrence":
         return BlockMatrix(P.level_sizes, _mobius_recurrence_rows(P), INT)
     if method == "closed_form":
@@ -276,12 +282,6 @@ def mobius(P: GradedPoset, method: str = "invert") -> BlockMatrix:
             raise PosetError("closed form Moebius is defined for cobwebs only")
         return level_mobius(P, "closed_form").to_block()
     raise ValueError(f"unknown mobius method {method!r}")
-
-
-def _unit_inverse(sizes, rows) -> BlockMatrix:
-    """The INT inverse of I + N, N the part of `rows` right of the
-    diagonal, by the solve R = I - N R."""
-    return BlockMatrix(sizes, _unit_solve(rows, sizes, INT, True), INT)
 
 
 def reachable_sets(P: GradedPoset) -> List[int]:
@@ -409,7 +409,7 @@ def interval_mobius(F: FSequence, r: int, s: int) -> int:
 def max_matrix(P: GradedPoset) -> BlockMatrix:
     """Integer closure of the cover matrix; entry (x, y) counts the maximal
     chains of the interval [x, y], with all-ones diagonal."""
-    return BlockMatrix(P.level_sizes, _unit_solve(_cover_rows(P), P.level_sizes, INT, False), INT)
+    return _solve(P, _cover_rows(P), INT)
 
 
 def max_inverse(P: GradedPoset) -> BlockMatrix:

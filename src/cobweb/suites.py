@@ -8,7 +8,8 @@ The max and Markov suites hold the matrices to the chain-count oracle of
 the chains module.  Every comparison streams one route's rows against the
 other's through _first_mismatch, and each inverse-pair law, zeta * mu == I
 and (I - cover) * max == I, is one exact product read by
-blockmat._product_is_identity, so no matrix is built only to be compared.
+blockmat._product_is_identity, so no matrix is built only to be compared,
+and none is held that only one suite reads (see Dense).
 One product per law is enough: a one-sided inverse of a square matrix is
 two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
 Prop. 3.6.2) and over the integers alike, since det A * det B = 1.
@@ -22,8 +23,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .blockmat import INT, BlockMatrix, MatrixError, _product_is_identity
 from .chains import _interval_rows, layer_chain_counts
-from .incidence import ZETA_METHODS, _bit_row, _unit_inverse, _label_rows, _logic_L_rows, \
-    _mobius_recurrence_rows, level_max, level_max_inverse, level_mobius, level_zeta, \
+from .incidence import ZETA_METHODS, _bit_row, _label_rows, _logic_L_rows, \
+    _mobius_recurrence_rows, _solve, level_max, level_max_inverse, level_mobius, level_zeta, \
     max_inverse, max_matrix, reachable_sets, zeta
 from .invariants import RootedPoset, char_poly
 from .poset import GradedPoset, antichain, ordinal_sum
@@ -73,9 +74,10 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
 
 
 class Dense:
-    """zeta(P, "closure"), mobius(P, "invert") and max_matrix(P), each
-    built on first use; mu inverts the closure held here.  run_checks hands
-    one Dense to every suite it runs, so none is built twice, and a suite
+    """The dense matrices two suites read, each built on first use:
+    zeta(P, "closure"), which the zeta and mobius suites read, and
+    max_matrix(P), which the zeta and max suites read.  run_checks hands one
+    Dense to every suite it runs, so neither is built twice, and a suite
     called alone builds its own."""
 
     def __init__(self, P: GradedPoset):
@@ -84,10 +86,6 @@ class Dense:
     @cached_property
     def closure(self) -> BlockMatrix:
         return zeta(self.P, "closure")
-
-    @cached_property
-    def mu(self) -> BlockMatrix:
-        return _unit_inverse(self.P.level_sizes, self.closure.rows)
 
     @cached_property
     def max(self) -> BlockMatrix:
@@ -122,7 +120,7 @@ def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResul
 def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
     out = []
     dense = dense or Dense(P)
-    mu = dense.mu
+    mu = _solve(P, dense.closure.rows, INT, True)
     out.append(_verdict("mobius", "invert-vs-recurrence",
                         not _first_mismatch(_mobius_recurrence_rows(P), mu.rows),
                         "inversion and recurrence disagree"))
@@ -196,11 +194,11 @@ def suite_whitney(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRe
     except ArithmeticError as e:
         return [_verdict("whitney", "closed-vs-direct", False, str(e))]
     out.append(_verdict("whitney", "closed-vs-direct", True))
-    # w_r is the sum of mu(0^, x) over rank r, read off row 1 of the
-    # inversion
-    row, off = (dense or Dense(P)).mu.rows[0], R._offsets
+    # w_r sums mu(0^, x) over rank r: the rank's size times entry (1, r + 1)
+    # of the level inversion, which the mobius suite holds to the dense one
+    row = level_mobius(R, "invert").entries[0]
     bad = next(((r, w, s) for r, w in enumerate(chi.coefficients)
-                if w != (s := sum(row[off[r]:off[r + 1]]))), None)
+                if w != (s := R.level_sizes[r] * row[r])), None)
     out.append(_verdict("whitney", "first-kind-vs-inversion", bad is None, bad and
                         f"rank {bad[0]}: w_r {bad[1]} != {bad[2]}, "
                         f"the rank sum of row 1 of the inversion"))

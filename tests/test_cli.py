@@ -89,6 +89,29 @@ def test_gen_blocks_root_counts_the_root_against_the_level_cap(tmp_path, capsys,
         assert poset_from_json(out) == cobweb_of_sizes([1] * (n_blocks + 2))
 
 
+def test_gen_blocks_with_an_agreeing_seq_names_the_sequence(tmp_path, capsys):
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps([[[1, 1]]]))
+    assert run_cli(capsys, "gen", "--blocks", str(blocks), "--seq", "nat") == (
+        0, '{"level_sizes": [1, 2], "blocks": [[[1, 1]]], '
+           '"flags": {"cobweb": true, "no_mute": true}, "sequence": "nat"}\n', "")
+
+
+@pytest.mark.parametrize("blocks", [[], [[]], [[[]]], {"blocks": [[[1]]]}])
+def test_gen_blocks_refuses_a_file_with_no_first_block_row(tmp_path, capsys, blocks):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(blocks))
+    assert run_cli(capsys, "gen", "--blocks", str(path)) == (
+        1, "", "cobweb: blocks file must hold a nonempty list of 0/1 matrices, "
+               "each with a nonempty first row\n")
+
+
+def test_a_level_cap_that_is_no_integer_is_one_diagnostic(capsys, monkeypatch):
+    monkeypatch.setenv("COBWEB_MAX_LEVELS", "x")
+    assert run_cli(capsys, "gen", "--seq", "nat", "--levels", "3") == (
+        1, "", "cobweb: COBWEB_MAX_LEVELS must be an integer, got 'x'\n")
+
+
 def test_gen_blocks_seq_mismatch(tmp_path, capsys):
     blocks = tmp_path / "blocks.json"
     blocks.write_text(json.dumps([[[1, 1], [1, 1]]]))

@@ -288,8 +288,8 @@ def test_dense_writers_write_a_bool_entry_as_its_digit():
 
 def text_cache_matrix():
     """Digit rows between rows that leave the digit path: negative entries,
-    entries above 255 and above 2^64, and bools, with more distinct values
-    than the writers' text cache holds."""
+    entries above 255 and above 2^64, and bools, with more than 4,096
+    distinct values."""
     n = 128
     rows = []
     for x in range(n):
@@ -305,13 +305,10 @@ def text_cache_matrix():
     return BlockMatrix([n], rows, INT)
 
 
-@pytest.mark.parametrize("held", [None, 0, 5])
-def test_the_text_cache_writes_each_entry_as_str_does(monkeypatch, held):
+def test_the_text_cache_writes_each_entry_as_str_does():
     # a bool is written as its int, as the digit path writes it
-    if held is not None:
-        monkeypatch.setattr(formats, "_TEXTS_HELD", held)
     M = text_cache_matrix()
-    assert len({v for row in M.rows for v in row}) > formats._TEXTS_HELD
+    assert len({v for row in M.rows for v in row}) > 4096
     want = BlockMatrix(M.level_sizes, [[int(v) for v in row] for row in M.rows], INT)
     assert written(write_matrix_csv, M) == literal_csv(want)
     assert written(write_matrix_json, M) == literal_json(want)

@@ -159,6 +159,7 @@ UNREAD_EXPORTS = {
     ("blockmat", "nilpotent_closure"): TRACED,
     ("blockmat", "unitriangular_inverse"): TRACED,
     ("blockmat", "mul"): "the algebra's product, which the README's library example calls",
+    ("blockmat", "add"): "the algebra's sum, which the tests hold mul to",
     ("poset", "layer"): JOIN,
     ("poset", "natural_join"): JOIN,
     ("fsequence", "custom"): SEQUENCE,

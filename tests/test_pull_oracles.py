@@ -639,6 +639,11 @@ def test_down_terms_weigh_each_level_alone():
     P = from_blocks([3, 1, 1, 1], [[[0], [1], [0]], [[1]], [[1]]])
     assert incidence._down_terms(P) == [
         (0, (), ()), (0, (), ()), (0, (), ()), (0, [], [1]), (0, [], [1, 3]), (0, [], [1, 3, 4])]
+    # levels {0}, {1, 2, 3, 4}, {5}, {6} on 0 < 1 < 5 < 6: level 0 is
+    # whole below 5 and 6, and level 1, a quarter in, is weighed alone
+    # from there, not with the levels above it
+    P = from_blocks([1, 4, 1, 1], [[[1, 1, 1, 1]], [[1], [0], [0], [0]], [[1]]])
+    assert incidence._down_terms(P)[5:] == [(1, [], [1]), (1, [], [1, 5])]
 
 
 @settings(max_examples=150, deadline=None)
@@ -673,7 +678,7 @@ def test_the_recurrence_runs_no_step_of_the_inversion(monkeypatch):
     for module, name in [(blockmat, "_packed_pass"), (blockmat, "_packed_rows"),
                          (blockmat, "_unit_solve"), (blockmat, "mul"),
                          (blockmat, "nilpotent_closure"), (blockmat, "unitriangular_inverse"),
-                         (incidence, "_unit_solve"), (incidence, "_unit_inverse"),
+                         (incidence, "_unit_solve"), (incidence, "_solve"),
                          (incidence, "zeta")]:
         monkeypatch.setattr(module, name, refuse)
     rng = random.Random(23)

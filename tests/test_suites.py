@@ -1,10 +1,13 @@
 """Check suites: failure details name the same entry as a pair-by-pair scan."""
 
+import random
 from types import SimpleNamespace
 
-from cobweb import BlockMatrix, CharPoly, CodingMatrix, LevelMatrix, cobweb, \
+from cobweb import BlockMatrix, CharPoly, CodingMatrix, LevelMatrix, blockmat, cobweb, \
     cobweb_of_sizes, custom, from_blocks, gauss, incidence, invariants, nat, root, \
     run_checks, suites
+
+from conftest import random_no_mute_blocks
 
 
 def corrupted(M, *entries):
@@ -41,12 +44,12 @@ def corrupt_every_dense_mu(monkeypatch, entry):
     """Every dense Moebius route, the suite's inverse of the closure, the
     recurrence's rows and the closed form's rows, which the suite reads from
     its level form, included, returns mu with 7 added at entry."""
-    real, real_inverse = incidence.mobius, suites._unit_inverse
+    real, real_solve = incidence.mobius, suites._solve
     real_level = suites.level_mobius
     monkeypatch.setattr(suites, "_mobius_recurrence_rows",
                         lambda Q: corrupted(real(Q, "recurrence"), entry).rows)
-    monkeypatch.setattr(suites, "_unit_inverse",
-                        lambda sizes, rows: corrupted(real_inverse(sizes, rows), entry))
+    monkeypatch.setattr(suites, "_solve", lambda Q, rows, ring, negate=False:
+                        corrupted(real_solve(Q, rows, ring, negate), entry))
     monkeypatch.setattr(suites, "level_mobius", lambda Q, m: SimpleNamespace(
         rows=lambda: iter(corrupted(real(Q, m), entry).rows)) if m == "closed_form"
         else real_level(Q, m))
@@ -61,6 +64,18 @@ def test_mobius_inverse_pair_fails_on_a_consistently_wrong_mu(monkeypatch):
     assert failed == {"inverse-pair": "mu is not an exact two-sided inverse of zeta",
                       "level-form-agreement":
                           "invert: entry (2, 2): level form has 1, dense has 8"}
+
+
+def test_invert_vs_recurrence_fails_on_a_wrong_holes_rule(monkeypatch):
+    # the kernel's holes rule takes every row of a level off its sum, not
+    # only the rows of its holes; _down_terms binds its own mask, so the
+    # recurrence stays right, on 7 levels of 15 nodes with half the arcs
+    rng = random.Random(5)
+    P = from_blocks([15] * 7, [random_no_mute_blocks(rng, 15, 15) for _ in range(6)])
+    assert all(r.passed for r in suites.suite_mobius(P))
+    monkeypatch.setattr(blockmat, "_HOLES", bytes.maketrans(b"\0\1", b"\1\1"))
+    assert failures(run_checks(P, "mobius"))["invert-vs-recurrence"] == \
+        "inversion and recurrence disagree"
 
 
 def test_each_inverse_pair_costs_one_product(monkeypatch):
@@ -102,8 +117,8 @@ def test_run_checks_builds_the_closure_mu_and_the_max_matrix_once(monkeypatch):
 
     monkeypatch.setattr(suites, "zeta", zeta)
     monkeypatch.setattr(suites, "max_matrix", max_matrix)
-    # every dense solve, whoever asks for it: the mobius and whitney suites
-    # share one inverse of the zeta closure they are handed
+    # every dense solve, whoever asks for it: the mobius suite inverts the
+    # zeta closure it is handed, and the whitney suite solves none
     monkeypatch.setattr(incidence, "_unit_solve", unit_solve)
     non_cobweb = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
     for P in (cobweb(nat(), 4), cobweb(nat(), 5), root(gauss(2), 3), non_cobweb):
@@ -112,13 +127,15 @@ def test_run_checks_builds_the_closure_mu_and_the_max_matrix_once(monkeypatch):
         assert (calls.count("closure"), calls.count("max")) == (1, 1)
         assert sorted(c for c in calls if isinstance(c, tuple)) == \
             [("bool", False), ("int", False), ("int", True)]
-    # a suite that reads neither builds neither
-    calls.clear()
-    run_checks(cobweb(nat(), 4), "markov")
-    assert calls == []
+    # a suite that reads neither builds neither, and the whitney suite
+    # reads row 1 of the level inversion, an n x n solve
+    for P, suite in ((cobweb(nat(), 4), "markov"), (root(gauss(2), 4), "whitney")):
+        calls.clear()
+        assert all(r.passed for r in run_checks(P, suite))
+        assert calls == []
 
 
-def test_dense_mu_solves_the_very_rows_of_the_closure(monkeypatch):
+def test_suite_mobius_solves_the_very_rows_of_the_closure(monkeypatch):
     solved = []
     real_solve = incidence._unit_solve
 
@@ -127,8 +144,9 @@ def test_dense_mu_solves_the_very_rows_of_the_closure(monkeypatch):
         return real_solve(rows, sizes, ring, negate)
 
     monkeypatch.setattr(incidence, "_unit_solve", unit_solve)
-    D = suites.Dense(from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]]))
-    D.mu
+    P = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
+    D = suites.Dense(P)
+    assert all(r.passed for r in suites.suite_mobius(P, D))
     assert [ring for ring, _ in solved] == ["bool", "int"]
     rows = solved[1][1]
     assert len(rows) == len(D.closure.rows)
@@ -407,15 +425,22 @@ def test_whitney_chi_at_one_fails_on_a_wrong_char_poly(monkeypatch):
 
 
 def test_whitney_first_kind_fails_on_a_wrong_inversion(monkeypatch):
-    # mu(0^, x) on the first node of rank 1 read as 6, not -1: w_1 = -2
-    # against the rank sum 5; the recurrence and chi still agree
+    # mu(0^, x) on the nodes of rank 1 read as 6, not -1, at entry (1, 2)
+    # of the level inversion: w_1 = -2 against the rank sum 2 * 6 = 12; the
+    # recurrence and chi still agree
     R = root(custom([2, 3]), 2)
-    real = suites._unit_inverse
-    monkeypatch.setattr(suites, "_unit_inverse",
-                        lambda sizes, rows: corrupted(real(sizes, rows), (1, 2)))
+    real = suites.level_mobius
+
+    def level_mobius(Q, method):
+        L = real(Q, method)
+        entries = [list(row) for row in L.entries]
+        entries[0][1] += 7
+        return L._replace(entries=entries)
+
+    monkeypatch.setattr(suites, "level_mobius", level_mobius)
     assert failures(suites.suite_whitney(R)) == {
         "first-kind-vs-inversion":
-            "rank 1: w_r -2 != 5, the rank sum of row 1 of the inversion"}
+            "rank 1: w_r -2 != 12, the rank sum of row 1 of the inversion"}
 
 
 # -- the comparator on rows of the wrong shape --------------------------------
