@@ -4,16 +4,23 @@ Exit codes: 0 on success, 1 on any domain or usage error, 2 when a check
 suite fails.  Data goes to stdout (or -o), diagnostics to stderr.  The
 environment variable COBWEB_MAX_LEVELS (default 12) caps requested level
 counts so a stray argument cannot trigger a huge computation.
+
+The grammar is one table, _GRAMMAR, in add_argument terms.  A well-formed
+call is read from it directly; argparse is imported and built from the same
+table only for the rest (-h, a usage error, an abbreviated option or any
+other unusual form), so its help, usage and error text stay the only ones.
+The process entry flushes stdout and stderr itself, so a failed write is a
+`cobweb: ...` error like any other, and then ends with os._exit: the process
+is this one call, and tearing down the modules it imported is wasted work.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import gc
 import json
 import os
 import sys
+import types
 
 from . import formats
 from .blockmat import MatrixError, RingError
@@ -31,13 +38,6 @@ from .suites import run_checks
 
 class CliError(Exception):
     """A usage or domain error of one call: one `cobweb: ...` line, exit 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the contract here is exit 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise CliError(message)
 
 
 def _check_levels(n: int, what: str = "levels"):
@@ -99,92 +99,132 @@ ZETA_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in ZETA_METHODS}
 MOBIUS_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in MOBIUS_METHODS}
 
 
-class _NotBuilt:
-    """Stands in for a subparser that one call does not need."""
-    def add_argument(self, *args, **kwargs):
-        pass
+# The command-line grammar, stated once: command -> (help, arguments), each
+# argument as the (flags, keywords) of its add_argument call.  build_parser
+# builds argparse from it and _strict_parse reads a well-formed call with it.
+_POSET = (("poset",), {})
+_OUTPUT = (("-o", "--output"), {})
+_FORMAT = (("--format",), {"choices": ["csv", "json"], "default": "csv"})
+_INVERSE = (("--inverse",), {"action": "store_true"})
+_SEQ = (("--seq",), {"required": True})
+_GRAMMAR = {
+    "gen": ("generate a poset and write its JSON", [
+        (("--seq",), {"help": "sequence spec: nat|fib|gauss:q=<int>|const:<int>|file:<path>"}),
+        (("--levels",), {"type": int, "help": "number of levels"}),
+        (("--root",), {"action": "store_true", "help": "prepend a singleton bottom level"}),
+        (("--blocks",), {"help": "JSON file with explicit 0/1 blocks"}),
+        (("-o", "--output"), {"help": "output path (default stdout)"})]),
+    "zeta": ("zeta matrix of a poset", [
+        _POSET, _OUTPUT,
+        (("--method",), {"choices": sorted(ZETA_FLAG_TO_METHOD), "default": "closure"}),
+        (("--format",), {"choices": ["csv", "json", "ascii"], "default": "csv"})]),
+    "mobius": ("Moebius matrix of a poset", [
+        _POSET, _OUTPUT, _FORMAT,
+        (("--method",), {"choices": sorted(MOBIUS_FLAG_TO_METHOD), "default": "invert"})]),
+    "max": ("maximal-chain counting matrix", [_POSET, _OUTPUT, _FORMAT, _INVERSE]),
+    "eta": ("reflexive cover matrix", [_POSET, _OUTPUT, _FORMAT, _INVERSE]),
+    "chains": ("maximal chains of a layer", [
+        _POSET, _OUTPUT,
+        (("--from",), {"dest": "from_level", "type": int}),
+        (("--to",), {"dest": "to_level", "type": int}),
+        (("--count-only",), {"action": "store_true"}),
+        (("--interval",), {"nargs": 2, "type": int, "metavar": ("X", "Y"),
+                           "help": "count chains between two global labels"})]),
+    "fnomial": ("F-nomial coefficient", [_SEQ, (("n",), {"type": int}), (("k",), {"type": int})]),
+    "admissible": ("cobweb admissibility verdict", [
+        _SEQ, (("--up-to",), {"dest": "up_to", "type": int, "required": True})]),
+    "whitney": ("Whitney numbers of a rooted poset", [_POSET]),
+    "charpoly": ("characteristic polynomial of a rooted poset", [_POSET]),
+    "coding": ("coding matrix of a sequence", [
+        _FORMAT, _SEQ, (("--levels",), {"type": int, "required": True}), _OUTPUT]),
+    "kroton": ("coding entry magnitude between two levels",
+               [_SEQ, (("r",), {"type": int}), (("s",), {"type": int})]),
+    "check": ("run invariant suites on a poset", [
+        _POSET, (("--suite",), {"default": "all", "choices": [
+            "all", "zeta", "mobius", "max", "markov", "whitney"]})]),
+    "dot": ("DOT export of the Hasse digraph", [_POSET, _OUTPUT]),
+    "lascala": ("ASCII staircase view of zeta", [_POSET, _OUTPUT]),
+}
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with the subparser of `command` only, or with all of them
-    when `command` is None."""
+def build_parser(command=None):
+    """The argparse parser of the grammar, with the subparser of `command`
+    only, or with all of them when `command` is None."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on bad usage; the contract here is exit 1
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise CliError(message)
+
     p = _Parser(prog="cobweb",
                 description="Exact incidence algebra of graded posets built "
                             "as natural joins of bipartite layers.")
     sub = p.add_subparsers(dest="command", metavar="command")
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, **kwargs) if command in (None, name) else _NotBuilt()
-
-    # parent parsers: the poset and -o of the commands that read a poset and
-    # write a result, and the --format of the csv/json matrix commands
-    poset_io = argparse.ArgumentParser(add_help=False)
-    poset_io.add_argument("poset")
-    poset_io.add_argument("-o", "--output")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    g = add_parser("gen", help="generate a poset and write its JSON")
-    g.add_argument("--seq", help="sequence spec: nat|fib|gauss:q=<int>|const:<int>|file:<path>")
-    g.add_argument("--levels", type=int, help="number of levels")
-    g.add_argument("--root", action="store_true",
-                   help="prepend a singleton bottom level")
-    g.add_argument("--blocks", help="JSON file with explicit 0/1 blocks")
-    g.add_argument("-o", "--output", help="output path (default stdout)")
-
-    z = add_parser("zeta", parents=[poset_io], help="zeta matrix of a poset")
-    z.add_argument("--method", choices=sorted(ZETA_FLAG_TO_METHOD), default="closure")
-    z.add_argument("--format", choices=["csv", "json", "ascii"], default="csv")
-
-    m = add_parser("mobius", parents=[poset_io, fmt], help="Moebius matrix of a poset")
-    m.add_argument("--method", choices=sorted(MOBIUS_FLAG_TO_METHOD), default="invert")
-
-    x = add_parser("max", parents=[poset_io, fmt], help="maximal-chain counting matrix")
-    x.add_argument("--inverse", action="store_true")
-
-    e = add_parser("eta", parents=[poset_io, fmt], help="reflexive cover matrix")
-    e.add_argument("--inverse", action="store_true")
-
-    c = add_parser("chains", parents=[poset_io], help="maximal chains of a layer")
-    c.add_argument("--from", dest="from_level", type=int)
-    c.add_argument("--to", dest="to_level", type=int)
-    c.add_argument("--count-only", action="store_true")
-    c.add_argument("--interval", nargs=2, type=int, metavar=("X", "Y"),
-                   help="count chains between two global labels")
-
-    f = add_parser("fnomial", help="F-nomial coefficient")
-    f.add_argument("--seq", required=True)
-    f.add_argument("n", type=int)
-    f.add_argument("k", type=int)
-
-    a = add_parser("admissible", help="cobweb admissibility verdict")
-    a.add_argument("--seq", required=True)
-    a.add_argument("--up-to", dest="up_to", type=int, required=True)
-
-    w = add_parser("whitney", help="Whitney numbers of a rooted poset")
-    w.add_argument("poset")
-
-    cp = add_parser("charpoly", help="characteristic polynomial of a rooted poset")
-    cp.add_argument("poset")
-
-    co = add_parser("coding", parents=[fmt], help="coding matrix of a sequence")
-    co.add_argument("--seq", required=True)
-    co.add_argument("--levels", type=int, required=True)
-    co.add_argument("-o", "--output")
-
-    kr = add_parser("kroton", help="coding entry magnitude between two levels")
-    kr.add_argument("--seq", required=True)
-    kr.add_argument("r", type=int)
-    kr.add_argument("s", type=int)
-
-    ch = add_parser("check", help="run invariant suites on a poset")
-    ch.add_argument("poset")
-    ch.add_argument("--suite", default="all",
-                    choices=["all", "zeta", "mobius", "max", "markov", "whitney"])
-
-    add_parser("dot", parents=[poset_io], help="DOT export of the Hasse digraph")
-    add_parser("lascala", parents=[poset_io], help="ASCII staircase view of zeta")
+    for name, (text, arguments) in _GRAMMAR.items():
+        if command in (None, name):
+            s = sub.add_parser(name, help=text)
+            for flags, kw in arguments:
+                s.add_argument(*flags, **kw)
     return p
+
+
+def _strict_parse(argv):
+    """The namespace argparse makes of argv when argv is a command followed
+    by its exact option strings, each given once with values that do not
+    start with `-` and pass their type and choices, every required option and
+    exactly its positionals; None for any other argv, which argparse reads."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    args, options, positionals, required = {"command": argv[0]}, {}, [], set()
+    for flags, kw in _GRAMMAR[argv[0]][1]:
+        if flags[0].startswith("-"):
+            # argparse's dest: the long flag, which each grammar entry puts last
+            dest = kw.get("dest", flags[-1].lstrip("-").replace("-", "_"))
+            args[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
+            options.update((flag, (dest, kw)) for flag in flags)
+            if kw.get("required"):
+                required.add(dest)
+        else:
+            positionals.append((flags[0], kw))
+    given, values = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
+            continue
+        if token not in options or options[token][0] in given:
+            return None
+        dest, kw = options[token]
+        given.add(dest)
+        if kw.get("action") == "store_true":
+            args[dest] = True
+            continue
+        # a missing value reads as "-", which _value refuses
+        taken = [_value(next(tokens, "-"), kw) for _ in range(kw.get("nargs", 1))]
+        if None in taken:
+            return None
+        args[dest] = taken if "nargs" in kw else taken[0]
+    if len(values) != len(positionals) or not required <= given:
+        return None
+    for (dest, kw), token in zip(positionals, values):
+        args[dest] = _value(token, kw)
+        if args[dest] is None:
+            return None
+    return types.SimpleNamespace(**args)
+
+
+def _value(token, kw):
+    """token as argparse stores it for the argument kw, or None where
+    argparse must read it: a leading `-`, a failed type or a bad choice."""
+    if token.startswith("-"):
+        return None
+    try:
+        value = kw.get("type", str)(token)
+    except ValueError:
+        return None
+    return value if value in kw.get("choices", (value,)) else None
 
 
 def _cmd_gen(args) -> int:
@@ -347,36 +387,41 @@ COMMANDS = {"gen": _cmd_gen, "zeta": _cmd_zeta, "mobius": _cmd_mobius,
 
 
 def run(argv) -> int:
-    """The exit code of one call, errors raised.  Only the named command's
-    subparser is built; -h, an unknown command or none at all get every
-    one, for the full usage and the list of choices."""
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.error("a command is required")
+    """The exit code of one call, errors raised.  A well-formed call is read
+    by _strict_parse; any other builds argparse, with the subparser of the
+    named command only, or with every one for -h, an unknown command or none
+    at all, for the full usage and the list of choices."""
+    args = _strict_parse(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("a command is required")
     return COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:
     """The exit code of one call, each error as one `cobweb: ...` line.
     Called with no argv, as the process entry (`python -m cobweb.cli` or
-    the `cobweb` console script), it freezes the import-time heap with
-    gc.freeze: the whole process is this one call, so nothing imported so
-    far becomes garbage before exit, and exit skips the collector's full
-    passes over the module graph.  A caller that passes argv keeps its
-    heap as it was."""
+    the `cobweb` console script), it flushes stdout and stderr and ends the
+    process with os._exit; a failed flush of stdout is an error like any
+    other."""
     # results are exact, so no integer is too long to print
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    if argv is None:
-        gc.freeze()
-        argv = sys.argv[1:]
+    entry = argv is None
     try:
-        return run(argv)
+        code = run(sys.argv[1:] if entry else argv)
+        if entry:
+            sys.stdout.flush()
     except (CliError, SequenceError, PosetError, MatrixError, RingError,
             formats.FormatError, ValueError, TypeError, OSError) as e:
         print(f"cobweb: {e}", file=sys.stderr)
-        return 1
+        code = 1
+    if entry:
+        sys.stderr.flush()
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import cobweb as cobweb_pkg
-from cobweb import BlockMatrix, cli, cobweb, cobweb_of_sizes, const, fib, from_blocks, \
-    mobius, nat, root, suites, zeta
+from cobweb import BlockMatrix, cli, cobweb, cobweb_of_sizes, const, custom, fib, \
+    from_blocks, mobius, nat, root, suites, zeta
 from cobweb.formats import poset_from_json, poset_to_json
 
 from conftest import brute_chains
@@ -87,6 +87,18 @@ def test_gen_blocks_root_counts_the_root_against_the_level_cap(tmp_path, capsys,
     assert (got_code, got_err) == (code, err)
     if code == 0:
         assert poset_from_json(out) == cobweb_of_sizes([1] * (n_blocks + 2))
+
+
+@pytest.mark.parametrize("levels, code, err", [
+    (11, 0, ""), (12, 1, "cobweb: levels 13 exceeds COBWEB_MAX_LEVELS=12\n")],
+    ids=["12-levels-rooted", "13-levels-rooted"])
+def test_gen_root_counts_the_root_against_the_level_cap(capsys, monkeypatch, levels, code, err):
+    monkeypatch.delenv("COBWEB_MAX_LEVELS", raising=False)
+    got_code, out, got_err = run_cli(capsys, "gen", "--seq", "const:1", "--levels",
+                                     str(levels), "--root")
+    assert (got_code, got_err) == (code, err)
+    if code == 0:
+        assert poset_from_json(out).level_sizes == (1,) * (levels + 1)
 
 
 def test_gen_blocks_with_an_agreeing_seq_names_the_sequence(tmp_path, capsys):
@@ -174,6 +186,13 @@ def test_chains_commands(nat5_file, capsys):
     assert out.strip() == "2"
     code, _, err = run_cli(capsys, "chains", nat5_file)
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--from", "1"], ["--to", "2"],
+                                   ["--from", "1", "--count-only"]], ids=str)
+def test_chains_needs_both_layers_or_an_interval(nat5_file, capsys, flags):
+    assert run_cli(capsys, "chains", nat5_file, *flags) == (
+        1, "", "cobweb: chains needs --from and --to (or --interval)\n")
 
 
 @pytest.mark.parametrize("flags", [
@@ -284,22 +303,19 @@ def test_whitney_and_charpoly(rooted_file, capsys):
     assert json.loads(out) == [1, -1, 0, 0, 0]
 
 
-def test_whitney_rejects_unrooted(nat5_file, capsys):
-    # nat cobweb on 5 levels starts with a singleton, so build a wide-bottom one
-    code, _, err = run_cli(capsys, "whitney", nat5_file)
-    assert code == 0  # sizes <1,2,3,4,5> are rooted-shaped
-    import cobweb as cw
-    from cobweb.formats import poset_to_json as ptj
-    import tempfile, os
-    wide = cw.cobweb(cw.custom([2, 3]), 2)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        fh.write(ptj(wide))
-        path = fh.name
-    try:
-        code, _, err = run_cli(capsys, "whitney", path)
-        assert code == 1 and "rooted" in err
-    finally:
-        os.unlink(path)
+def test_whitney_takes_a_cobweb_that_starts_with_a_singleton(nat5_file, capsys):
+    assert run_cli(capsys, "whitney", nat5_file)[0] == 0
+
+
+@pytest.mark.parametrize("P", [cobweb(custom([2, 3]), 2),
+                               from_blocks([1, 2, 2], [[[1, 1]], [[1, 0], [0, 1]]])],
+                         ids=["wide-bottom-cobweb", "rooted-non-cobweb"])
+def test_whitney_and_charpoly_refuse_all_but_a_rooted_cobweb(tmp_path, capsys, P):
+    path = tmp_path / "p.json"
+    path.write_text(poset_to_json(P))
+    for command in ("whitney", "charpoly"):
+        assert run_cli(capsys, command, str(path)) == (
+            1, "", f"cobweb: {command} needs a rooted cobweb (singleton bottom level)\n")
 
 
 def test_coding_pinned_rows(capsys):

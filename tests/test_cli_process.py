@@ -1,10 +1,13 @@
 """The CLI as its own process.
 
-Called with no argv, cli.main is the process entry and freezes the heap it
-was imported with; called with an argv it is an in-process call and leaves
-the collector as it was.  The process path is held to the same golden
-digests as the in-process one, and a fresh `import cobweb.cli` is checked to
-load every module the benchmark tracer binds in.
+Called with no argv, cli.main is the process entry: it flushes stdout and
+stderr itself, turns a failed flush into the one-line `cobweb: ...` error,
+and ends the process with os._exit.  Called with an argv it is an in-process
+call that returns its code and leaves the collector as it was.  The process
+path is held to the same golden digests as the in-process one, a well-formed
+call of every benchmark shape is checked to run without importing argparse,
+and a fresh `import cobweb.cli` is checked to load every module the
+benchmark tracer binds in.
 """
 
 import contextlib
@@ -19,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cobweb as cobweb_pkg
 from cobweb import cli, const
 from cobweb.formats import poset_to_json
@@ -29,19 +34,15 @@ from test_cli_golden import GOLDEN, OUT, all_calls, posets, write_inputs
 REPO = Path(__file__).resolve().parents[1]
 SRC = str(Path(cobweb_pkg.__file__).parents[1])
 FNOMIAL = ["fnomial", "--seq", "nat", "4", "2"]
+REFUSED = ["fnomial", "--seq", "nat", "2", "3"]
 
 
 def process_env():
     env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
     env.pop("COBWEB_MAX_LEVELS", None)
+    # a block-buffered stdout, so output the entry does not flush is lost
+    env.pop("PYTHONUNBUFFERED", None)
     return env
-
-
-def run_python(code):
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=process_env())
-    assert proc.stderr == ""
-    return proc.stdout
 
 
 def test_in_process_call_leaves_the_collector_as_it_was(capsys):
@@ -51,22 +52,96 @@ def test_in_process_call_leaves_the_collector_as_it_was(capsys):
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-def test_entry_call_freezes_the_import_heap():
-    out = run_python("import gc, sys; from cobweb import cli; "
-                     f"sys.argv = ['cobweb', *{FNOMIAL!r}]; code = cli.main(); "
-                     "print(code, gc.get_freeze_count() > 0, gc.isenabled())")
-    assert out == "6\n0 True True\n"
+# the three ways into the entry call; an entry that returned, or raised
+# SystemExit, would print "returned" after the command's own output
+ENTRY_PATHS = {
+    "-m": lambda argv: ["-m", "cobweb.cli", *argv],
+    "runpy": lambda argv: ["-c", "import runpy, sys\n"
+                                 f"sys.argv = ['cobweb', *{argv!r}]\n"
+                                 "try:\n"
+                                 "    runpy.run_module('cobweb.cli', run_name='__main__')\n"
+                                 "except SystemExit:\n"
+                                 "    pass\n"
+                                 "print('returned')"],
+    "sys.argv": lambda argv: ["-c", "import sys\n"
+                                    "from cobweb import cli\n"
+                                    f"sys.argv = ['cobweb', *{argv!r}]\n"
+                                    "cli.main()\n"
+                                    "print('returned')"],
+}
 
 
-def test_module_run_goes_through_the_entry_call():
-    # the body of the __main__ block, run as `python -m cobweb.cli` runs it
-    out = run_python("import gc, runpy, sys\n"
-                     f"sys.argv = ['cobweb', *{FNOMIAL!r}]\n"
-                     "try:\n"
-                     "    runpy.run_module('cobweb.cli', run_name='__main__')\n"
-                     "except SystemExit as e:\n"
-                     "    print(e.code, gc.get_freeze_count() > 0)")
-    assert out == "6\n0 True\n"
+@pytest.mark.parametrize("path", ENTRY_PATHS)
+@pytest.mark.parametrize("argv, want", [
+    (FNOMIAL, (0, "6\n", "")),
+    (REFUSED, (1, "", "cobweb: fnomial needs 0 <= k <= n, got n=2 k=3\n")),
+], ids=["ok", "refused"])
+def test_entry_path_exits_with_the_code_and_its_flushed_output(path, argv, want):
+    proc = subprocess.run([sys.executable, *ENTRY_PATHS[path](argv)], capture_output=True,
+                          text=True, env=process_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_failed_final_flush_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cobweb.cli", *FNOMIAL], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=process_env())
+    assert (proc.returncode, proc.stderr) == \
+        (1, "cobweb: [Errno 28] No space left on device\n")
+
+
+def test_closed_pipe_is_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cobweb.cli", *FNOMIAL], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=process_env())
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "cobweb: [Errno 32] Broken pipe\n")
+
+
+# one call of each shape the benchmark workloads run, on files made by the
+# first three
+FAST_CALLS = [
+    ["gen", "--seq", "nat", "--levels", "4", "-o", "p.json"],
+    ["gen", "--seq", "fib", "--levels", "3", "--root", "-o", "r.json"],
+    ["gen", "--blocks", "b.json", "-o", "g.json"],
+    ["zeta", "p.json", "--method", "label-s", "-o", "z.csv"],
+    ["zeta", "g.json"],
+    ["mobius", "p.json", "--method", "closed-form", "--format", "json"],
+    ["mobius", "g.json", "--method", "recurrence", "-o", "m.csv"],
+    ["max", "g.json"],
+    ["eta", "p.json", "--inverse", "-o", "e.csv"],
+    ["check", "r.json", "--suite", "all"],
+    ["chains", "p.json", "--from", "1", "--to", "4"],
+    ["chains", "p.json", "--from", "2", "--to", "4", "--count-only", "-o", "c.txt"],
+    ["chains", "p.json", "--interval", "1", "10"],
+    ["fnomial", "--seq", "fib", "6", "3"],
+    ["kroton", "--seq", "gauss:q=2", "2", "5"],
+    ["coding", "--seq", "const:2", "--levels", "4"],
+    ["admissible", "--seq", "nat", "--up-to", "6"],
+    ["whitney", "r.json"],
+    ["charpoly", "r.json"],
+    ["dot", "p.json", "-o", "d.txt"],
+    ["lascala", "r.json"],
+]
+
+
+def test_benchmark_call_shapes_never_import_argparse(tmp_path):
+    (tmp_path / "b.json").write_text("[[[1, 0], [1, 1]], [[0, 1, 1], [1, 0, 0]]]")
+    code = ("import contextlib, io, sys\n"
+            "import cobweb.cli as cli\n"
+            "loaded = ['argparse' in sys.modules]\n"
+            f"for argv in {FAST_CALLS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        loaded.append((cli.main(argv), 'argparse' in sys.modules))\n"
+            "print(loaded)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, env=process_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{[False] + [(0, False)] * len(FAST_CALLS)}\n"
 
 
 def test_console_script_is_the_entry_call():
