@@ -31,10 +31,6 @@ class Chain(NamedTuple):
     start_level: int
     positions: Tuple[int, ...]
 
-    def nodes(self, P: GradedPoset) -> List[NodeLabel]:
-        return [P.node(self.start_level + i, p)
-                for i, p in enumerate(self.positions)]
-
 
 def _walk(P: GradedPoset, k: int, n: int, start, frag):
     """Walk the maximal chains of levels k..n, which the caller has checked,

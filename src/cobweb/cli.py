@@ -9,7 +9,8 @@ The grammar is one table, _GRAMMAR, in add_argument terms.  A well-formed
 call is read from it directly; argparse is imported and built from the same
 table only for the rest (-h, a usage error, an abbreviated option or any
 other unusual form), so its help, usage and error text stay the only ones.
-The process entry flushes stdout and stderr itself, so a failed write is a
+The process entry (`python -m cobweb.cli` or the `cobweb` console script),
+help included, flushes stdout and stderr itself, so a failed write is a
 `cobweb: ...` error like any other, and then ends with os._exit: the process
 is this one call, and tearing down the modules it imported is wasted work.
 """
@@ -99,9 +100,8 @@ ZETA_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in ZETA_METHODS}
 MOBIUS_FLAG_TO_METHOD = {m.lower().replace("_", "-"): m for m in MOBIUS_METHODS}
 
 
-# The command-line grammar, stated once: command -> (help, arguments), each
-# argument as the (flags, keywords) of its add_argument call.  build_parser
-# builds argparse from it and _strict_parse reads a well-formed call with it.
+# command -> (help, arguments), each argument as the (flags, keywords) of
+# its add_argument call
 _POSET = (("poset",), {})
 _OUTPUT = (("-o", "--output"), {})
 _FORMAT = (("--format",), {"choices": ["csv", "json"], "default": "csv"})
@@ -157,6 +157,10 @@ def build_parser(command=None):
         def error(self, message):
             self.print_usage(sys.stderr)
             raise CliError(message)
+
+        # argparse's own drops a failed write of the help; this one raises it
+        def print_help(self, file=None):
+            (file or sys.stdout).write(self.format_help())
 
     p = _Parser(prog="cobweb",
                 description="Exact incidence algebra of graded posets built "
@@ -387,25 +391,25 @@ COMMANDS = {"gen": _cmd_gen, "zeta": _cmd_zeta, "mobius": _cmd_mobius,
 
 
 def run(argv) -> int:
-    """The exit code of one call, errors raised.  A well-formed call is read
-    by _strict_parse; any other builds argparse, with the subparser of the
-    named command only, or with every one for -h, an unknown command or none
-    at all, for the full usage and the list of choices."""
+    """The exit code of one call, errors raised.  argparse is built with the
+    subparser of the named command only, or with every one for -h, an
+    unknown command or none at all, for the full usage and the list of
+    choices."""
     args = _strict_parse(argv)
     if args is None:
         parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:  # the help, printed
+            return e.code
         if args.command is None:
             parser.error("a command is required")
     return COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:
-    """The exit code of one call, each error as one `cobweb: ...` line.
-    Called with no argv, as the process entry (`python -m cobweb.cli` or
-    the `cobweb` console script), it flushes stdout and stderr and ends the
-    process with os._exit; a failed flush of stdout is an error like any
-    other."""
+    """The exit code of one call, each error as one `cobweb: ...` line;
+    with no argv, the process entry."""
     # results are exact, so no integer is too long to print
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)

@@ -65,17 +65,6 @@ class FSequence:
         """List of <1_F, ..., n_F>."""
         return [self.value(k) for k in range(1, n + 1)]
 
-    def rooted(self) -> "FSequence":
-        """The sequence <1, 1_F, 2_F, ...>: a singleton level pinned in front.
-
-        Index 1 of the result is the root level size (always 1); index k+1
-        is this sequence's k_F.  Used for quantities measured from a unique
-        minimal element.
-        """
-        parent = self
-        return FSequence([1], name=f"rooted({self.name or 'custom'})",
-                         rule=lambda k: parent.value(k - 1))
-
 
 def preset(spec: str) -> FSequence:
     """Build a sequence from a spec string.

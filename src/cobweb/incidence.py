@@ -58,14 +58,13 @@ def _cover_rows(P: GradedPoset) -> List[bytes]:
     return rows + [bytes(N)] * P.level_sizes[-1]
 
 
-def kappa(P: GradedPoset, ring=INT) -> BlockMatrix:
+def kappa(P: GradedPoset) -> BlockMatrix:
     """Cover relation matrix: block (k, k+1) is the k-th biadjacency block."""
-    return BlockMatrix(P.level_sizes, _cover_rows(P), ring)
+    return BlockMatrix(P.level_sizes, _cover_rows(P), INT)
 
 
 def _solve(P: GradedPoset, rows, ring, negate=False) -> BlockMatrix:
-    """The matrix of blockmat._unit_solve on rows: the dense counterpart of
-    _level_solve."""
+    """The matrix of blockmat._unit_solve on rows."""
     return BlockMatrix(P.level_sizes, _unit_solve(rows, P.level_sizes, ring, negate), ring)
 
 
@@ -211,16 +210,6 @@ class CodingMatrix(_CodingMatrix):
                 if v != 0 and (v > 0) != ((s - r) % 2 == 0):
                     raise ValueError(f"sign violation at ({r + 1},{s + 1})")
         return self
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def c(self, r: int, s: int) -> int:
-        """Entry for 1-based level pair (r, s)."""
-        if not (1 <= r <= self.n and 1 <= s <= self.n):
-            raise ValueError(f"level pair ({r}, {s}) out of range 1..{self.n}")
-        return self.entries[r - 1][s - 1]
 
 
 def _check_coding_levels(n: int) -> None:

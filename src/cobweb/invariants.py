@@ -50,7 +50,7 @@ def root(F: FSequence, n: int) -> RootedPoset:
     """Singleton root below the n-level cobweb of F; n = 0 is a point."""
     if n < 0:
         raise PosetError(f"root needs n >= 0, got {n}")
-    sizes = F.rooted().prefix(n + 1)
+    sizes = [1] + F.prefix(n)
     blocks = [ones_block(sizes[k], sizes[k + 1]) for k in range(n)]
     return RootedPoset(sizes, blocks, sequence_name=F.name)
 

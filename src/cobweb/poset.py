@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .fsequence import FSequence
 
@@ -87,8 +87,8 @@ class GradedPoset:
         # prefix sums: _offsets[k] = S(k) = number of nodes in levels 1..k
         self._offsets = tuple(accumulate(sizes, initial=0))
         self.is_cobweb = is_cobweb
-        # a node lacks an upper cover exactly where a block row has no 1, and
-        # a lower cover where a block column has none
+        # a mute node lacks an upper cover below the top level, where a block
+        # row has no 1, or a lower cover above level 1, where a column has none
         self.has_mute_nodes = not is_cobweb and (
             empty_row or not all(all(map(any, zip(*blk))) for blk in blocks))
 
@@ -123,31 +123,7 @@ class GradedPoset:
         if not 1 <= g <= self.node_count:
             raise PosetError(f"global label {g} out of range 1..{self.node_count}")
         k = bisect_left(self._offsets, g)  # the level k with S(k-1) < g <= S(k)
-        return NodeLabel(k, g - self._offsets[k - 1], g)
-
-    def nodes(self):
-        g = 0
-        for level, size in enumerate(self.level_sizes, start=1):
-            for pos in range(1, size + 1):
-                g += 1
-                yield NodeLabel(level, pos, g)
-
-    # -- cover relation -----------------------------------------------------
-
-    def mute_nodes(self) -> List[NodeLabel]:
-        """Non-extremal vertices with in-degree or out-degree zero.
-
-        Empty exactly when the poset can be read as an n-ary relation joined
-        from its bipartite layers.
-        """
-        out: List[NodeLabel] = []
-        for x in self.nodes():
-            col = x.position - 1
-            no_lower = x.level > 1 and not any(row[col] for row in self.blocks[x.level - 2])
-            no_upper = x.level < self.n_levels and 1 not in self.blocks[x.level - 1][col]
-            if no_lower or no_upper:
-                out.append(x)
-        return out
+        return self.node(k, g - self._offsets[k - 1])
 
     # -- equality -----------------------------------------------------------
 

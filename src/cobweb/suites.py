@@ -8,8 +8,7 @@ The max and Markov suites hold the matrices to the chain-count oracle of
 the chains module.  Every comparison streams one route's rows against the
 other's through _first_mismatch, and each inverse-pair law, zeta * mu == I
 and (I - cover) * max == I, is one exact product read by
-blockmat._product_is_identity, so no matrix is built only to be compared,
-and none is held that only one suite reads (see Dense).
+blockmat._product_is_identity, so no matrix is built only to be compared.
 One product per law is enough: a one-sided inverse of a square matrix is
 two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
 Prop. 3.6.2) and over the integers alike, since det A * det B = 1.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import zip_longest
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple
 
 from .blockmat import INT, BlockMatrix, MatrixError, _product_is_identity
 from .chains import _interval_rows, layer_chain_counts
@@ -74,11 +73,11 @@ def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
 
 
 class Dense:
-    """The dense matrices two suites read, each built on first use:
-    zeta(P, "closure"), which the zeta and mobius suites read, and
-    max_matrix(P), which the zeta and max suites read.  run_checks hands one
-    Dense to every suite it runs, so neither is built twice, and a suite
-    called alone builds its own."""
+    """The dense matrices held across suites, each built on first use, and
+    only those that two suites read: zeta(P, "closure"), which the zeta and
+    mobius suites read, and max_matrix(P), which the zeta and max suites
+    read.  run_checks hands one Dense to every suite it runs, so neither is
+    built twice."""
 
     def __init__(self, P: GradedPoset):
         self.P = P
@@ -92,9 +91,8 @@ class Dense:
         return max_matrix(self.P)
 
 
-def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
+def suite_zeta(P: GradedPoset, dense: Dense) -> List[CheckResult]:
     out = []
-    dense = dense or Dense(P)
     Z = dense.closure
     bad = _first_mismatch((_bit_row(r, P.node_count) for r in reachable_sets(P)), Z.rows)
     out.append(_verdict("zeta", "closure-matches-reachability", bad is None, bad and
@@ -117,9 +115,8 @@ def suite_zeta(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResul
     return out
 
 
-def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
+def suite_mobius(P: GradedPoset, dense: Dense) -> List[CheckResult]:
     out = []
-    dense = dense or Dense(P)
     mu = _solve(P, dense.closure.rows, INT, True)
     out.append(_verdict("mobius", "invert-vs-recurrence",
                         not _first_mismatch(_mobius_recurrence_rows(P), mu.rows),
@@ -146,9 +143,9 @@ def suite_mobius(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRes
     return out
 
 
-def suite_max(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
+def suite_max(P: GradedPoset, dense: Dense) -> List[CheckResult]:
     out = []
-    M = (dense or Dense(P)).max
+    M = dense.max
     bad = _first_mismatch(_interval_rows(P), M.rows)
     out.append(_verdict("max", "chain-count-oracle", bad is None,
                         bad and f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
@@ -162,7 +159,7 @@ def suite_max(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult
     return out
 
 
-def suite_markov(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
+def suite_markov(P: GradedPoset, dense: Dense) -> List[CheckResult]:
     if not P.is_cobweb:
         return [_skip("markov", "factorization", "stated for cobwebs")]
     n = P.n_levels
@@ -184,7 +181,7 @@ def suite_markov(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckRes
     return [_verdict("markov", "factorization", True), _verdict("markov", "split-form", True)]
 
 
-def suite_whitney(P: GradedPoset, dense: Optional[Dense] = None) -> List[CheckResult]:
+def suite_whitney(P: GradedPoset, dense: Dense) -> List[CheckResult]:
     if P.level_sizes[0] != 1 or not P.is_cobweb:
         return [_skip("whitney", "closed-vs-direct", "needs a rooted cobweb")]
     R = P if isinstance(P, RootedPoset) else RootedPoset.from_poset(P)

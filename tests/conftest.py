@@ -27,6 +27,12 @@ def preset_table():
             "const3": const(3), "ex11": EX11, "ex12": EX12}
 
 
+def all_nodes(P: GradedPoset):
+    """Every node of P, level by level and left to right within a level."""
+    return [P.node(level, pos) for level, size in enumerate(P.level_sizes, start=1)
+            for pos in range(1, size + 1)]
+
+
 def upper_covers(P: GradedPoset, x):
     """The nodes that cover x, read from its row of P.blocks."""
     if x.level == P.n_levels:
@@ -39,7 +45,7 @@ def brute_reach(P: GradedPoset):
     """reach[x] = set of y with x <= y, by BFS over cover arcs."""
     n = P.node_count
     up = {x.global_label: [y.global_label for y in upper_covers(P, x)]
-          for x in P.nodes()}
+          for x in all_nodes(P)}
     reach = {}
     for start in range(1, n + 1):
         seen = {start}

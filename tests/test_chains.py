@@ -13,7 +13,7 @@ from cobweb import Chain, PosetError, cobweb, cobweb_of_sizes, count_head_chains
     enumerate_max_chains, f_factorial, f_falling, fib, fnomial, from_blocks, gauss, \
     layer_chain_counts, max_matrix, nat, suites
 
-from conftest import brute_chains, brute_interval_count, preset_table, \
+from conftest import all_nodes, brute_chains, brute_interval_count, preset_table, \
     random_cobweb, random_no_mute_poset
 
 
@@ -48,13 +48,13 @@ def test_enumeration_respects_blocks():
 def test_validate_refuses_nodes_outside_the_poset(nat3, chain, message):
     # a level below 1 must not wrap to the top block through blocks[-1]
     with pytest.raises(PosetError) as err:
-        chain.nodes(nat3)
+        [nat3.node(chain.start_level + i, p) for i, p in enumerate(chain.positions)]
     assert str(err.value) == message
 
 
 def test_chain_nodes_view(nat3):
     c = enumerate_max_chains(nat3, 2, 3)[0]
-    nodes = c.nodes(nat3)
+    nodes = [nat3.node(c.start_level + i, p) for i, p in enumerate(c.positions)]
     assert [(x.level, x.position) for x in nodes] == [(2, 1), (3, 1)]
 
 
@@ -140,8 +140,8 @@ def test_interval_counts_pinned(nat3):
 def test_interval_counts_against_bruteforce_and_max(seed):
     P = random_no_mute_poset(seed + 30, max_levels=4)
     M = max_matrix(P)
-    for x in P.nodes():
-        for y in P.nodes():
+    for x in all_nodes(P):
+        for y in all_nodes(P):
             got = count_interval_chains(P, x, y)
             assert got == brute_interval_count(P, x, y)
             assert got == M.rows[x.global_label - 1][y.global_label - 1]
@@ -215,7 +215,7 @@ def test_layer_table_pinned(nat3):
 
 def test_markov_refuses_non_cobweb():
     P = from_blocks([2, 2], [[[1, 0], [1, 1]]])
-    assert suites.suite_markov(P) == [
+    assert suites.suite_markov(P, suites.Dense(P)) == [
         ("markov", "factorization", True, "skipped: stated for cobwebs")]
 
 
@@ -260,7 +260,7 @@ def fnomial_against_chains(F, l, k):
     """fnomial(F, l, k), and the maximal chains from a level k-2 node to a
     level l+1 node divided by (l-k)_F!.  Level 0 is the root of F's rooted
     cobweb, under which level j of F's cobweb is level j + 1."""
-    P = cobweb(F.rooted(), l + 2)
+    P = cobweb(custom([1] + F.prefix(l + 1)), l + 2)
     count = count_interval_chains(P, P.node(k - 1, 1), P.node(l + 2, 1))
     return fnomial(F, l, k), Fraction(count, f_factorial(F, l - k))
 

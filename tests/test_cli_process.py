@@ -91,6 +91,20 @@ def test_failed_final_flush_is_one_error_line():
         (1, "cobweb: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["-h"], ["zeta", "-h"]], ids=["-h", "zeta -h"])
+def test_failed_help_write_is_one_error_line(argv, unbuffered):
+    # buffered, the help fails in the final flush; unbuffered, in its write,
+    # which argparse's own print_help would drop for an exit 0
+    env = dict(process_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cobweb.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == \
+        (1, "cobweb: [Errno 28] No space left on device\n")
+
+
 def test_closed_pipe_is_one_error_line():
     read_end, write_end = os.pipe()
     os.close(read_end)

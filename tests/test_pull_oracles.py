@@ -45,8 +45,8 @@ from cobweb.incidence import _bit_row, kappa, level_eta_inverse, level_max, leve
     level_zeta
 from cobweb.poset import GradedPoset, NodeLabel
 
-from conftest import band_matrix, bit_labels, brute_interval_count, fraction_inverse, \
-    random_cobweb, random_no_mute_poset, upper_covers
+from conftest import all_nodes, band_matrix, bit_labels, brute_interval_count, \
+    fraction_inverse, random_cobweb, random_no_mute_poset, upper_covers
 
 
 # -- the earlier forms ----------------------------------------------------------
@@ -110,7 +110,7 @@ def label_reachable_sets(P: GradedPoset) -> List[Set[int]]:
     computed by graph traversal of the cover digraph (no matrix algebra)."""
     N = P.node_count
     up: List[List[int]] = [[] for _ in range(N + 1)]
-    for x in P.nodes():
+    for x in all_nodes(P):
         up[x.global_label] = [y.global_label for y in upper_covers(P, x)]
     reach: List[Set[int]] = [set() for _ in range(N + 1)]
     for g in range(N, 0, -1):
@@ -273,7 +273,7 @@ def column_first_mismatch(P: GradedPoset, M: BlockMatrix):
     # one oracle sweep per column y; the first mismatch in row-major order is
     # the smallest (x, y) over the columns' first mismatches
     bad = None
-    for y in P.nodes():
+    for y in all_nodes(P):
         j = y.global_label - 1
         limit = P.node_count if bad is None else bad[0] - 1
         for i, want in enumerate(interval_chain_column(P, y)[:limit]):
@@ -454,7 +454,7 @@ def test_packed_closure_is_faster_than_the_list_solve_on_sparse_covers():
     sizes = (37,) * 6 + (38,)
     P = from_blocks(sizes, [[[int(rng.random() < 0.1) for _ in range(b)] for _ in range(a)]
                             for a, b in zip(sizes, sizes[1:])])
-    rows = kappa(P, BOOL).rows
+    rows = kappa(P).with_ring(BOOL).rows
     best = {_unit_solve: float("inf"), list_unit_solve: float("inf")}
     for _ in range(3):
         for f in best:
@@ -882,7 +882,7 @@ def test_bit_rows_are_faster_than_the_label_traversal():
 
 def column_rows(P: GradedPoset) -> List[List[int]]:
     """The pair table read off interval_chain_column, one column per node."""
-    cols = [interval_chain_column(P, y) for y in P.nodes()]
+    cols = [interval_chain_column(P, y) for y in all_nodes(P)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -890,9 +890,9 @@ def column_rows(P: GradedPoset) -> List[List[int]]:
 @given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
 def test_column_sweep_equals_pairwise_counts(seed, is_cobweb):
     P = random_cobweb(seed) if is_cobweb else random_no_mute_poset(seed)
-    for y in P.nodes():
+    for y in all_nodes(P):
         assert interval_chain_column(P, y) == \
-            [count_interval_chains(P, x, y) for x in P.nodes()]
+            [count_interval_chains(P, x, y) for x in all_nodes(P)]
 
 
 def test_column_pinned(nat3):
@@ -911,7 +911,7 @@ def test_column_pinned(nat3):
 def test_interval_rows_match_the_column_sweep_and_brute_counts(P):
     rows = _interval_rows(P)
     assert rows == column_rows(P)
-    assert rows == [[brute_interval_count(P, x, y) for y in P.nodes()] for x in P.nodes()]
+    assert rows == [[brute_interval_count(P, x, y) for y in all_nodes(P)] for x in all_nodes(P)]
 
 
 def test_interval_rows_past_64_bits():
@@ -938,7 +938,7 @@ def corrupt_max(monkeypatch, *changes):
 
 
 def oracle_detail(P):
-    (res,) = [r for r in suites.suite_max(P) if r.name == "chain-count-oracle"]
+    (res,) = [r for r in suites.suite_max(P, suites.Dense(P)) if r.name == "chain-count-oracle"]
     assert not res.passed
     return res.detail
 
@@ -982,7 +982,7 @@ def test_max_suite_sweeps_once_per_level(monkeypatch):
     monkeypatch.setattr(chains, "_tallies", counted)
     for P in (cobweb(gauss(2), 6), random_no_mute_poset(3)):
         calls.clear()
-        assert all(r.passed for r in suites.suite_max(P))
+        assert all(r.passed for r in suites.suite_max(P, suites.Dense(P)))
         assert calls == list(range(1, P.n_levels + 1))
 
 

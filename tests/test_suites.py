@@ -24,7 +24,7 @@ def test_max_oracle_reports_first_mismatch_in_row_major_order(monkeypatch):
     # column 2 is swept first, but (3, 9) comes first in row-major order
     monkeypatch.setattr(suites, "max_matrix",
                         lambda Q: corrupted(real(Q), (6, 2), (3, 9)))
-    res = {r.name: r for r in suites.suite_max(P)}
+    res = {r.name: r for r in suites.suite_max(P, suites.Dense(P))}
     assert not res["chain-count-oracle"].passed
     assert res["chain-count-oracle"].detail == "entry (3, 9): counted 3, matrix has 10"
     assert not res["inverse-pair"].passed
@@ -36,7 +36,7 @@ def test_max_oracle_reports_lower_row_in_an_earlier_column(monkeypatch):
     real = suites.max_matrix
     monkeypatch.setattr(suites, "max_matrix",
                         lambda Q: corrupted(real(Q), (1, 4), (1, 2), (5, 1)))
-    res = {r.name: r for r in suites.suite_max(P)}
+    res = {r.name: r for r in suites.suite_max(P, suites.Dense(P))}
     assert res["chain-count-oracle"].detail == "entry (1, 2): counted 1, matrix has 8"
 
 
@@ -60,7 +60,7 @@ def test_mobius_inverse_pair_fails_on_a_consistently_wrong_mu(monkeypatch):
     # with zeta and the level forms can tell
     P = cobweb(nat(), 4)
     corrupt_every_dense_mu(monkeypatch, (2, 2))
-    failed = {r.name: r.detail for r in suites.suite_mobius(P) if not r.passed}
+    failed = {r.name: r.detail for r in suites.suite_mobius(P, suites.Dense(P)) if not r.passed}
     assert failed == {"inverse-pair": "mu is not an exact two-sided inverse of zeta",
                       "level-form-agreement":
                           "invert: entry (2, 2): level form has 1, dense has 8"}
@@ -72,7 +72,7 @@ def test_invert_vs_recurrence_fails_on_a_wrong_holes_rule(monkeypatch):
     # recurrence stays right, on 7 levels of 15 nodes with half the arcs
     rng = random.Random(5)
     P = from_blocks([15] * 7, [random_no_mute_blocks(rng, 15, 15) for _ in range(6)])
-    assert all(r.passed for r in suites.suite_mobius(P))
+    assert all(r.passed for r in suites.suite_mobius(P, suites.Dense(P)))
     monkeypatch.setattr(blockmat, "_HOLES", bytes.maketrans(b"\0\1", b"\1\1"))
     assert failures(run_checks(P, "mobius"))["invert-vs-recurrence"] == \
         "inversion and recurrence disagree"
@@ -158,7 +158,7 @@ def test_markov_failure_names_first_triple():
     # against C(1,2) = 4, caught by the split form at the first triple
     P = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
     P.is_cobweb = True
-    (res,) = suites.suite_markov(P)
+    (res,) = suites.suite_markov(P, suites.Dense(P))
     assert (res.suite, res.name, res.passed) == ("markov", "split-form", False)
     assert res.detail == "(1,1,2): 6 != 4"
 
@@ -177,7 +177,8 @@ def test_zeta_suite_builds_the_closure_once(monkeypatch):
 
     monkeypatch.setattr(suites, "zeta", recording)
     monkeypatch.setattr(suites, "_label_rows", recording_rows)
-    assert all(r.passed for r in suites.suite_zeta(cobweb(nat(), 4)))
+    P = cobweb(nat(), 4)
+    assert all(r.passed for r in suites.suite_zeta(P, suites.Dense(P)))
     # the closure is built, and each label route's rows are read
     assert calls == ["closure", "label_delta", "label_knuth", "label_S"]
 
@@ -187,7 +188,7 @@ def test_zeta_method_agreement_names_the_disagreeing_label_routes(monkeypatch):
     # the full cobweb, which the closure of the missing arc does not have
     P = from_blocks([2, 2], [[[1, 0], [1, 1]]])
     P.is_cobweb = True
-    res = {r.name: r for r in suites.suite_zeta(P)}
+    res = {r.name: r for r in suites.suite_zeta(P, suites.Dense(P))}
     assert res["method-agreement"].detail == \
         "methods disagree: ['label_delta', 'label_knuth', 'label_S']"
     real = suites._label_rows
@@ -198,7 +199,8 @@ def test_zeta_method_agreement_names_the_disagreeing_label_routes(monkeypatch):
             if m == "label_knuth" else L
 
     monkeypatch.setattr(suites, "_label_rows", knuth_off)
-    res = {r.name: r for r in suites.suite_zeta(cobweb(nat(), 3))}
+    P = cobweb(nat(), 3)
+    res = {r.name: r for r in suites.suite_zeta(P, suites.Dense(P))}
     assert res["method-agreement"].detail == "methods disagree: ['label_knuth']"
 
 
@@ -239,7 +241,7 @@ def test_level_form_failure_names_route_and_first_entry(monkeypatch):
     real = suites.level_mobius
     monkeypatch.setattr(suites, "level_mobius", lambda Q, m: corrupted_level(
         real(Q, m), 1, 3) if m == "recurrence" else real(Q, m))
-    (res,) = [r for r in suites.suite_mobius(P) if r.name == "level-form-agreement"]
+    (res,) = [r for r in suites.suite_mobius(P, suites.Dense(P)) if r.name == "level-form-agreement"]
     assert not res.passed
     assert res.detail == "recurrence: entry (1, 4): level form has 8, dense has 1"
 
@@ -249,11 +251,11 @@ def test_level_form_failures_in_max_and_zeta(monkeypatch):
     real = suites.level_max_inverse
     monkeypatch.setattr(suites, "level_max_inverse",
                         lambda Q: corrupted_level(real(Q), 2, 4))
-    (res,) = [r for r in suites.suite_max(P) if r.name == "level-form-agreement"]
+    (res,) = [r for r in suites.suite_max(P, suites.Dense(P)) if r.name == "level-form-agreement"]
     assert res.detail == "inverse: entry (2, 7): level form has 7, dense has 0"
     # level max in place of level zeta first differs where two chains meet
     monkeypatch.setattr(suites, "level_zeta", suites.level_max)
-    (res,) = [r for r in suites.suite_zeta(P) if r.name == "level-form-agreement"]
+    (res,) = [r for r in suites.suite_zeta(P, suites.Dense(P)) if r.name == "level-form-agreement"]
     assert res.detail == "closure: entry (1, 4): level form has 2, dense has 1"
 
 
@@ -277,7 +279,7 @@ def flip_reach(monkeypatch, x, y):
 def test_closure_matches_reachability_fails_on_a_missing_pair(monkeypatch):
     P = cobweb(nat(), 4)
     flip_reach(monkeypatch, 2, 5)
-    assert failures(suites.suite_zeta(P)) == {
+    assert failures(suites.suite_zeta(P, suites.Dense(P))) == {
         "closure-matches-reachability": "entry (2, 5): reachability has 0, closure has 1"}
 
 
@@ -285,7 +287,7 @@ def test_closure_matches_reachability_fails_on_a_pair_within_one_level(monkeypat
     # labels 2 and 3 are the two nodes of level 2 of nat:4
     P = cobweb(nat(), 4)
     flip_reach(monkeypatch, 2, 3)
-    assert failures(suites.suite_zeta(P)) == {
+    assert failures(suites.suite_zeta(P, suites.Dense(P))) == {
         "closure-matches-reachability": "entry (2, 3): reachability has 1, closure has 0"}
 
 
@@ -293,7 +295,7 @@ def test_logic_of_max_fails_on_a_chain_count_below_the_diagonal(monkeypatch):
     P = cobweb(nat(), 4)
     real = suites.max_matrix
     monkeypatch.setattr(suites, "max_matrix", lambda Q: corrupted(real(Q), (5, 2)))
-    assert failures(suites.suite_zeta(P)) == {"logic-of-max": "L(max) differs from zeta"}
+    assert failures(suites.suite_zeta(P, suites.Dense(P))) == {"logic-of-max": "L(max) differs from zeta"}
 
 
 def test_logic_of_max_fails_on_a_negative_chain_count(monkeypatch):
@@ -318,7 +320,7 @@ def test_invert_vs_recurrence_fails_on_a_wrong_recurrence(monkeypatch):
     P = from_blocks([2, 3, 2], [[[1, 0, 1], [1, 1, 0]], [[1, 1], [0, 1], [1, 0]]])
     monkeypatch.setattr(suites, "_mobius_recurrence_rows", lambda Q: corrupted(
         incidence.mobius(Q, "recurrence"), (1, 6)).rows)
-    assert failures(suites.suite_mobius(P)) == {
+    assert failures(suites.suite_mobius(P, suites.Dense(P))) == {
         "invert-vs-recurrence": "inversion and recurrence disagree"}
 
 
@@ -334,7 +336,7 @@ def test_closed_form_agreement_fails_on_a_wrong_closed_form(monkeypatch):
         return CodingMatrix(tuple(map(tuple, entries)))
 
     monkeypatch.setattr(incidence, "coding_matrix", wrong)
-    assert failures(suites.suite_mobius(P)) == {
+    assert failures(suites.suite_mobius(P, suites.Dense(P))) == {
         "closed-form-agreement": "closed form disagrees with inversion"}
 
 
@@ -346,7 +348,7 @@ def test_rank_dependence_fails_on_a_mu_that_varies_inside_a_block(monkeypatch):
     for entry in ((2, 4), (1, 3), (5, 8)):
         monkeypatch.undo()
         corrupt_every_dense_mu(monkeypatch, entry)
-        assert failures(suites.suite_mobius(P)) == {
+        assert failures(suites.suite_mobius(P, suites.Dense(P))) == {
             "inverse-pair": "mu is not an exact two-sided inverse of zeta",
             "rank-dependence": "mu varies inside a level block of a cobweb",
             "level-form-agreement": f"invert: entry {entry}: level form has -1, dense has 6"}
@@ -358,7 +360,7 @@ def test_unit_diagonal_fails_on_a_wrong_diagonal_entry(monkeypatch):
     P = cobweb(nat(), 4)
     real = suites.max_matrix
     monkeypatch.setattr(suites, "max_matrix", lambda Q: corrupted(real(Q), (3, 3)))
-    assert failures(suites.suite_max(P)) == {
+    assert failures(suites.suite_max(P, suites.Dense(P))) == {
         "chain-count-oracle": "entry (3, 3): counted 1, matrix has 8",
         "inverse-pair": "identity minus cover is not the inverse",
         "unit-diagonal": "diagonal entry differs from 1",
@@ -371,7 +373,7 @@ def test_markov_factorization_fails_on_a_wrong_chain_count(monkeypatch):
     real = suites.layer_chain_counts
     monkeypatch.setattr(suites, "layer_chain_counts", lambda Q, s: [
         c + 7 * (s == 1) for c in real(Q, s)])
-    (res,) = suites.suite_markov(P)
+    (res,) = suites.suite_markov(P, suites.Dense(P))
     assert (res.name, res.passed, res.detail) == ("factorization", False, "(1,1,2): 16 != 2")
 
 
@@ -382,7 +384,7 @@ def test_markov_reaches_the_triple_at_the_top_level_pair(monkeypatch):
     real = suites.layer_chain_counts
     monkeypatch.setattr(suites, "layer_chain_counts", lambda Q, s: [
         0 if r < 3 else c + 7 * (r == s == 4) for r, c in enumerate(real(Q, s), start=1)])
-    (res,) = suites.suite_markov(P)
+    (res,) = suites.suite_markov(P, suites.Dense(P))
     assert (res.name, res.passed, res.detail) == ("split-form", False, "(3,3,4): 33 != 12")
 
 
@@ -390,7 +392,7 @@ def test_whitney_closed_vs_direct_fails_on_a_wrong_closed_form(monkeypatch):
     P = cobweb(nat(), 4)
     real = invariants.interval_mobius
     monkeypatch.setattr(invariants, "interval_mobius", lambda F, a, b: real(F, a, b) + (b == 3))
-    (res,) = suites.suite_whitney(P)
+    (res,) = suites.suite_whitney(P, suites.Dense(P))
     assert (res.name, res.passed) == ("closed-vs-direct", False)
     assert res.detail == "whitney_first(2): closed form 6 != direct sum 3"
 
@@ -398,7 +400,7 @@ def test_whitney_closed_vs_direct_fails_on_a_wrong_closed_form(monkeypatch):
 def test_whitney_chi_at_one_fails_on_a_wrong_mobius_route(monkeypatch):
     # mu(0^, 1^) = -2 above root(<2, 3>, 2), read as -1 against chi(1) = 2
     R = root(custom([2, 3]), 2)
-    assert all(r.passed for r in suites.suite_whitney(R))
+    assert all(r.passed for r in suites.suite_whitney(R, suites.Dense(R)))
     real = suites._mobius_recurrence_rows
 
     def shifted(Q):
@@ -409,7 +411,7 @@ def test_whitney_chi_at_one_fails_on_a_wrong_mobius_route(monkeypatch):
         yield from rows
 
     monkeypatch.setattr(suites, "_mobius_recurrence_rows", shifted)
-    assert failures(suites.suite_whitney(R)) == {
+    assert failures(suites.suite_whitney(R, suites.Dense(R))) == {
         "chi-at-one-is-minus-mu": "chi(1) 2 != -mu(0^, 1^) 1"}
 
 
@@ -418,7 +420,7 @@ def test_whitney_chi_at_one_fails_on_a_wrong_char_poly(monkeypatch):
     # see it too
     R = root(custom([2, 3]), 2)
     monkeypatch.setattr(suites, "char_poly", lambda Q: CharPoly((1, -2, 4)))
-    assert failures(suites.suite_whitney(R)) == {
+    assert failures(suites.suite_whitney(R, suites.Dense(R))) == {
         "first-kind-vs-inversion":
             "rank 2: w_r 4 != 3, the rank sum of row 1 of the inversion",
         "chi-at-one-is-minus-mu": "chi(1) 3 != -mu(0^, 1^) 2"}
@@ -438,7 +440,7 @@ def test_whitney_first_kind_fails_on_a_wrong_inversion(monkeypatch):
         return L._replace(entries=entries)
 
     monkeypatch.setattr(suites, "level_mobius", level_mobius)
-    assert failures(suites.suite_whitney(R)) == {
+    assert failures(suites.suite_whitney(R, suites.Dense(R))) == {
         "first-kind-vs-inversion":
             "rank 1: w_r -2 != 12, the rank sum of row 1 of the inversion"}
 
@@ -464,7 +466,7 @@ def test_closure_matches_reachability_fails_on_a_stray_bit_past_the_last_node(mo
     # longer than the closure row
     P = cobweb(nat(), 4)
     flip_reach(monkeypatch, 2, 11)
-    assert failures(suites.suite_zeta(P)) == {
+    assert failures(suites.suite_zeta(P, suites.Dense(P))) == {
         "closure-matches-reachability": "entry (2, 11): reachability has 1, closure has no entry"}
 
 
@@ -472,7 +474,7 @@ def test_closure_matches_reachability_fails_on_a_missing_row(monkeypatch):
     P = cobweb(nat(), 4)
     real = suites.reachable_sets
     monkeypatch.setattr(suites, "reachable_sets", lambda Q: real(Q)[:-1])
-    assert failures(suites.suite_zeta(P)) == {
+    assert failures(suites.suite_zeta(P, suites.Dense(P))) == {
         "closure-matches-reachability": "entry (10, 1): reachability has no entry, closure has 0"}
 
 
