@@ -98,9 +98,9 @@ _HOLES = bytes.maketrans(b"\0\1", b"\1\0")
 class BlockMatrix:
     """Square matrix of size S(n) partitioned by level sizes.  It keeps the
     rows it is given as they come, bytes for 0/1 rows and lists or tuples
-    of ints otherwise, and owns them: no caller changes a row afterwards,
-    so with_ring shares them.  Equality and the hash read entries, not
-    containers, so a bytes row equals a tuple row with the same entries."""
+    of ints otherwise, and owns them: no caller changes a row afterwards.
+    Equality and the hash read entries, not containers, so a bytes row
+    equals a tuple row with the same entries."""
 
     def __init__(self, level_sizes: Sequence[int], rows, ring=INT):
         sizes = check_level_sizes(level_sizes, MatrixError)
@@ -140,10 +140,6 @@ class BlockMatrix:
         off = self._offsets
         return tuple(tuple(row[off[s - 1]:off[s]])
                      for row in self.rows[off[r - 1]:off[r]])
-
-    def with_ring(self, ring) -> "BlockMatrix":
-        """Reinterpret the same entries over another ring."""
-        return BlockMatrix(self.level_sizes, self.rows, ring)
 
     def __eq__(self, other):
         return (isinstance(other, BlockMatrix)
@@ -197,15 +193,6 @@ def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     _check_compatible(A, B)
     packed, w = _packed_rows(A.rows, A.level_sizes, A.ring, B.rows)
     return BlockMatrix(A.level_sizes, _unpack(packed, A.size, w), A.ring)
-
-
-def _product_is_identity(A: BlockMatrix, B: BlockMatrix) -> bool:
-    """mul(A, B) == I, read off the packed rows of the product: every field
-    holds its entry below 2^(w-2) in absolute value, so row x is e_x exactly
-    when its packed int is 1 << w*x, and no row is unpacked."""
-    _check_compatible(A, B)
-    packed, w = _packed_rows(A.rows, A.level_sizes, A.ring, B.rows)
-    return all(v == 1 << w * x for x, v in enumerate(packed))
 
 
 def _dot(cs, vs):

@@ -79,9 +79,19 @@ def _tallies(P: GradedPoset, tally: List[int], top: int, bottom: int) -> List[Li
     return out
 
 
+def _index(P: GradedPoset, node: NodeLabel) -> int:
+    """node.position - 1, once P.node gives node for its level and position."""
+    want = P.node(node.level, node.position)
+    if node != want:
+        raise PosetError(f"{node} is not a node of the poset: the global label "
+                         f"at its level and position is {want.global_label}")
+    return node.position - 1
+
+
 def _unit(P: GradedPoset, node: NodeLabel) -> List[int]:
+    i = _index(P, node)
     tally = [0] * P.level_sizes[node.level - 1]
-    tally[node.position - 1] = 1
+    tally[i] = 1
     return tally
 
 
@@ -111,25 +121,28 @@ def count_layer_chains(P: GradedPoset, k: int, n: int) -> int:
 
 def count_interval_chains(P: GradedPoset, x: NodeLabel, y: NodeLabel) -> int:
     """Number of maximal chains of the interval [x, y]; 1 when x = y."""
+    i, unit = _index(P, x), _unit(P, y)
     if x == y:
         return 1
     if y.level <= x.level:
         return 0
-    return _tallies(P, _unit(P, y), y.level, x.level)[0][x.position - 1]
+    return _tallies(P, unit, y.level, x.level)[0][i]
 
 
 def count_tail_chains(P: GradedPoset, r: int, target: NodeLabel) -> int:
     """Chains spanning levels r..target.level that end at target."""
+    unit = _unit(P, target)
     if not 1 <= r <= target.level:
         raise PosetError(f"tail level {r} must satisfy 1 <= r <= {target.level}")
-    return sum(_tallies(P, _unit(P, target), target.level, r)[0])
+    return sum(_tallies(P, unit, target.level, r)[0])
 
 
 def count_head_chains(P: GradedPoset, source: NodeLabel, s: int) -> int:
     """Chains spanning levels source.level..s that start at source."""
+    i = _index(P, source)
     if not source.level <= s <= P.n_levels:
         raise PosetError(f"head level {s} must satisfy {source.level} <= s <= {P.n_levels}")
-    return _tallies(P, [1] * P.level_sizes[s - 1], s, source.level)[0][source.position - 1]
+    return _tallies(P, [1] * P.level_sizes[s - 1], s, source.level)[0][i]
 
 
 def layer_chain_counts(P: GradedPoset, s: int) -> List[int]:

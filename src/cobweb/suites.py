@@ -6,21 +6,21 @@ skipped rather than failing.
 
 The max and Markov suites hold the matrices to the chain-count oracle of
 the chains module.  Every comparison streams one route's rows against the
-other's through _first_mismatch, and each inverse-pair law, zeta * mu == I
-and (I - cover) * max == I, is one exact product read by
-blockmat._product_is_identity, so no matrix is built only to be compared.
-One product per law is enough: a one-sided inverse of a square matrix is
-two-sided, in the incidence algebra (Stanley, Enumerative Combinatorics I,
-Prop. 3.6.2) and over the integers alike, since det A * det B = 1.
+other's through _first_mismatch, and _is_inverse reads each inverse-pair
+law, zeta * mu == I and (I - cover) * max == I, so no matrix is built only
+to be compared.  One side per law is enough: a one-sided inverse of a
+square matrix is two-sided, in the incidence algebra (Stanley, Enumerative
+Combinatorics I, Prop. 3.6.2) and over the integers alike: det A det B = 1.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import zip_longest
+from itertools import compress, zip_longest
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple
 
-from .blockmat import INT, BlockMatrix, MatrixError, _product_is_identity
+from .blockmat import INT, BlockMatrix, MatrixError
 from .chains import _interval_rows, layer_chain_counts
 from .incidence import ZETA_METHODS, _bit_row, _label_rows, _logic_L_rows, \
     _mobius_recurrence_rows, _solve, level_max, level_max_inverse, level_mobius, level_zeta, \
@@ -56,6 +56,19 @@ def _first_mismatch(rows, want_rows):
                      min(len(got), len(want)))
             return (x, y + 1, *(r[y] if y < len(r) else "no entry" for r in (got, want)))
     return None
+
+
+def _is_inverse(A: BlockMatrix, B: BlockMatrix) -> bool:
+    """A B == I, entries read as integers, by Freivalds' check: A (B v) == v
+    for one v of 61-bit entries from a fixed seed.  One v is enough: a
+    nonzero row d of A B - I has d . v == 0 for at most one value of one
+    coordinate, so a wrong product passes for at most 2^-61 of the v.  A is
+    the 0/1 closure or the sparse max_inverse: its rows skip their zeros."""
+    import random  # kept off the import path of every CLI call
+    v = list(map(random.Random(0).getrandbits, [61] * B.size))
+    u = [sum(map(mul, row, v)) for row in B.rows]
+    return all(sum(map(mul, compress(row, row), compress(u, row))) == vx
+               for row, vx in zip(A.rows, v))
 
 
 def _level_agreement(suite: str, P: GradedPoset, routes) -> CheckResult:
@@ -127,8 +140,7 @@ def suite_mobius(P: GradedPoset, dense: Dense) -> List[CheckResult]:
                             "closed form disagrees with inversion"))
     else:
         out.append(_skip("mobius", "closed-form-agreement", "closed form needs a cobweb"))
-    out.append(_verdict("mobius", "inverse-pair",
-                        _product_is_identity(dense.closure.with_ring(INT), mu),
+    out.append(_verdict("mobius", "inverse-pair", _is_inverse(dense.closure, mu),
                         "mu is not an exact two-sided inverse of zeta"))
     if P.is_cobweb:
         rank_ok = all(len({v for row in mu.block(r, s) for v in row}) <= 1
@@ -150,7 +162,7 @@ def suite_max(P: GradedPoset, dense: Dense) -> List[CheckResult]:
     out.append(_verdict("max", "chain-count-oracle", bad is None,
                         bad and f"entry {bad[:2]}: counted {bad[2]}, matrix has {bad[3]}"))
     inv = max_inverse(P)
-    out.append(_verdict("max", "inverse-pair", _product_is_identity(inv, M),
+    out.append(_verdict("max", "inverse-pair", _is_inverse(inv, M),
                         "identity minus cover is not the inverse"))
     diag_ok = all(M.rows[i][i] == 1 for i in range(P.node_count))
     out.append(_verdict("max", "unit-diagonal", diag_ok, "diagonal entry differs from 1"))

@@ -100,7 +100,7 @@ def test_shape_and_ring_mismatch():
     with pytest.raises(MatrixError):
         mul(A, B)
     with pytest.raises(MatrixError):
-        mul(A, A.with_ring(BOOL))
+        mul(A, BlockMatrix(A.level_sizes, A.rows, BOOL))
 
 
 @pytest.mark.parametrize("sizes", [[True, 2], [2.9], [1, 2.0], [0, 2], [2, -1], []])

@@ -12,6 +12,7 @@ from cobweb import Chain, PosetError, cobweb, cobweb_of_sizes, count_head_chains
     count_interval_chains, count_layer_chains, count_tail_chains, custom, \
     enumerate_max_chains, f_factorial, f_falling, fib, fnomial, from_blocks, gauss, \
     layer_chain_counts, max_matrix, nat, suites
+from cobweb.poset import NodeLabel
 
 from conftest import all_nodes, brute_chains, brute_interval_count, preset_table, \
     random_cobweb, random_no_mute_poset
@@ -171,6 +172,27 @@ def test_head_chains_and_crossing_sum():
                     * count_head_chains(P, P.node(k, i), s)
                     for i in range(1, P.level_sizes[k - 1] + 1))
                 assert total == count_layer_chains(P, r, s)
+
+
+@pytest.mark.parametrize("label, message", [
+    (NodeLabel(3, 0, 0), "position 0 out of range 1..3 at level 3"),
+    (NodeLabel(3, 9, 9), "position 9 out of range 1..3 at level 3"),
+    (NodeLabel(4, 1, 7), "level 4 out of range 1..3"),
+    (NodeLabel(3, 1, 999), "NodeLabel(level=3, position=1, global_label=999) is not a node "
+                           "of the poset: the global label at its level and position is 4")])
+def test_the_counters_refuse_a_label_that_is_not_a_node(nat3, label, message):
+    # position 0 once wrapped to the last node of its level, and position 9
+    # was a bare IndexError; the interval counter checks before its shortcuts
+    calls = [(count_interval_chains, nat3.node(1, 1), label),
+             (count_interval_chains, label, nat3.node(3, 1)),
+             (count_interval_chains, label, label),
+             (count_interval_chains, nat3.node(3, 3), label),
+             (count_tail_chains, 1, label),
+             (count_head_chains, label, 3)]
+    for f, *args in calls:
+        with pytest.raises(PosetError) as err:
+            f(nat3, *args)
+        assert str(err.value) == message
 
 
 def test_markov_product_pinned():

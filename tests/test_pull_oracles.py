@@ -24,6 +24,7 @@ the max suite used to sweep once per node y (interval_chain_column) and
 compare column by column, and that loop is kept below as its reference.
 """
 
+import inspect
 import random
 import time
 import tracemalloc
@@ -435,6 +436,29 @@ def test_the_product_restarts_at_twice_the_field_width():
     assert got == walk_mul(BlockMatrix(sizes, A), BlockMatrix(sizes, B))
 
 
+def test_the_pass_fails_once_a_bound_reaches_a_quarter_of_the_field():
+    # row 0 of A B is bounded by 2 * 2^31 * 2^30 = 2^62 = 2^(64-2), so the
+    # 64-bit pass fails; one less in B keeps the bound below it
+    sizes = (1, 1)
+    A = [[2 ** 31, 2 ** 31], [0, 0]]
+    B = [[2 ** 30, 0], [2 ** 30, 0]]
+    assert _packed_pass(A, sizes, 64, B) is None
+    B[1][0] -= 1
+    assert _packed_pass(A, sizes, 64, B) is not None
+
+
+def test_the_holes_rule_bounds_a_level_by_its_ones_alone():
+    # row 0 of A holds ones on two of the three columns, so it adds the
+    # level sum less row 2 of B, bounded by 2^60 + 2^60 = 2^61 and not by
+    # the 2^62 of the whole level, and the 64-bit pass succeeds
+    sizes = (3,)
+    A = [[1, 1, 0], [0, 0, 0], [0, 0, 0]]
+    B = [[2 ** 60, 0, 0], [2 ** 60, 0, 0], [2 ** 61, 0, 0]]
+    assert _packed_pass(A, sizes, 64, B) is not None
+    got = mul(BlockMatrix(sizes, A), BlockMatrix(sizes, B))
+    assert list(map(tuple, got.rows)) == [(2 ** 61, 0, 0), (0, 0, 0), (0, 0, 0)]
+
+
 def test_level_routes_past_64_bits_match_the_list_solve(monkeypatch):
     # the level tables of gauss:q=2 on 12 levels pass 2^64, so the INT
     # solves restart with 128-bit fields
@@ -454,7 +478,7 @@ def test_packed_closure_is_faster_than_the_list_solve_on_sparse_covers():
     sizes = (37,) * 6 + (38,)
     P = from_blocks(sizes, [[[int(rng.random() < 0.1) for _ in range(b)] for _ in range(a)]
                             for a, b in zip(sizes, sizes[1:])])
-    rows = kappa(P).with_ring(BOOL).rows
+    rows = kappa(P).rows
     best = {_unit_solve: float("inf"), list_unit_solve: float("inf")}
     for _ in range(3):
         for f in best:
@@ -743,7 +767,7 @@ def test_the_dense_routes_match_the_blockmat_routes_and_the_list_solve(P):
     mu = mobius(P, "invert")
     assert zeta(P, "closure") == Z
     assert [list(row) for row in Z.rows] == list_unit_solve(K[BOOL].rows, sizes, BOOL, False)
-    assert mu == blockmat.unitriangular_inverse(Z.with_ring(INT))
+    assert mu == blockmat.unitriangular_inverse(BlockMatrix(sizes, Z.rows, INT))
     assert [list(row) for row in mu.rows] == list_unit_solve(Z.rows, sizes, INT, True)
     M = max_matrix(P)
     assert M == blockmat.nilpotent_closure(K[INT])
@@ -823,29 +847,47 @@ def test_product_matches_the_pair_walk_over_bool(pair):
 @example((BlockMatrix([2], [[1, 2 ** 64], [0, 1]]), BlockMatrix.identity([2])))
 @example((BlockMatrix([2], [[1, 0], [-1, 1]]), BlockMatrix.identity([2])))
 @example((BlockMatrix([1], [[1]], BOOL), BlockMatrix([1], [[1]], BOOL)))
-def test_a_packed_product_is_the_identity_exactly_when_its_rows_are(pair):
-    A, B = pair
-    assert blockmat._product_is_identity(A, B) == \
-        (mul(A, B) == BlockMatrix.identity(A.level_sizes, A.ring))
+def test_the_inverse_read_holds_exactly_when_the_product_is_the_identity(pair):
+    # _is_inverse reads entries as integers whatever the ring, so the
+    # product it stands for is mul of the INT views
+    A, B = (BlockMatrix(M.level_sizes, M.rows, INT) for M in pair)
+    assert suites._is_inverse(*pair) == (mul(A, B) == BlockMatrix.identity(A.level_sizes))
 
 
-@pytest.mark.parametrize("P", [cobweb(nat(), 4), from_blocks([2, 5, 4], [
-    [[1] * 5, [1, 1, 0, 1, 1]], [[1, 1, 1, 0]] * 5]), CHAIN_70])
+INVERSE_PAIR_POSETS = [cobweb(nat(), 4), from_blocks([2, 5, 4], [
+    [[1] * 5, [1, 1, 0, 1, 1]], [[1, 1, 1, 0]] * 5]), CHAIN_70]
+
+
+@pytest.mark.parametrize("P", INVERSE_PAIR_POSETS)
 def test_zeta_times_mu_and_the_max_pair_read_as_the_identity(P):
-    Z, mu = zeta(P, "closure").with_ring(INT), mobius(P, "invert")
-    assert blockmat._product_is_identity(Z, mu)
-    assert blockmat._product_is_identity(incidence.max_inverse(P), max_matrix(P))
-    # one entry off: the field above it reads back wrong
+    Z, mu = zeta(P, "closure"), mobius(P, "invert")
+    assert suites._is_inverse(Z, mu)
+    assert suites._is_inverse(incidence.max_inverse(P), max_matrix(P))
+    # one entry off: row 1 of the product is off at the last column
     rows = [list(row) for row in mu.rows]
     rows[0][-1] += 1
-    assert not blockmat._product_is_identity(Z, BlockMatrix(P.level_sizes, rows))
+    assert not suites._is_inverse(Z, BlockMatrix(P.level_sizes, rows))
+
+
+def test_the_inverse_read_runs_no_step_of_blockmat(monkeypatch):
+    pairs = [pair for P in INVERSE_PAIR_POSETS + [random_no_mute_poset(3)] for pair in
+             [(zeta(P, "closure"), mobius(P, "invert")), (incidence.max_inverse(P), max_matrix(P))]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inverse read ran a step of blockmat")
+    names = [name for name, f in vars(blockmat).items()
+             if inspect.isfunction(f) and f.__module__ == blockmat.__name__]
+    assert {"mul", "_packed_pass", "_packed_rows", "_check_compatible"} <= set(names)
+    for name in names:
+        monkeypatch.setattr(blockmat, name, refuse)
+    assert all(suites._is_inverse(A, B) for A, B in pairs)
 
 
 def test_level_sum_product_is_faster_than_the_pair_walk():
     # zeta * mu on gauss:q=2 with 8 levels (502 nodes), best of 3 CPU times,
     # taken in turn so that a slow spell of the machine hits both sides
     P = cobweb(gauss(2), 8)
-    zi, mu = zeta(P, "closure").with_ring(INT), mobius(P, "invert")
+    zi, mu = BlockMatrix(P.level_sizes, zeta(P, "closure").rows, INT), mobius(P, "invert")
     best = {mul: float("inf"), walk_mul: float("inf")}
     for _ in range(3):
         for f in best:

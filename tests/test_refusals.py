@@ -21,7 +21,13 @@ def refusal(error, call, *args):
 
 def test_the_matrix_join_refuses_a_ring_mismatch():
     A = BlockMatrix([1], [[1]], INT)
-    assert refusal(MatrixError, mat_join, A, A.with_ring(BOOL)) == "ring mismatch: int vs bool"
+    B = BlockMatrix([1], A.rows, BOOL)
+    assert refusal(MatrixError, mat_join, A, B) == "ring mismatch: int vs bool"
+
+
+def test_the_matrix_join_names_the_two_sizes_of_the_shared_level():
+    A, B = BlockMatrix.identity([1, 2]), BlockMatrix.identity([3, 1])
+    assert refusal(MatrixError, mat_join, A, B) == "join condition violated: 2 vs 3"
 
 
 def test_the_matrix_join_refuses_a_shared_block_that_disagrees():
