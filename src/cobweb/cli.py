@@ -18,7 +18,6 @@ is this one call, and tearing down the modules it imported is wasted work.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 import types
@@ -233,6 +232,7 @@ def _value(token, kw):
 
 def _cmd_gen(args) -> int:
     if args.blocks:
+        import json  # kept off the import path of every CLI call
         try:
             with open(args.blocks, "r", encoding="utf-8") as fh:
                 blocks = json.load(fh)
@@ -418,9 +418,9 @@ def main(argv=None) -> int:
         code = run(sys.argv[1:] if entry else argv)
         if entry:
             sys.stdout.flush()
-    except (CliError, SequenceError, PosetError, MatrixError, RingError,
-            formats.FormatError, ValueError, TypeError, OSError) as e:
-        print(f"cobweb: {e}", file=sys.stderr)
+    except (CliError, SequenceError, PosetError, MatrixError, RingError, formats.FormatError,
+            ValueError, TypeError, OSError, OverflowError, MemoryError) as e:
+        print(f"cobweb: {'out of memory' if isinstance(e, MemoryError) else e}", file=sys.stderr)
         code = 1
     if entry:
         sys.stderr.flush()

@@ -4,11 +4,14 @@ and the ASCII staircase view of the zeta matrix.
 A cobweb's poset JSON is written from its level sizes, and a text that is
 exactly what gen writes for a cobweb is read back from them without
 decoding one entry; every other text is decoded and checked by GradedPoset.
+Three plain kinds of text are written and read without the json module,
+each as json.dumps writes it: a list of ints, each int as its str with ", "
+between; null; and a name of printable ASCII with no '"' or '\\' in quotes,
+since json.dumps escapes only those two and what is not printable ASCII.
 """
 
 from __future__ import annotations
 
-import json
 from typing import IO, List
 
 from .chains import Chain, _walk
@@ -33,6 +36,19 @@ _BLOCKS_KEY = ', "blocks": '
 _COBWEB_TAIL = ', "flags": {"cobweb": true, "no_mute": true}, "sequence": '
 
 
+def _json_text(value) -> str:
+    """json.dumps(value), by hand for the plain texts of the module docstring."""
+    if value is None:
+        return "null"
+    if (isinstance(value, str) and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value):
+        return f'"{value}"'
+    if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
+        return "[" + ", ".join(map(str, value)) + "]"
+    import json  # kept off the import path of every CLI call
+    return json.dumps(value)
+
+
 def _ones_blocks_text(sizes) -> str:
     """json.dumps of the all-ones blocks between levels of these sizes."""
     return "[" + ", ".join("[" + ", ".join(["[" + "1, " * (b - 1) + "1]"] * a) + "]"
@@ -49,10 +65,10 @@ def _ones_blocks_length(sizes) -> int:
 def poset_to_json(P: GradedPoset) -> str:
     """Canonical poset JSON, fields in fixed order: the text of json.dumps
     of the object.  A cobweb's blocks are written from its level sizes."""
-    blocks = _ones_blocks_text(P.level_sizes) if P.is_cobweb else json.dumps(P.blocks)
-    flags = json.dumps({"cobweb": P.is_cobweb, "no_mute": not P.has_mute_nodes})
-    return (f'{_SIZES_HEAD}{json.dumps(P.level_sizes)}{_BLOCKS_KEY}{blocks}, '
-            f'"flags": {flags}, "sequence": {json.dumps(P.sequence_name)}}}')
+    blocks = _ones_blocks_text(P.level_sizes) if P.is_cobweb else _json_text(P.blocks)
+    flags = f'{{"cobweb": {P.is_cobweb}, "no_mute": {not P.has_mute_nodes}}}'.lower()
+    return (f'{_SIZES_HEAD}{_json_text(P.level_sizes)}{_BLOCKS_KEY}{blocks}, '
+            f'"flags": {flags}, "sequence": {_json_text(P.sequence_name)}}}')
 
 
 def _canonical_cobweb(text: str):
@@ -65,14 +81,17 @@ def _canonical_cobweb(text: str):
     tail = body.rfind(_COBWEB_TAIL)
     if end < 0 or tail < 0:
         return None
+    # int reads "+2" and "02" too, but poset_to_json(P) == body refuses them
+    written = body[tail + len(_COBWEB_TAIL):-1]
     try:
-        sizes = json.loads(body[len(_SIZES_HEAD):end + 1])
-        name = json.loads(body[tail + len(_COBWEB_TAIL):-1])
+        sizes = [int(s) for s in body[len(_SIZES_HEAD) + 1:end].split(", ")]
+        name = None if written == "null" else written[1:-1]
+        if _json_text(name) != written:
+            import json  # kept off the import path of every CLI call
+            name = json.loads(written)
     except (ValueError, RecursionError):
         return None
-    if (not isinstance(sizes, list) or not sizes
-            or any(type(s) is not int or s < 1 for s in sizes)
-            or not (name is None or isinstance(name, str))):
+    if any(s < 1 for s in sizes) or not (name is None or isinstance(name, str)):
         return None
     # the blocks lie between the sizes and the flags
     if tail - (end + 1 + len(_BLOCKS_KEY)) != _ones_blocks_length(sizes):
@@ -85,6 +104,7 @@ def poset_from_json(text: str) -> GradedPoset:
     P = _canonical_cobweb(text) if isinstance(text, str) else None
     if P is not None:
         return P
+    import json  # kept off the import path of every CLI call
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -142,7 +162,7 @@ def write_matrix_csv(M, out: IO[str]):
 
 def write_matrix_json(M, out: IO[str]):
     """{"level_sizes": [...], "entries": [[...]]}, streamed row by row."""
-    out.write('{"level_sizes":%s,"entries":[' % json.dumps(M.level_sizes))
+    out.write('{"level_sizes":%s,"entries":[' % _json_text(M.level_sizes))
     for i, text in enumerate(_row_texts(M, ", ")):
         out.write("," if i else "")
         out.write("[" + text + "]")
@@ -193,13 +213,13 @@ def _row_texts(M, sep: str):
 
 
 def coding_to_json(C: CodingMatrix) -> str:
-    return json.dumps({"c": C.entries},
-                      separators=(",", ":"))
+    import json  # kept off the import path of every CLI call
+    return json.dumps({"c": C.entries}, separators=(",", ":"))
 
 
 def chains_to_json(chains: List[Chain]) -> str:
     """Chains as arrays of [level, position] pairs."""
-    return json.dumps([[[c.start_level + i, p] for i, p in enumerate(c.positions)]
+    return _json_text([[[c.start_level + i, p] for i, p in enumerate(c.positions)]
                        for c in chains])
 
 
@@ -213,7 +233,7 @@ def write_chains_json(P: GradedPoset, k: int, n: int, out: IO[str]):
     sep = "["
     for prefix, tops in _walk(P, k, n, "[", lambda level, p: f"[{level}, {p}], "):
         if tops:
-            out.write(sep + ", ".join([prefix + last[p - 1] for p in tops]))
+            out.write(sep + prefix + (", " + prefix).join([last[p - 1] for p in tops]))
             sep = ", "
     out.write("[]" if sep == "[" else "]")
 

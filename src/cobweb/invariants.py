@@ -8,9 +8,9 @@ summation over recurrence Moebius values and the two must agree exactly.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Tuple
 
+from .formats import _json_text
 from .fsequence import FSequence
 from .incidence import interval_mobius, level_mobius
 from .poset import GradedPoset, PosetError, ones_block
@@ -98,7 +98,7 @@ class CharPoly(_CharPoly):
         return acc
 
     def to_json(self) -> str:
-        return json.dumps(self.coefficients)
+        return _json_text(self.coefficients)
 
 
 def char_poly(P: RootedPoset) -> CharPoly:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -227,11 +228,12 @@ def test_import_loads_no_introspection_modules():
     # every CLI call; -S keeps site hooks from loading them first
     # fractions imports decimal; both load only where a Fraction is made
     # array and struct load only where blockmat packs the rows of a product
+    # json loads only where a text is not one formats reads and writes by hand
     # the runtime is stdlib-only: numpy and friends may be installed, so an
     # accidental import of one would otherwise go unnoticed
     code = ("import sys, cobweb.cli; "
             "print(sorted({'dataclasses', 'inspect', 'ast', 'fractions', 'decimal',"
-            " 'array', 'struct'} & set(sys.modules))); "
+            " 'array', 'struct', 'json'} & set(sys.modules))); "
             "print(sorted({m.split('.')[0] for m in sys.modules}"
             " - set(sys.stdlib_module_names) - {'__main__', 'cobweb'}))")
     env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
@@ -252,6 +254,81 @@ def test_admissible_leaves_fractions_unloaded():
                           text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, "admissible\nadmissible\nadmissible\n[0, 0, 0] []\n", "")
+
+
+# calls on a gen-written cobweb, or on no file, that never import json, and
+# calls that must: a file that is not a cobweb, a blocks file, the coding
+# matrix as JSON and a name json.dumps writes with an escape
+JSON_FREE_CALLS = [
+    ["gen", "--seq", "nat", "--levels", "3", "-o", "p.json"],
+    ["gen", "--seq", "nat", "--levels", "3", "--root", "-o", "r.json"],
+    ["zeta", "p.json"], ["mobius", "p.json"], ["max", "p.json"], ["eta", "p.json"],
+    ["zeta", "p.json", "--format", "json"],
+    ["chains", "p.json", "--from", "1", "--to", "3"],
+    ["chains", "p.json", "--from", "1", "--to", "3", "--count-only"],
+    ["chains", "p.json", "--interval", "1", "6"],
+    ["whitney", "r.json"], ["charpoly", "r.json"], ["dot", "p.json"], ["lascala", "p.json"],
+    ["fnomial", "--seq", "nat", "4", "2"], ["kroton", "--seq", "nat", "2", "5"],
+    ["admissible", "--seq", "nat", "--up-to", "6"], ["coding", "--seq", "nat", "--levels", "4"],
+]
+JSON_CALLS = [
+    ["zeta", "mute.json"],
+    ["gen", "--blocks", "b.json"],
+    ["coding", "--seq", "nat", "--levels", "4", "--format", "json"],
+    ["zeta", "quote.json"],
+]
+
+
+def test_json_loads_only_for_a_text_that_needs_it(tmp_path):
+    (tmp_path / "mute.json").write_text(
+        '{"level_sizes": [1, 2], "blocks": [[[1, 0]]], '
+        '"flags": {"cobweb": false, "no_mute": false}, "sequence": null}')
+    (tmp_path / "b.json").write_text("[[[1, 1]]]")
+    (tmp_path / "quote.json").write_text(poset_to_json(cobweb_of_sizes([1, 2], 'q"')))
+    # json and its submodules leave sys.modules after each call that loads them
+    code = ("import contextlib, io, sys\n"
+            "from cobweb import cli\n"
+            "seen = []\n"
+            f"for argv in {JSON_FREE_CALLS + JSON_CALLS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        seen.append((cli.main(argv), 'json' in sys.modules))\n"
+            "    for m in [m for m in sys.modules if m.split('.')[0] == 'json']:\n"
+            "        del sys.modules[m]\n"
+            "print(seen)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == \
+        f"{[(0, False)] * len(JSON_FREE_CALLS) + [(0, True)] * len(JSON_CALLS)}\n"
+
+
+@pytest.mark.parametrize("argv", [["zeta"], ["max"], ["chains", "--from", "1", "--to", "1",
+                                                 "--count-only"]])
+def test_a_level_too_large_to_index_is_one_error_line(tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(poset_to_json(cobweb_of_sizes([10 ** 20])))
+    env = dict(os.environ, PYTHONPATH=str(Path(cobweb_pkg.__file__).parents[1]))
+    # an address-space cap, so a call that set out to build the level fails
+    # with a MemoryError instead of taking the machine's memory
+    proc = subprocess.run([sys.executable, "-m", "cobweb.cli", argv[0], str(path), *argv[1:]],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (2 ** 30, 2 ** 30)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", "cobweb: cannot fit 'int' into an index-sized integer\n")
+
+
+def test_a_memory_error_is_one_error_line(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(poset_to_json(cobweb(nat(), 3)))
+
+    def exhausted(P):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "level_zeta", exhausted)
+    assert cli.main(["zeta", str(path)]) == 1
+    assert capsys.readouterr() == ("", "cobweb: out of memory\n")
 
 
 @pytest.mark.parametrize("argv", [

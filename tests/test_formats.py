@@ -112,6 +112,17 @@ NEAR_CANONICAL = [
     (_BASE.replace("[2, 3, 1]", "[2.0, 3, 1]"), False,
      "level_sizes: expected a nonempty list of positive integers"),
     (_BASE.replace("[2, 3, 1]", "[3, 2, 1]"), False, "blocks[0]: expected 3 rows"),
+    # int reads each of these sizes as 2, but none is what json.dumps writes
+    (_BASE.replace("[2, 3, 1]", "[02, 3, 1]"), False,
+     "not valid JSON: Expecting ',' delimiter: line 1 column 19 (char 18)"),
+    (_BASE.replace("[2, 3, 1]", "[+2, 3, 1]"), False,
+     "not valid JSON: Expecting value: line 1 column 18 (char 17)"),
+    (_BASE.replace("[2, 3, 1]", "[ 2, 3, 1]"), False, "nat"),
+    # json.dumps escapes a tab and a DEL, so neither name is read as it stands
+    (_BASE.replace('"nat"', '"n\tat"'), False,
+     f"not valid JSON: Invalid control character at: line 1 column {len(_BASE) - 3} "
+     f"(char {len(_BASE) - 4})"),
+    (_BASE.replace('"nat"', '"n\x7fat"'), False, "n\x7fat"),
 ]
 
 
@@ -181,6 +192,19 @@ def test_cobweb_json_is_json_dumps_and_reads_back_from_its_sizes(sizes, name, ro
     assert formats._ones_blocks_length(sizes) == len(formats._ones_blocks_text(sizes))
     Q = formats._canonical_cobweb(text + "\n")
     assert Q == P and Q.sequence_name == name
+
+
+class _Int(int):
+    def __str__(self):
+        return "eleven"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.none(), st.text(), st.lists(st.integers()), st.lists(st.integers()).map(tuple),
+                 st.lists(st.one_of(st.booleans(), st.integers())), st.just((_Int(11),)),
+                 st.lists(st.lists(st.integers(), max_size=2), max_size=2)))
+def test_json_text_is_json_dumps(value):
+    assert formats._json_text(value) == json.dumps(value)
 
 
 def test_poset_json_flag_mismatch_rejected(nat3):
