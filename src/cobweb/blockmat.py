@@ -6,34 +6,33 @@ Python ints (so integer arithmetic is unbounded); the ring object only fixes
 the meaning of + and *.  The Boolean semiring uses (or, and) and refuses
 negation outright rather than faking it.
 
-The product and the row solve hold a whole row as one Python int, the sum
-of entry y times 2^(w*y), so that adding a multiple of one row to another
-is one big-int operation in C (Kronecker substitution).  Over BOOL, w = 8
-and | is the ring's add, so every field stays 0 or 1; a BOOL row packs from
-bytes and unpacks to bytes.  Over INT an entry is signed: a negative one
-borrows from the field above it.  Packing is linear, so a sum of packed
-rows is exactly the packed sum, whatever the fields hold on the way, and
-rows are unpacked once, at the end (see _unpack).
-
-One pass makes both, a row x at a time: the sum of c * V[k] over the
-entries c = A[x][k], where V is B in the product and the finished rows of R
-in the row solve.  It takes A[x] column by column up to a start level, then
-level by level: where A[x] holds one value c across a whole level, that
-level adds c times the sum of its rows V[k].  This level rule is exact in
-both rings by distributivity, and zeta, mu and max of a cobweb hold one
-value across every level above a row's own.  Over INT a level that holds
-only 0 and 1, ones on more than half of it, adds the same level sum less
-the rows of its holes, with the bound of the ones alone, since a zeta row
-of a poset that is not a cobweb seldom holds a whole level, but often most
-of one; subtraction is exact since packing is linear, and BOOL keeps OR,
-which has no inverse.  The pass fails once a bound on its entries reaches
-2^(w-2), so every entry fits its field.
+The row solve holds a whole row as one Python int, the sum of entry y
+times 2^(w*y), so that adding a multiple of one row to another is one
+big-int operation in C (Kronecker substitution).  Over BOOL, w = 8 and | is
+the ring's add, so every field stays 0 or 1; a BOOL row unpacks to bytes.
+Over INT an entry is signed: a negative one borrows from the field above
+it.  Packing is linear, so a sum of packed rows is exactly the packed sum,
+whatever the fields hold on the way, and rows are unpacked once, at the end
+(see _unpack).
 
 The closure I + K + K^2 + ... = (I - K)^-1 of a strictly upper K and the
-inverse of a unitriangular I + N are one triangular system, solved a row at
-a time from the bottom: row x of R is e_x plus (closure, R = I + K R) or
-minus (inverse, R = I - N R) the sum over k > x of N[x][k] * R[k].  The
-product starts at level 1 and assumes no triangular shape.
+inverse of a unitriangular I + N are one triangular system, solved by one
+pass a row at a time from the bottom: row x of R is e_x plus (closure,
+R = I + K R) or minus (inverse, R = I - N R) the sum of c * R[k] over the
+entries c = N[x][k], k > x.  The pass takes N[x] column by column across
+x's own level, then level by level: where N[x] holds one value c across a
+whole level, that level adds c times the sum of its rows R[k].  This level
+rule is exact in both rings by distributivity, and zeta, mu and max of a
+cobweb hold one value across every level above a row's own.  Over INT a
+level that holds only 0 and 1, ones on more than half of it, adds the same
+level sum less the rows of its holes, with the bound of the ones alone,
+since a zeta row of a poset that is not a cobweb seldom holds a whole
+level, but often most of one; subtraction is exact since packing is
+linear, and BOOL keeps OR, which has no inverse.  The pass fails once a
+bound on its entries reaches 2^(w-2), so every entry fits its field.
+
+mul is a plain row product and shares no step with the pass, so an inverse
+law read through it does not lean on the solve it checks.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import operator
 import sys
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from typing import Sequence, Tuple
 
 from .poset import check_level_sizes
@@ -188,11 +187,19 @@ def add(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
 
 
 def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
-    """Exact ring product of two full matrices: each row of A B is one sum
-    of B's packed rows and level sums (see the module docstring)."""
+    """Exact ring product of two full matrices: row x of A B is the ring
+    sum of c * B[k] over the nonzero entries c = A[x][k], and c = 1 adds
+    B[k] as it is."""
     _check_compatible(A, B)
-    packed, w = _packed_rows(A.rows, A.level_sizes, A.ring, B.rows)
-    return BlockMatrix(A.level_sizes, _unpack(packed, A.size, w), A.ring)
+    ring = A.ring
+    out = []
+    for row in A.rows:
+        acc = [ring.zero] * A.size
+        for c, term in zip(row, B.rows):
+            if c:
+                acc = list(map(ring.add, acc, term if c == 1 else map(ring.mul, repeat(c), term)))
+        out.append(acc)
+    return BlockMatrix(A.level_sizes, out, ring)
 
 
 def _dot(cs, vs):
@@ -205,29 +212,9 @@ def _top(n, w):
     return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
 
 
-def _pack(rows, w):
-    """Each row of ints as one int with entry y in the field at bit w*y;
-    every entry must fit a signed field of width w, and one byte per entry
-    over BOOL (w = 8)."""
-    if w == 8:
-        return [int.from_bytes(bytes(row), "little") for row in rows]
-    import struct  # kept off the import path of every CLI call
-    n = len(rows[0])
-    top = _top(n, w)
-    if w == 64:
-        fmt = struct.Struct(f"<{n}q")
-        raw = [int.from_bytes(fmt.pack(*row), "little") for row in rows]
-    else:
-        raw = [int.from_bytes(b"".join(v.to_bytes(w // 8, "little", signed=True)
-                                       for v in row), "little") for row in rows]
-    # raw holds each field in two's complement; flipping the top bits gives
-    # the field plus 2^(w-1), and taking top off again leaves the signed sum
-    return [(v ^ top) - top for v in raw]
-
-
 def _unpack(packed, n, w):
-    """Rows of n entries from packed rows of field width w: the inverse of
-    _pack."""
+    """Rows of n entries from packed rows of field width w, entry y of a
+    row read from the field at bit w*y."""
     if w == 8:
         return [v.to_bytes(n, "little") for v in packed]
     top = _top(n, w)
@@ -262,49 +249,36 @@ def _unpack_columns(packed, n, w):
 def _unit_solve(rows, sizes, ring, negate):
     """Rows of R = I + N R (negate false) or R = I - N R (negate true),
     where N is the part of `rows` right of the diagonal and `sizes` are the
-    level sizes; nothing else of `rows` is read."""
-    packed, w = _packed_rows(rows, sizes, ring, None, negate)
+    level sizes; nothing else of `rows` is read.  The fields are w = 8 wide
+    over BOOL, and over INT w = 64 doubled until the pass succeeds."""
+    w = 8 if ring is BOOL else 64
+    while (packed := _packed_pass(rows, sizes, w, negate)) is None:
+        w *= 2
     return _unpack(packed, len(rows), w)
 
 
-def _packed_rows(rows, sizes, ring, B, negate=False):
-    """The packed rows of _packed_pass and their field width: w = 8 over
-    BOOL, and over INT w = 64 doubled until the pass succeeds."""
-    w = 8 if ring is BOOL else 64
-    while (packed := _packed_pass(rows, sizes, w, B, negate)) is None:
-        w *= 2
-    return packed, w
-
-
-def _packed_pass(rows, sizes, w, B=None, negate=False):
-    """The packed rows of the product rows * B, or where B is None of the
-    row solve R = I + N R (I - N R if negate), at field width w (8 means
-    BOOL); None once the bound on some row's entries reaches 2^(w-2)."""
+def _packed_pass(rows, sizes, w, negate=False):
+    """The packed rows of the row solve R = I + N R (I - N R if negate) at
+    field width w (8 means BOOL); None once the bound on some row's entries
+    reaches 2^(w-2)."""
     boolean, limit, n = w == 8, 1 << (w - 2), len(rows)
     off = tuple(accumulate(sizes, initial=0))
-    # bound[k] >= every |V[k][y]|: the largest |B[k]| entry in the product,
-    # and in the solve the sum of |c| * bound(j) over its terms, at least 1,
-    # filled from the bottom up; a level's sum carries the sum of its bounds
-    if B is None:
-        vals = out = [0] * n
-        bound = [1] * n
-    else:
-        bound = [1] * n if boolean else [max(max(row), -min(row)) for row in B]
-        if max(bound) >= limit:
-            return None
-        vals, out = _pack(B, w), [0] * n
+    # packed row vals[k] and bound[k] >= every |R[k][y]|, the sum of |c| *
+    # bound(j) over its terms and at least 1 (1 over BOOL), fill from the
+    # bottom up; a level's sum carries the sum of its bounds
+    vals, bound = [None] * n, [1] * n
     sums = [None] * len(sizes)
     for lvl in reversed(range(len(sizes))):
-        for x in reversed(range(off[lvl], off[lvl + 1])):
+        e = off[lvl + 1]
+        for x in reversed(range(off[lvl], e)):
             row = rows[x]
-            # the solve takes its own level column by column right of the
-            # diagonal, and the level rule from the next level on
-            s, e, first = (x + 1, off[lvl + 1], lvl + 1) if B is None else (0, 0, 0)
-            seg = row[s:e]
+            # its own level column by column right of the diagonal, and the
+            # level rule from the next level on
+            seg = row[x + 1:e]
             cs = list(compress(seg, seg))
-            vs = list(compress(vals[s:e], seg))
-            bs = [] if boolean else list(compress(bound[s:e], seg))
-            for m in range(first, len(sizes)):
+            vs = list(compress(vals[x + 1:e], seg))
+            bs = [] if boolean else list(compress(bound[x + 1:e], seg))
+            for m in range(lvl + 1, len(sizes)):
                 a, b = off[m], off[m + 1]
                 seg = row[a:b]
                 c = seg[0]
@@ -336,16 +310,14 @@ def _packed_pass(rows, sizes, w, B=None, negate=False):
                 vs.append(v)
                 bs.append(bv)
             if boolean:
-                out[x] = reduce(operator.or_, vs, 1 << 8 * x if B is None else 0)
+                vals[x] = reduce(operator.or_, vs, 1 << 8 * x)
                 continue
             acc, bx = _dot(cs, vs), _dot(list(map(abs, cs)), bs)
             if bx >= limit:
                 return None
-            if B is None:
-                bound[x] = bx or 1
-                acc = (1 << w * x) + (-acc if negate else acc)
-            out[x] = acc
-    return out
+            bound[x] = bx or 1
+            vals[x] = (1 << w * x) + (-acc if negate else acc)
+    return vals
 
 
 def nilpotent_closure(K: BlockMatrix) -> BlockMatrix:

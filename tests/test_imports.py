@@ -47,15 +47,35 @@ def test_unused_imports_sees_every_kind_of_import():
     assert unused_imports(source) == [(4, "I"), (6, "Fraction"), (8, "struct")]
 
 
+def global_loads(node, local=frozenset()):
+    """The bare-name loads under node that no function or lambda around
+    them binds itself, as a parameter or as a Store target (assignment,
+    for, comprehension or walrus).  Decorators, defaults and annotations
+    stand outside the function they belong to."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        yield node
+    body, inner = [], local
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        body = node.body if isinstance(node.body, list) else [node.body]
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        inner = local | {arg.arg for arg in params if arg} | {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    for child in ast.iter_child_nodes(node):
+        yield from global_loads(child, inner if any(child is b for b in body) else local)
+
+
 def unread_names(sources, wanted):
     """(module, name) for each top-level name of a module in sources
     (module name -> source) with wanted(module, name) true that no code of
     any module reads outside the statement that defines it.  Each read
-    resolves to the module that binds the name: a loaded bare name to the
-    module m of a `from .m import name` line of the reading module, else to
-    the reading module itself; `m.name` to m where the reading module binds
-    m by `from . import m`.  No other attribute is a read, and an import
-    alone is not one."""
+    resolves to the module that binds the name: a loaded bare name that no
+    enclosing function binds itself (see global_loads) to the module m of a
+    `from .m import name` line of the reading module, else to the reading
+    module itself; `m.name` to m where the reading module binds m by
+    `from . import m`.  No other attribute is a read, and an import alone is
+    not one."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     reads = {}
     for mod, tree in trees.items():
@@ -67,15 +87,12 @@ def unread_names(sources, wanted):
                         modules.add(alias.asname or alias.name)
                     else:
                         imported[alias.asname or alias.name] = (node.module, alias.name)
+        for node in global_loads(tree):
+            reads.setdefault(imported.get(node.id, (mod, node.id)), []).append(node)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                key = imported.get(node.id, (mod, node.id))
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in modules):
-                key = (node.value.id, node.attr)
-            else:
-                continue
-            reads.setdefault(key, []).append(node)
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads.setdefault((node.value.id, node.attr), []).append(node)
     out = []
     for mod, tree in trees.items():
         for stmt in tree.body:
@@ -94,21 +111,29 @@ def unread_names(sources, wanted):
 
 def test_unread_names_resolves_each_read_to_the_module_that_binds_it():
     # operator.mul and a ring's .mul are not reads of a.mul, nor is a local
-    # mul of another module; an aliased import and a module attribute are
+    # mul of another module, nor a name that a function of a binds itself;
+    # an aliased import and a module attribute are
     sources = {"a": ("import operator\n"
                      "def mul(x, y):\n"
                      "    return operator.mul(x, y)\n"
                      "def add(x, y):\n"
                      "    return x\n"
+                     "def neg(x):\n"
+                     "    return x\n"
                      "def sub(x, y):\n"
                      "    return x\n"
+                     "def total(xs):\n"
+                     "    add = 0\n"
+                     "    for x in xs:\n"
+                     "        add = add + x\n"
+                     "    return add, [mul for mul in xs], (lambda mul: mul)(1)\n"
                      "class Ring:\n"
                      "    mul = operator.mul\n"),
                "b": ("from . import a\n"
-                     "from .a import Ring, add as plus\n"
+                     "from .a import Ring, neg as minus, total\n"
                      "def f(ring, mul):\n"
-                     "    return ring.mul(1, 2), mul, plus(1, 2), a.sub(1, 2), Ring\n")}
-    assert unread_names(sources, lambda mod, name: mod == "a") == [("a", "mul")]
+                     "    return ring.mul(1, 2), mul, minus(1), a.sub(1, 2), Ring, total\n")}
+    assert unread_names(sources, lambda mod, name: mod == "a") == [("a", "add"), ("a", "mul")]
 
 
 def unread_private_names(sources):

@@ -1,11 +1,12 @@
 """The row solve, the product, reachability, the Moebius recurrence and the
 max suite's chain-count oracle, held to the versions they replaced.
 
-blockmat._unit_solve and blockmat.mul hold each row as one packed int and add
-c times a level's row sum once wherever a row holds one value c across a
-whole level, incidence.reachable_sets ORs the bit rows of the up-covers read
-straight from the cover blocks, and incidence._mobius_recurrence_rows solves
-mu column by column, a band of rows at a time, each column one packed int.
+blockmat._unit_solve holds each row as one packed int and adds c times a
+level's row sum once wherever a row holds one value c across a whole level,
+blockmat.mul adds a row of B for each nonzero entry of A,
+incidence.reachable_sets ORs the bit rows of the up-covers read straight
+from the cover blocks, and incidence._mobius_recurrence_rows solves mu
+column by column, a band of rows at a time, each column one packed int.
 The functions below are the earlier forms: two generations of each, and for
 the recurrence a third, the suffix walk the library ran before the packed
 columns.  The list forms hold a row as a list of entries, with the same
@@ -341,7 +342,7 @@ def test_row_solve_matches_the_pull_solve_over_bool(case):
         pull_unit_solve(rows, BOOL, False)
 
 
-def test_constant_blocks_add_the_level_sum_with_its_diagonal_and_coefficient():
+def test_constant_blocks_add_the_level_sum_with_its_diagonal_and_coefficient(monkeypatch):
     # row 0 holds 2 across level 2 and -3 across level 3; rows 1 and 2 reach
     # level 3 in different columns, so the sum of level 2 is not a multiple
     # of one row
@@ -351,9 +352,14 @@ def test_constant_blocks_add_the_level_sum_with_its_diagonal_and_coefficient():
             [0, 0, 1, 0, 5],
             [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1]]
+    terms = recorded_terms(monkeypatch)
     for negate in (False, True):
+        terms.clear()
         got = _unit_solve(rows, sizes, INT, negate)
         assert got == pull_unit_solve(rows, INT, negate)
+        # rows 4 .. 0, each twice: rows 2 and 1 take one column of level 3,
+        # and row 0 one term per level, not 2 + 2
+        assert terms == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
     # R = I + N R: row 0 = e_0 + 2 (R[1] + R[2]) - 3 (R[3] + R[4])
     assert _unit_solve(rows, sizes, INT, False)[0] == [1, 2, 2, -1, 7]
 
@@ -395,16 +401,6 @@ def test_a_level_mostly_ones_adds_its_sum_less_its_holes(monkeypatch):
         assert terms == [0] * 8 + [2, 2, 2, 2, 1, 1, 4, 4, 2, 2, 2, 2]
 
 
-def test_the_product_adds_a_level_mostly_ones_as_its_sum_less_its_holes(monkeypatch):
-    A = BlockMatrix(HOLES_SIZES, HOLES_ROWS)
-    B = BlockMatrix(HOLES_SIZES, [[(x * 7 + y * 3) % 5 - 2 + BIG * (x == y == 4)
-                                   for y in range(10)] for x in range(10)])
-    terms = recorded_terms(monkeypatch)
-    assert mul(A, B) == list_mul(A, B) == walk_mul(A, B)
-    # row 0 is the last: level 1, then level 2 and level 3 less their holes
-    assert terms[-2:] == [3, 3]
-
-
 @pytest.mark.parametrize("n, widths", [(60, (64,)), (70, (64, 128)), (200, (64, 128, 256))])
 def test_long_chains_restart_the_solve_at_twice_the_field_width(n, widths):
     # N all ones above the diagonal of a chain of one-node levels: the
@@ -423,40 +419,36 @@ def test_long_chains_restart_the_solve_at_twice_the_field_width(n, widths):
     assert inverse[0][:3] == [1, -1, 0] and inverse[n - 2][n - 2:] == [1, -1]
 
 
-def test_the_product_restarts_at_twice_the_field_width():
-    # A and B fit 64-bit fields, but row 0 of A B is bounded by
-    # 2 * 2^30 * 2^40 = 2^71, so the pass needs 128-bit fields
-    sizes = (1, 1)
-    A = [[2 ** 30, 2 ** 30], [0, 0]]
-    B = [[2 ** 40, 0], [2 ** 40, 0]]
-    assert _packed_pass(A, sizes, 64, B) is None
-    assert _packed_pass(A, sizes, 128, B) is not None
-    got = mul(BlockMatrix(sizes, A), BlockMatrix(sizes, B))
-    assert list(map(tuple, got.rows)) == [(2 ** 71, 0), (0, 0)]
-    assert got == walk_mul(BlockMatrix(sizes, A), BlockMatrix(sizes, B))
-
-
 def test_the_pass_fails_once_a_bound_reaches_a_quarter_of_the_field():
-    # row 0 of A B is bounded by 2 * 2^31 * 2^30 = 2^62 = 2^(64-2), so the
-    # 64-bit pass fails; one less in B keeps the bound below it
+    # row 0 of the solve adds N[0][1] times row 1, bounded by 1, so its
+    # bound is N[0][1]: at 2^62 = 2^(64-2) the 64-bit pass fails, and one
+    # less keeps the bound below it
     sizes = (1, 1)
-    A = [[2 ** 31, 2 ** 31], [0, 0]]
-    B = [[2 ** 30, 0], [2 ** 30, 0]]
-    assert _packed_pass(A, sizes, 64, B) is None
-    B[1][0] -= 1
-    assert _packed_pass(A, sizes, 64, B) is not None
+    for negate in (False, True):
+        rows = [[1, 2 ** 62], [0, 1]]
+        assert _packed_pass(rows, sizes, 64, negate) is None
+        rows[0][1] -= 1
+        assert _packed_pass(rows, sizes, 64, negate) is not None
+        assert _unit_solve(rows, sizes, INT, negate) == list_unit_solve(rows, sizes, INT, negate)
 
 
-def test_the_holes_rule_bounds_a_level_by_its_ones_alone():
-    # row 0 of A holds ones on two of the three columns, so it adds the
-    # level sum less row 2 of B, bounded by 2^60 + 2^60 = 2^61 and not by
-    # the 2^62 of the whole level, and the 64-bit pass succeeds
-    sizes = (3,)
-    A = [[1, 1, 0], [0, 0, 0], [0, 0, 0]]
-    B = [[2 ** 60, 0, 0], [2 ** 60, 0, 0], [2 ** 61, 0, 0]]
-    assert _packed_pass(A, sizes, 64, B) is not None
-    got = mul(BlockMatrix(sizes, A), BlockMatrix(sizes, B))
-    assert list(map(tuple, got.rows)) == [(2 ** 61, 0, 0), (0, 0, 0), (0, 0, 0)]
+def test_the_holes_rule_bounds_a_level_by_its_ones_alone(monkeypatch):
+    # row 0 holds ones on two of the three level-2 columns, so it adds the
+    # level sum less row 3, bounded by 2^60 + 2^60 = 2^61 and not by the
+    # 2^62 of the whole level, and the 64-bit pass succeeds
+    sizes = (1, 3, 1)
+    rows = [[1, 1, 1, 0, 0],
+            [0, 1, 0, 0, 2 ** 60],
+            [0, 0, 1, 0, 2 ** 60],
+            [0, 0, 0, 1, 2 ** 61],
+            [0, 0, 0, 0, 1]]
+    terms = recorded_terms(monkeypatch)
+    for negate in (False, True):
+        terms.clear()
+        assert _packed_pass(rows, sizes, 64, negate) is not None
+        # row 0 adds one term, the level sum less its hole
+        assert terms[-2:] == [1, 1]
+        assert _unit_solve(rows, sizes, INT, negate) == list_unit_solve(rows, sizes, INT, negate)
 
 
 def test_level_routes_past_64_bits_match_the_list_solve(monkeypatch):
@@ -699,8 +691,7 @@ def test_every_band_size_gives_the_same_rows(monkeypatch, P, band):
 def test_the_recurrence_runs_no_step_of_the_inversion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the recurrence ran a step of the inversion")
-    for module, name in [(blockmat, "_packed_pass"), (blockmat, "_packed_rows"),
-                         (blockmat, "_unit_solve"), (blockmat, "mul"),
+    for module, name in [(blockmat, "_packed_pass"), (blockmat, "_unit_solve"), (blockmat, "mul"),
                          (blockmat, "nilpotent_closure"), (blockmat, "unitriangular_inverse"),
                          (incidence, "_unit_solve"), (incidence, "_solve"),
                          (incidence, "zeta")]:
@@ -877,24 +868,26 @@ def test_the_inverse_read_runs_no_step_of_blockmat(monkeypatch):
         raise AssertionError("the inverse read ran a step of blockmat")
     names = [name for name, f in vars(blockmat).items()
              if inspect.isfunction(f) and f.__module__ == blockmat.__name__]
-    assert {"mul", "_packed_pass", "_packed_rows", "_check_compatible"} <= set(names)
+    assert {"mul", "_packed_pass", "_check_compatible"} <= set(names)
     for name in names:
         monkeypatch.setattr(blockmat, name, refuse)
     assert all(suites._is_inverse(A, B) for A, B in pairs)
 
 
-def test_level_sum_product_is_faster_than_the_pair_walk():
-    # zeta * mu on gauss:q=2 with 8 levels (502 nodes), best of 3 CPU times,
-    # taken in turn so that a slow spell of the machine hits both sides
-    P = cobweb(gauss(2), 8)
-    zi, mu = BlockMatrix(P.level_sizes, zeta(P, "closure").rows, INT), mobius(P, "invert")
-    best = {mul: float("inf"), walk_mul: float("inf")}
-    for _ in range(3):
-        for f in best:
-            t = time.process_time()
-            f(zi, mu)
-            best[f] = min(best[f], time.process_time() - t)
-    assert best[mul] <= 0.3 * best[walk_mul], best
+def test_the_product_runs_no_step_of_the_solve(monkeypatch):
+    pairs = []
+    for P in INVERSE_PAIR_POSETS:
+        Z = zeta(P, "closure")
+        pairs += [(BlockMatrix(P.level_sizes, Z.rows, INT), mobius(P, "invert")),
+                  (incidence.max_inverse(P), max_matrix(P)), (Z, Z)]
+    assert {A.ring for A, _ in pairs} == {INT, BOOL}
+    expected = [walk_mul(A, B) for A, B in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product ran a step of the solve")
+    for name in ["_packed_pass", "_unit_solve", "_unpack", "_unpack_columns", "_dot", "_top"]:
+        monkeypatch.setattr(blockmat, name, refuse)
+    assert [mul(A, B) for A, B in pairs] == expected
 
 
 # -- reachability ---------------------------------------------------------------------
