@@ -401,6 +401,18 @@ def test_a_level_mostly_ones_adds_its_sum_less_its_holes(monkeypatch):
         assert terms == [0] * 8 + [2, 2, 2, 2, 1, 1, 4, 4, 2, 2, 2, 2]
 
 
+def test_the_product_matches_the_pair_walk_on_a_level_mostly_ones():
+    # A is the holes system: rows of ones with holes (c = 1 adds a row of B
+    # as it is), rows of other values, and B one entry past any field width
+    A = BlockMatrix(HOLES_SIZES, HOLES_ROWS)
+    B = BlockMatrix(HOLES_SIZES, [[(x * 7 + y * 3) % 5 - 2 + BIG * (x == y == 4)
+                                   for y in range(10)] for x in range(10)])
+    assert mul(A, B) == list_mul(A, B) == walk_mul(A, B)
+    # row 0 adds rows 0, 1, 2, 4, 5, 7, 8 and 9 of B, each as it is
+    assert mul(A, B).rows[0] == [sum(B.rows[k][y] for k in (0, 1, 2, 4, 5, 7, 8, 9))
+                                 for y in range(10)]
+
+
 @pytest.mark.parametrize("n, widths", [(60, (64,)), (70, (64, 128)), (200, (64, 128, 256))])
 def test_long_chains_restart_the_solve_at_twice_the_field_width(n, widths):
     # N all ones above the diagonal of a chain of one-node levels: the
@@ -417,6 +429,17 @@ def test_long_chains_restart_the_solve_at_twice_the_field_width(n, widths):
     inverse = _unit_solve(rows, sizes, INT, True)
     assert inverse == list_unit_solve(rows, sizes, INT, True)
     assert inverse[0][:3] == [1, -1, 0] and inverse[n - 2][n - 2:] == [1, -1]
+
+
+def test_the_product_is_exact_past_the_field_width():
+    # A and B fit 64-bit fields, but row 0 of A B is 2 * 2^30 * 2^40 = 2^71:
+    # the product holds each entry as one exact int, with no field to outgrow
+    sizes = (1, 1)
+    A = BlockMatrix(sizes, [[2 ** 30, 2 ** 30], [0, 0]])
+    B = BlockMatrix(sizes, [[2 ** 40, 0], [2 ** 40, 0]])
+    got = mul(A, B)
+    assert list(map(tuple, got.rows)) == [(2 ** 71, 0), (0, 0)]
+    assert got == walk_mul(A, B) == list_mul(A, B)
 
 
 def test_the_pass_fails_once_a_bound_reaches_a_quarter_of_the_field():
