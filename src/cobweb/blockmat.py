@@ -2,9 +2,10 @@
 
 Matrices are indexed by the natural labeling of a graded poset: block (r, s)
 spans the rows of level r and the columns of level s.  Entries are plain
-Python ints (so integer arithmetic is unbounded); the ring object only fixes
-the meaning of + and *.  The Boolean semiring uses (or, and) and refuses
-negation outright rather than faking it.
+Python ints (so integer arithmetic is unbounded); a ring is a name and the
++ and * of its entries.  Where BOOL differs from INT beyond (or, and), the
+code says so by `ring is BOOL`: the solve's field width, and the inverse,
+which BOOL refuses since it has no negation.
 
 The row solve holds a whole row as one Python int, the sum of entry y
 times 2^(w*y), so that adding a multiple of one row to another is one
@@ -54,39 +55,23 @@ class MatrixError(ValueError):
     """Shape, ring, or structure violation."""
 
 
-class IntegerRing:
-    """The integers: add, mul and neg are the builtins of operator, which
-    do not bind as methods and cost no Python frame per entry."""
-    name = "int"
-    zero = 0
-    one = 1
-    add = operator.add
-    mul = operator.mul
-    neg = operator.neg
+class Ring:
+    """A ring by its name and the + and * of its entries, builtins of
+    operator that cost no Python frame per entry; 0 and 1 are its zero and
+    one."""
+
+    def __init__(self, name, add, mul):
+        self.name, self.add, self.mul = name, add, mul
 
     def __reduce__(self):
         # pickled and copied by name, so `ring is INT` survives a round trip
-        return "INT"
+        return self.name.upper()
+
+    __repr__ = __reduce__
 
 
-class BooleanSemiring:
-    """Two-element semiring: add = or, mul = and, no additive inverse."""
-    name = "bool"
-    zero = 0
-    one = 1
-    add = operator.or_
-    mul = operator.and_
-
-    @staticmethod
-    def neg(a):
-        raise RingError("the Boolean semiring has no negation")
-
-    def __reduce__(self):
-        return "BOOL"
-
-
-INT = IntegerRing()
-BOOL = BooleanSemiring()
+INT = Ring("int", operator.add, operator.mul)
+BOOL = Ring("bool", operator.or_, operator.and_)
 
 # the 64-bit fields of a packed row are read as native machine words
 _LITTLE = sys.byteorder == "little"
@@ -117,9 +102,9 @@ class BlockMatrix:
     @classmethod
     def identity(cls, level_sizes, ring=INT):
         n = sum(level_sizes)
-        rows = [[ring.zero] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
-            rows[i][i] = ring.one
+            rows[i][i] = 1
         return cls(level_sizes, rows, ring)
 
     # -- bookkeeping ------------------------------------------------------
@@ -158,14 +143,13 @@ class BlockMatrix:
 
     def is_strictly_upper_block(self) -> bool:
         """Zero at every (x, y) with level(x) >= level(y)."""
-        zero, off = self.ring.zero, self._offsets
-        return all(row[:end].count(zero) == end
+        off = self._offsets
+        return all(row[:end].count(0) == end
                    for start, end in zip(off, off[1:]) for row in self.rows[start:end])
 
     def is_unitriangular(self) -> bool:
         """Ones on the diagonal, zeros strictly below."""
-        zero, one = self.ring.zero, self.ring.one
-        return all(row[i] == one and row[:i].count(zero) == i
+        return all(row[i] == 1 and row[:i].count(0) == i
                    for i, row in enumerate(self.rows))
 
 
@@ -194,7 +178,7 @@ def mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     ring = A.ring
     out = []
     for row in A.rows:
-        acc = [ring.zero] * A.size
+        acc = [0] * A.size
         for c, term in zip(row, B.rows):
             if c:
                 acc = list(map(ring.add, acc, term if c == 1 else map(ring.mul, repeat(c), term)))
@@ -263,10 +247,10 @@ def _packed_pass(rows, sizes, w, negate=False):
     reaches 2^(w-2)."""
     boolean, limit, n = w == 8, 1 << (w - 2), len(rows)
     off = tuple(accumulate(sizes, initial=0))
-    # packed row vals[k] and bound[k] >= every |R[k][y]|, the sum of |c| *
-    # bound(j) over its terms and at least 1 (1 over BOOL), fill from the
-    # bottom up; a level's sum carries the sum of its bounds
-    vals, bound = [None] * n, [1] * n
+    # packed row vals[k] and, over INT only, bound[k] >= every |R[k][y]|,
+    # the sum of |c| * bound(j) over its terms and at least 1, fill from the
+    # bottom up; an INT level's sum carries the sum of its bounds
+    vals, bound = [None] * n, [None] * n
     sums = [None] * len(sizes)
     for lvl in reversed(range(len(sizes))):
         e = off[lvl + 1]
@@ -300,8 +284,8 @@ def _packed_pass(rows, sizes, w, negate=False):
                     continue
                 # c across level m: c times the sum of its rows
                 if sums[m] is None:
-                    sums[m] = (reduce(operator.or_, vals[a:b]) if boolean
-                               else sum(vals[a:b]), sum(bound[a:b]))
+                    sums[m] = ((reduce(operator.or_, vals[a:b]), None) if boolean
+                               else (sum(vals[a:b]), sum(bound[a:b])))
                 v, bv = sums[m]
                 if holes:
                     v -= sum(compress(vals[a:b], holes))
@@ -330,11 +314,11 @@ def nilpotent_closure(K: BlockMatrix) -> BlockMatrix:
 def unitriangular_inverse(M: BlockMatrix) -> BlockMatrix:
     """Inverse of I + N with N strictly upper, over a ring with negation,
     so mul(M, result) == I exactly."""
-    ring = M.ring
-    ring.neg(ring.one)  # raises RingError over a ring without negation
+    if M.ring is BOOL:
+        raise RingError("the Boolean semiring has no negation")
     if not M.is_unitriangular():
         raise MatrixError("inverse requires a unitriangular matrix")
-    return BlockMatrix(M.level_sizes, _unit_solve(M.rows, M.level_sizes, ring, True), ring)
+    return BlockMatrix(M.level_sizes, _unit_solve(M.rows, M.level_sizes, M.ring, True), M.ring)
 
 
 def natural_join(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
@@ -349,11 +333,10 @@ def natural_join(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     if A.block(A.n_levels, A.n_levels) != B.block(1, 1):
         raise MatrixError("shared diagonal block disagrees between operands")
     sizes = A.level_sizes + B.level_sizes[1:]
-    n, zero = sum(sizes), A.ring.zero
-    shift = A.size - B.level_sizes[0]
+    n, shift = sum(sizes), A.size - B.level_sizes[0]
     # on the shared level B's rows repeat A's shared block and fill its zeros
-    rows = [list(row) + [zero] * (n - A.size) for row in A.rows]
-    rows += [[zero] * n for _ in range(n - A.size)]
+    rows = [list(row) + [0] * (n - A.size) for row in A.rows]
+    rows += [[0] * n for _ in range(n - A.size)]
     for i, row in enumerate(B.rows, shift):
         rows[i][shift:] = row
     return BlockMatrix(sizes, rows, A.ring)

@@ -23,16 +23,14 @@ import sys
 import types
 
 from . import formats
-from .blockmat import MatrixError, RingError
 from .chains import count_interval_chains, count_layer_chains
-from .fsequence import SequenceError, fnomial, is_cobweb_admissible, preset
+from .fsequence import fnomial, is_cobweb_admissible, preset
 from .incidence import MOBIUS_METHODS, ZETA_METHODS, _label_rows, coding_matrix, \
     eta, eta_inverse, kroton, level_eta, level_eta_inverse, level_max, \
     level_max_inverse, level_mobius, level_zeta, max_inverse, max_matrix, \
     mobius, zeta
 from .invariants import RootedPoset, char_poly, root, whitney_second
-from .poset import GradedPoset, PosetError, check_layer_bounds, cobweb, from_blocks, \
-    ones_block
+from .poset import GradedPoset, check_layer_bounds, cobweb, from_blocks, ones_block
 from .suites import run_checks
 
 
@@ -418,8 +416,7 @@ def main(argv=None) -> int:
         code = run(sys.argv[1:] if entry else argv)
         if entry:
             sys.stdout.flush()
-    except (CliError, SequenceError, PosetError, MatrixError, RingError, formats.FormatError,
-            ValueError, TypeError, OSError, OverflowError, MemoryError) as e:
+    except (CliError, ValueError, TypeError, OSError, OverflowError, MemoryError) as e:
         print(f"cobweb: {'out of memory' if isinstance(e, MemoryError) else e}", file=sys.stderr)
         code = 1
     if entry:

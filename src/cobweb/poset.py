@@ -183,11 +183,10 @@ def natural_join(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
 
 
 def ordinal_sum(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
-    """Stack Q above P with every element of P below every element of Q."""
-    glue = ones_block(P.level_sizes[-1], Q.level_sizes[0])
-    sizes = P.level_sizes + Q.level_sizes
-    blocks = P.blocks + (glue,) + Q.blocks
-    return GradedPoset(sizes, blocks)
+    """Stack Q above P with every element of P below every element of Q: the
+    natural join of P, the cobweb on P's top and Q's bottom sizes, and Q."""
+    K = cobweb_of_sizes((P.level_sizes[-1], Q.level_sizes[0]))
+    return natural_join(natural_join(P, K), Q)
 
 
 def check_layer_bounds(P: GradedPoset, k: int, n: int):

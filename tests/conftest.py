@@ -112,7 +112,7 @@ def band_matrix(sizes, blocks, ring):
     set entry by entry: a poset's cover matrix when the blocks are its
     cover blocks, and any entries of the ring otherwise."""
     off = list(accumulate(sizes, initial=0))
-    rows = [[ring.zero] * off[-1] for _ in range(off[-1])]
+    rows = [[0] * off[-1] for _ in range(off[-1])]
     for k, blk in enumerate(blocks):
         for i, row in enumerate(blk):
             for j, v in enumerate(row):
@@ -122,19 +122,19 @@ def band_matrix(sizes, blocks, ring):
 
 def is_one_band(M) -> bool:
     """M is zero outside the blocks (k, k+1)."""
-    off, z, n = M._offsets, M.ring.zero, M.n_levels
+    off, n = M._offsets, M.n_levels
     for r in range(1, n + 1):
         # rows of level r may be nonzero only in the columns of level r+1
         lo = off[r]
         hi = off[r + 1] if r < n else lo
         for row in M.rows[off[r - 1]:lo]:
-            if any(v != z for v in row[:lo]) or any(v != z for v in row[hi:]):
+            if any(row[:lo]) or any(row[hi:]):
                 return False
     return True
 
 
 def is_zero(M) -> bool:
-    return all(v == M.ring.zero for row in M.rows for v in row)
+    return all(v == 0 for row in M.rows for v in row)
 
 
 def random_no_mute_blocks(rng: random.Random, rows: int, cols: int):

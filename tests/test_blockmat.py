@@ -208,9 +208,11 @@ def test_unitriangular_inverse_pinned_3x3():
 
 
 def test_unitriangular_inverse_refuses_boolean():
-    I = BlockMatrix.identity([2], BOOL)
-    with pytest.raises(RingError):
-        unitriangular_inverse(I)
+    # BOOL is refused before the structure check, which a zero diagonal fails
+    for M in (BlockMatrix.identity([2], BOOL),
+              BlockMatrix([1, 2], [[0, 1, 1], [0, 0, 0], [0, 0, 0]], BOOL)):
+        with pytest.raises(RingError, match="^the Boolean semiring has no negation$"):
+            unitriangular_inverse(M)
 
 
 def test_unitriangular_inverse_refuses_non_unitriangular():
@@ -251,7 +253,7 @@ def test_mul_associates_and_distributes(seed, boolean):
 def naive_mul(A, B):
     """Textbook triple loop over every index, zeros included."""
     ring, n = A.ring, A.size
-    out = [[ring.zero] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -287,6 +289,8 @@ def test_matrix_natural_join():
     assert tuple(J.rows[0][:3]) == (1, 1, 1)
     assert J.rows[0][3] == 0  # outside both spans
     assert J.rows[1][3] == 1
+    # B's rows below the shared level are zero left of B's span
+    assert [list(r) for r in J.rows] == [[1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     with pytest.raises(MatrixError):
         mat_join(A, BlockMatrix.identity([3, 1], INT))
 
@@ -299,17 +303,17 @@ def loop_is_strictly_upper_block(M):
         for i in range(off[r - 1], off[r]):
             row = M.rows[i]
             for j in range(0, off[r]):
-                if row[j] != M.ring.zero:
+                if row[j] != 0:
                     return False
     return True
 
 
 def loop_is_unitriangular(M):
     for i, row in enumerate(M.rows):
-        if row[i] != M.ring.one:
+        if row[i] != 1:
             return False
         for j in range(i):
-            if row[j] != M.ring.zero:
+            if row[j] != 0:
                 return False
     return True
 

@@ -187,7 +187,6 @@ UNREAD_EXPORTS = {
     ("blockmat", "mul"): "the algebra's product, which the README's library example calls",
     ("blockmat", "add"): "the algebra's sum, which the tests hold mul to",
     ("poset", "layer"): JOIN,
-    ("poset", "natural_join"): JOIN,
     ("fsequence", "custom"): SEQUENCE,
     ("fsequence", "fib"): SEQUENCE,
     ("fsequence", "nat"): SEQUENCE,

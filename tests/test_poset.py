@@ -56,6 +56,10 @@ def test_block_entries_must_be_the_ints_0_and_1(bad):
     with pytest.raises(PosetError) as e:
         from_blocks([1, 2, 2], [[[1, 1]], [[0, 1], [bad, 1]]])
     assert str(e.value) == f"blocks[1][1][0]: expected 0 or 1, got {bad!r}"
+    # the fault named is the bad entry, not a 0 before it in its row
+    with pytest.raises(PosetError) as e:
+        from_blocks([1, 3], [[[0, 1, bad]]])
+    assert str(e.value) == f"blocks[0][0][2]: expected 0 or 1, got {bad!r}"
 
 
 @pytest.mark.parametrize("blocks, message", [

@@ -26,6 +26,7 @@ compare column by column, and that loop is kept below as its reference.
 """
 
 import inspect
+import operator
 import random
 import time
 import tracemalloc
@@ -58,7 +59,7 @@ def pull_unit_solve(rows, ring, negate):
     where N is the part of `rows` right of the diagonal; nothing else of
     `rows` is read."""
     n = len(rows)
-    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    zero, one, radd, rmul = 0, 1, ring.add, ring.mul
     out = [None] * n
     # parts[k] = (s, vals): row k of R right of its diagonal is zero outside
     # columns s .. s + len(vals) - 1, where it holds vals
@@ -74,7 +75,7 @@ def pull_unit_solve(rows, ring, negate):
                     vals = map(rmul, repeat(c), vals)
                 acc[s:e] = map(radd, acc[s:e], vals)
         if negate:
-            acc[x + 1:] = map(ring.neg, acc[x + 1:])
+            acc[x + 1:] = map(operator.neg, acc[x + 1:])
         s, e = x + 1, n
         while s < e and acc[s] == zero:
             s += 1
@@ -94,7 +95,7 @@ def walk_mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     """
     _check_compatible(A, B)
     ring = A.ring
-    zero, radd, rmul = ring.zero, ring.add, ring.mul
+    zero, radd, rmul = 0, ring.add, ring.mul
     bnz = [[(j, b) for j, b in enumerate(brow) if b != zero] for brow in B.rows]
     out = []
     for arow in A.rows:
@@ -153,7 +154,7 @@ def list_mul(A: BlockMatrix, B: BlockMatrix) -> BlockMatrix:
     use, once per product."""
     _check_compatible(A, B)
     ring = A.ring
-    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    zero, one, radd, rmul = 0, 1, ring.add, ring.mul
     n, off = A.size, A._offsets
     bnz = [None] * n
     sums = {}
@@ -200,7 +201,7 @@ def list_unit_solve(rows, sizes, ring, negate):
     where N is the part of `rows` right of the diagonal and `sizes` are the
     level sizes; nothing else of `rows` is read."""
     n = len(rows)
-    zero, one, radd, rmul = ring.zero, ring.one, ring.add, ring.mul
+    zero, one, radd, rmul = 0, 1, ring.add, ring.mul
     off = tuple(accumulate(sizes, initial=0))
     out = [None] * n
     # parts[k] = (s, vals): row k of R right of its diagonal is zero outside
@@ -233,7 +234,7 @@ def list_unit_solve(rows, sizes, ring, negate):
                     vals = map(rmul, repeat(c), vals)
                 acc[s:e] = map(radd, acc[s:e], vals)
             if negate:
-                acc[x + 1:] = map(ring.neg, acc[x + 1:])
+                acc[x + 1:] = map(operator.neg, acc[x + 1:])
             parts[x] = _span(acc, x + 1, zero)
             acc[x] = one
             out[x] = acc
