@@ -259,8 +259,8 @@ def _packed_pass(rows, sizes, w, negate=False):
             # its own level column by column right of the diagonal, and the
             # level rule from the next level on
             seg = row[x + 1:e]
-            cs = list(compress(seg, seg))
             vs = list(compress(vals[x + 1:e], seg))
+            cs = [] if boolean else list(compress(seg, seg))
             bs = [] if boolean else list(compress(bound[x + 1:e], seg))
             for m in range(lvl + 1, len(sizes)):
                 a, b = off[m], off[m + 1]
@@ -274,9 +274,9 @@ def _packed_pass(rows, sizes, w, negate=False):
                     # so a level mostly zeros (a cover row) pays no second count
                     if (boolean or c not in (0, 1) or 2 * (k if c else b - a - k) <= b - a
                             or seg.count(1 - c) != b - a - k):
-                        cs += compress(seg, seg)
                         vs += compress(vals[a:b], seg)
                         if not boolean:
+                            cs += compress(seg, seg)
                             bs += compress(bound[a:b], seg)
                         continue
                     c, holes = 1, bytes(seg).translate(_HOLES)

@@ -16,11 +16,17 @@ reach both sides of a comparison.
 
 from __future__ import annotations
 
+import sys
 from itertools import compress
 from math import prod
 from typing import List, NamedTuple, Tuple
 
 from .poset import GradedPoset, NodeLabel, PosetError, check_layer_bounds
+
+# the unsigned machine word of each field width in bytes, read by a cast only
+# on a little-endian machine, where a field's bytes are the word's
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_LITTLE = sys.byteorder == "little"
 
 
 class Chain(NamedTuple):
@@ -69,11 +75,17 @@ def _tallies(P: GradedPoset, tally: List[int], top: int, bottom: int) -> List[Li
 
     Each step gives a node the sum of its upper covers' tallies, so the entry
     of node x counts the cover paths from x up to level top, each weighted by
-    the tally of the node it ends on.
+    the tally of the node it ends on.  A row that is the row before it, as
+    every row of an all-ones block is, shares that row's sum.
     """
     out = [tally]
     for blk in reversed(P.blocks[bottom - 1:top - 1]):
-        tally = [sum(compress(tally, row)) for row in blk]
+        sums, prev = [], None
+        for row in blk:
+            if row is not prev:
+                prev, t = row, sum(compress(tally, row))
+            sums.append(t)
+        tally = sums
         out.append(tally)
     out.reverse()
     return out
@@ -99,15 +111,26 @@ def _interval_rows(P: GradedPoset) -> List[List[int]]:
     """count_interval_chains(P, x, y) at [x - 1][y - 1] for global labels x
     and y, from one sweep per level L.  A chain of [x, y] with y on L takes
     one node per level below L, so its count is below 2^w, w the bit length
-    of their size product, and one w-bit field per node of L never carries."""
+    of their size product, and one field of w bits or more per node of L
+    never carries.  A field is the least of 1, 2, 4 or 8 bytes that holds w
+    bits, so that a little-endian machine reads a tally's fields back with
+    one cast of its bytes to machine words, or else whole bytes, each read
+    with int.from_bytes."""
     rows = [[] for _ in range(P.node_count)]
     for L, size in enumerate(P.level_sizes, start=1):
-        w = prod(P.level_sizes[:L - 1]).bit_length()
-        mask, shifts = (1 << w) - 1, range(0, w * size, w)
+        step = (prod(P.level_sizes[:L - 1]).bit_length() + 7) // 8
+        if step <= 8:
+            step = 1 << (step - 1).bit_length()
+        shifts = range(0, 8 * step * size, 8 * step)
         # levels 1..L in order are global labels 1..S(L)
         packed = [t for tally in _tallies(P, [1 << s for s in shifts], L, 1) for t in tally]
         for row, t in zip(rows, packed):
-            row += [t >> s & mask for s in shifts]
+            raw = t.to_bytes(step * size, "little")
+            if step in _WORDS and _LITTLE:
+                row += memoryview(raw).cast(_WORDS[step]).tolist()
+            else:
+                row += [int.from_bytes(raw[i:i + step], "little")
+                        for i in range(0, step * size, step)]
         for row in rows[len(packed):]:
             row += [0] * size
     return rows

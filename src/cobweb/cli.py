@@ -230,11 +230,10 @@ def _value(token, kw):
 
 def _cmd_gen(args) -> int:
     if args.blocks:
-        import json  # kept off the import path of every CLI call
         try:
             with open(args.blocks, "r", encoding="utf-8") as fh:
-                blocks = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as e:
+                blocks = formats.blocks_from_json(fh.read())
+        except (OSError, formats.FormatError) as e:
             raise CliError(f"cannot read blocks file {args.blocks}: {e}")
         # the level sizes are read off each block's first row; the poset
         # checks the rest and names a fault by its path in the file

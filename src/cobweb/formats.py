@@ -1,13 +1,20 @@
 """Serialization and rendering: poset JSON, matrix CSV/JSON, DOT export,
 and the ASCII staircase view of the zeta matrix.
 
-A cobweb's poset JSON is written from its level sizes, and a text that is
-exactly what gen writes for a cobweb is read back from them without
-decoding one entry; every other text is decoded and checked by GradedPoset.
-Three plain kinds of text are written and read without the json module,
-each as json.dumps writes it: a list of ints, each int as its str with ", "
-between; null; and a name of printable ASCII with no '"' or '\\' in quotes,
-since json.dumps escapes only those two and what is not printable ASCII.
+A poset's JSON and a gen --blocks file are canonical: the text json.dumps
+writes of the object, in the field order of poset_to_json.  poset_to_json
+writes it without the json module, a cobweb's blocks from its level sizes
+and any other poset's 0/1 rows as digits.  A canonical text, optionally
+followed by whitespace, is read back without the json module too: a cobweb
+from its level sizes, without decoding one entry, and any other blocks by
+splitting their rows on fixed separators.  Such a text is taken only when
+what it builds writes the text itself again; every other text goes to
+json.loads.  GradedPoset checks the blocks either way, so every text gives
+the same poset, or the same message, on both routes.  Three plain kinds of
+value are written and read by hand as well, each as json.dumps writes it:
+a list of ints, each int as its str with ", " between; null; and a name of
+printable ASCII with no '"' or '\\' in quotes, since json.dumps escapes
+only those two and what is not printable ASCII.
 """
 
 from __future__ import annotations
@@ -26,14 +33,20 @@ class FormatError(ValueError):
 
 # -- poset JSON -------------------------------------------------------------
 #
-# The loader reads a cobweb's sizes off the head of a text and its name off
-# the tail, and compares the length of the text they fix before it builds
-# any text or poset, so a short file that claims huge levels costs only its
-# own length.
+# The loader reads a poset's sizes off the head of a text and its name off
+# the tail.  A cobweb's text is checked for the length its sizes fix before
+# any text or poset is built, so a short file that claims huge levels costs
+# only its own length; any other poset's blocks are split out of the text.
 
 _SIZES_HEAD = '{"level_sizes": '
 _BLOCKS_KEY = ', "blocks": '
-_COBWEB_TAIL = ', "flags": {"cobweb": true, "no_mute": true}, "sequence": '
+_FLAGS_KEY = ', "flags": {"cobweb": '
+_COBWEB_FLAGS = 'true, "no_mute": true}'
+_NAME_KEY = ', "sequence": '
+# an entry 0..9 to its digit, any other byte to '?', and the digits 0 and 1
+# back to their entries
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"?" * 246)
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _json_text(value) -> str:
@@ -62,27 +75,64 @@ def _ones_blocks_length(sizes) -> int:
     return sum(a * (3 * b + 2) + 2 for a, b in zip(sizes, sizes[1:])) or 2
 
 
+def _blocks_text(blocks) -> str:
+    """json.dumps of 0/1 blocks whose rows are each as wide as the block's
+    first: a row's entries, translated to digits, are laid over a template
+    "0, 0, ..., 0" built once per block."""
+    texts = []
+    for blk in blocks:
+        template = ("0, " * len(blk[0]))[:-2].encode()
+        rows = []
+        for row in blk:
+            text = bytearray(template)
+            text[::3] = bytes(row).translate(_DIGITS)
+            rows.append(text.decode())
+        texts.append("[[" + "], [".join(rows) + "]]")
+    return "[" + ", ".join(texts) + "]"
+
+
+def _bit_blocks(text: str):
+    """json.loads(text) where text is what json.dumps writes of a list of
+    0/1 blocks, each block's rows as wide as its first and at least 1 wide;
+    None where it plainly is not.  Blocks are split on "]], [[" and rows on
+    "], [", every third character of a block's rows is an entry, and only
+    the digits 0 and 1 are read, in C.  Text out of place can still read as
+    entries, so the caller compares the text of what it builds with text."""
+    if not (text.startswith("[[[") and text.endswith("]]]")):
+        return None
+    blocks = []
+    for blk in text[3:-3].split("]], [["):
+        count = blk.count("], [") + 1
+        digits = blk.replace("], [", ", ")[::3].encode()
+        if not digits or digits.translate(None, b"01") or len(digits) % count:
+            return None
+        bits, width = digits.translate(_BITS), len(digits) // count
+        blocks.append([list(bits[i:i + width]) for i in range(0, len(bits), width)])
+    return blocks
+
+
 def poset_to_json(P: GradedPoset) -> str:
     """Canonical poset JSON, fields in fixed order: the text of json.dumps
     of the object.  A cobweb's blocks are written from its level sizes."""
-    blocks = _ones_blocks_text(P.level_sizes) if P.is_cobweb else _json_text(P.blocks)
+    blocks = _ones_blocks_text(P.level_sizes) if P.is_cobweb else _blocks_text(P.blocks)
     flags = f'{{"cobweb": {P.is_cobweb}, "no_mute": {not P.has_mute_nodes}}}'.lower()
     return (f'{_SIZES_HEAD}{_json_text(P.level_sizes)}{_BLOCKS_KEY}{blocks}, '
             f'"flags": {flags}, "sequence": {_json_text(P.sequence_name)}}}')
 
 
-def _canonical_cobweb(text: str):
-    """The cobweb whose poset_to_json is text up to trailing whitespace, or
+def _canonical_poset(text: str):
+    """The poset whose poset_to_json is text up to trailing whitespace, or
     None."""
     body = text.rstrip(" \t\n\r")
     if not body.startswith(_SIZES_HEAD) or not body.endswith("}"):
         return None
     end = body.find("]", len(_SIZES_HEAD))
-    tail = body.rfind(_COBWEB_TAIL)
-    if end < 0 or tail < 0:
+    flags = body.rfind(_FLAGS_KEY)
+    named = body.find(_NAME_KEY, flags)
+    if end < 0 or flags < 0 or named < 0:
         return None
     # int reads "+2" and "02" too, but poset_to_json(P) == body refuses them
-    written = body[tail + len(_COBWEB_TAIL):-1]
+    written = body[named + len(_NAME_KEY):-1]
     try:
         sizes = [int(s) for s in body[len(_SIZES_HEAD) + 1:end].split(", ")]
         name = None if written == "null" else written[1:-1]
@@ -91,17 +141,28 @@ def _canonical_cobweb(text: str):
             name = json.loads(written)
     except (ValueError, RecursionError):
         return None
+    # positive sizes bound a cobweb's blocks length by the text's own length
     if any(s < 1 for s in sizes) or not (name is None or isinstance(name, str)):
         return None
     # the blocks lie between the sizes and the flags
-    if tail - (end + 1 + len(_BLOCKS_KEY)) != _ones_blocks_length(sizes):
+    start = end + 1 + len(_BLOCKS_KEY)
+    try:
+        if body.startswith(_COBWEB_FLAGS, flags + len(_FLAGS_KEY)):
+            if flags - start != _ones_blocks_length(sizes):
+                return None
+            P = cobweb_of_sizes(sizes, name)
+        else:
+            blocks = _bit_blocks(body[start:flags])
+            if blocks is None:
+                return None
+            P = GradedPoset(sizes, blocks, name)
+    except PosetError:
         return None
-    P = cobweb_of_sizes(sizes, name)
     return P if poset_to_json(P) == body else None
 
 
 def poset_from_json(text: str) -> GradedPoset:
-    P = _canonical_cobweb(text) if isinstance(text, str) else None
+    P = _canonical_poset(text) if isinstance(text, str) else None
     if P is not None:
         return P
     import json  # kept off the import path of every CLI call
@@ -140,9 +201,22 @@ def poset_from_json(text: str) -> GradedPoset:
     return P
 
 
-# -- matrix CSV / JSON -------------------------------------------------------
+def blocks_from_json(text: str) -> list:
+    """The blocks of a `gen --blocks` file, json.loads(text); a text that is
+    what json.dumps writes of 0/1 blocks, up to trailing whitespace, is read
+    without the json module."""
+    body = text.rstrip(" \t\n\r")
+    blocks = _bit_blocks(body)
+    if blocks is not None and _blocks_text(blocks) == body:
+        return blocks
+    import json  # kept off the import path of every CLI call
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise FormatError(str(e)) from None
 
-_DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"?" * 246)
+
+# -- matrix CSV / JSON -------------------------------------------------------
 
 
 class _Texts(dict):

@@ -130,14 +130,15 @@ def _rows_delta(S, sizes, N):
     # zeta_1 floods the upper triangle with ones: the terms delta(x+k, y),
     # k = 0..N-x, set columns x..N, and larger k fall off the matrix.
     # zeta_0 carves out the same-level staircase: the term (s, k) with
-    # delta(x, S(s-1)+k) = 1 takes 1 off columns x+1..x+s_F-k.
-    for x in range(1, N + 1):
-        row = bytearray(x - 1) + b"\1" * (N - x + 1)
-        for s in range(1, len(sizes) + 1):
-            for k in range(1, sizes[s - 1] + 1):
-                if x == S[s - 1] + k:
-                    _take_one(row, x, x + sizes[s - 1] - k)
-        yield row
+    # delta(x, S(s-1)+k) = 1 takes 1 off columns x+1..x+s_F-k.  Each x
+    # meets that delta at one term only, x = S(s-1)+k, so the rows come
+    # level by level, in order of x, each with the one term it meets.
+    for s in range(1, len(sizes) + 1):
+        for k in range(1, sizes[s - 1] + 1):
+            x = S[s - 1] + k
+            row = bytearray(x - 1) + b"\1" * (N - x + 1)
+            _take_one(row, x, x + sizes[s - 1] - k)
+            yield row
 
 
 def _rows_knuth(S, sizes, N):
@@ -417,11 +418,11 @@ def logic_L(M: BlockMatrix) -> BlockMatrix:
 def _logic_L_rows(M: BlockMatrix):
     """The rows of logic_L(M), one at a time."""
     for i, row in enumerate(M.rows):
-        for j, v in enumerate(row):
-            if v < 0:
-                raise MatrixError(
-                    f"logic_L is undefined on negative entry {v} at ({i + 1}, {j + 1})")
-        yield bytes([v > 0 for v in row])
+        if min(row) < 0:
+            j, v = next((j, v) for j, v in enumerate(row) if v < 0)
+            raise MatrixError(
+                f"logic_L is undefined on negative entry {v} at ({i + 1}, {j + 1})")
+        yield bytes(map(bool, row))
 
 
 # -- the level algebra of cobwebs ------------------------------------------

@@ -143,8 +143,9 @@ def suite_mobius(P: GradedPoset, dense: Dense) -> List[CheckResult]:
     out.append(_verdict("mobius", "inverse-pair", _is_inverse(dense.closure, mu),
                         "mu is not an exact two-sided inverse of zeta"))
     if P.is_cobweb:
-        rank_ok = all(len({v for row in mu.block(r, s) for v in row}) <= 1
-                      for r in range(1, P.n_levels + 1) for s in range(r + 1, P.n_levels + 1))
+        rank_ok = all(row.count(blk[0][0]) == len(row)
+                      for r in range(1, P.n_levels + 1) for s in range(r + 1, P.n_levels + 1)
+                      for blk in [mu.block(r, s)] for row in blk)
         out.append(_verdict("mobius", "rank-dependence", rank_ok,
                             "mu varies inside a level block of a cobweb"))
     else:

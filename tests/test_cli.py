@@ -256,9 +256,10 @@ def test_admissible_leaves_fractions_unloaded():
         (0, "admissible\nadmissible\nadmissible\n[0, 0, 0] []\n", "")
 
 
-# calls on a gen-written cobweb, or on no file, that never import json, and
-# calls that must: a file that is not a cobweb, a blocks file, the coding
-# matrix as JSON and a name json.dumps writes with an escape
+# calls on a gen-written poset, a blocks file as json.dumps writes it, or no
+# file, that never import json, and calls that must: a poset file with one
+# extra space or an entry 1.0, true or 2, a blocks file with other spacing,
+# the coding matrix as JSON and a name json.dumps writes with an escape
 JSON_FREE_CALLS = [
     ["gen", "--seq", "nat", "--levels", "3", "-o", "p.json"],
     ["gen", "--seq", "nat", "--levels", "3", "--root", "-o", "r.json"],
@@ -270,27 +271,37 @@ JSON_FREE_CALLS = [
     ["whitney", "r.json"], ["charpoly", "r.json"], ["dot", "p.json"], ["lascala", "p.json"],
     ["fnomial", "--seq", "nat", "4", "2"], ["kroton", "--seq", "nat", "2", "5"],
     ["admissible", "--seq", "nat", "--up-to", "6"], ["coding", "--seq", "nat", "--levels", "4"],
-]
-JSON_CALLS = [
     ["zeta", "mute.json"],
     ["gen", "--blocks", "b.json"],
-    ["coding", "--seq", "nat", "--levels", "4", "--format", "json"],
-    ["zeta", "quote.json"],
+]
+JSON_CALLS = [  # each with its exit code
+    (["zeta", "space.json"], 0),
+    (["zeta", "float.json"], 1),
+    (["zeta", "true.json"], 1),
+    (["zeta", "two.json"], 1),
+    (["gen", "--blocks", "spaced.json"], 0),
+    (["coding", "--seq", "nat", "--levels", "4", "--format", "json"], 0),
+    (["zeta", "quote.json"], 0),
 ]
 
 
 def test_json_loads_only_for_a_text_that_needs_it(tmp_path):
-    (tmp_path / "mute.json").write_text(
-        '{"level_sizes": [1, 2], "blocks": [[[1, 0]]], '
-        '"flags": {"cobweb": false, "no_mute": false}, "sequence": null}')
+    mute = ('{"level_sizes": [1, 2], "blocks": [[[1, 0]]], '
+            '"flags": {"cobweb": false, "no_mute": false}, "sequence": null}')
+    (tmp_path / "mute.json").write_text(mute)
+    for name, row in [("space", "[1,  0]"), ("float", "[1.0, 0]"), ("true", "[true, 0]"),
+                      ("two", "[2, 0]")]:
+        (tmp_path / f"{name}.json").write_text(mute.replace("[1, 0]", row))
     (tmp_path / "b.json").write_text("[[[1, 1]]]")
+    (tmp_path / "spaced.json").write_text("[[[1,1]]]")
     (tmp_path / "quote.json").write_text(poset_to_json(cobweb_of_sizes([1, 2], 'q"')))
     # json and its submodules leave sys.modules after each call that loads them
     code = ("import contextlib, io, sys\n"
             "from cobweb import cli\n"
             "seen = []\n"
-            f"for argv in {JSON_FREE_CALLS + JSON_CALLS!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"for argv in {JSON_FREE_CALLS + [argv for argv, _ in JSON_CALLS]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
             "        seen.append((cli.main(argv), 'json' in sys.modules))\n"
             "    for m in [m for m in sys.modules if m.split('.')[0] == 'json']:\n"
             "        del sys.modules[m]\n"
@@ -300,7 +311,7 @@ def test_json_loads_only_for_a_text_that_needs_it(tmp_path):
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == \
-        f"{[(0, False)] * len(JSON_FREE_CALLS) + [(0, True)] * len(JSON_CALLS)}\n"
+        f"{[(0, False)] * len(JSON_FREE_CALLS) + [(c, True) for _, c in JSON_CALLS]}\n"
 
 
 @pytest.mark.parametrize("argv", [["zeta"], ["max"], ["chains", "--from", "1", "--to", "1",

@@ -2,14 +2,15 @@
 
 import io
 import json
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cobweb import BOOL, BlockMatrix, FSequence, INT, PosetError, antichain, cobweb, \
+from cobweb import BOOL, BlockMatrix, FSequence, INT, PosetError, antichain, cli, cobweb, \
     cobweb_of_sizes, coding_matrix, const, enumerate_max_chains, fib, formats, from_blocks, \
     gauss, nat, root, zeta
 from cobweb.formats import FormatError, chains_to_json, coding_to_json, la_scala, \
@@ -65,6 +66,7 @@ def test_poset_json_errors_name_the_path(broken, path):
 
 _BASE = poset_to_json(cobweb_of_sizes([2, 3, 1], "nat"))
 _TAIL = ', "flags": {"cobweb": true, "no_mute": true}, "sequence": '
+_MUTE = poset_to_json(from_blocks([2, 3, 1], [[[1, 0, 1], [0, 0, 1]], [[1], [0], [1]]], "nat"))
 _EXTRA_DATA = "not valid JSON: Extra data: line 1 column {0} (char {1})"
 
 
@@ -123,6 +125,24 @@ NEAR_CANONICAL = [
      f"not valid JSON: Invalid control character at: line 1 column {len(_BASE) - 3} "
      f"(char {len(_BASE) - 4})"),
     (_BASE.replace('"nat"', '"n\x7fat"'), False, "n\x7fat"),
+    # a poset that is not a cobweb, with a mute node, has its blocks decoded
+    (_MUTE, True, "nat"),
+    (_MUTE + "\n", True, "nat"),
+    (_MUTE.replace("[[[1, 0, 1]", "[[[1, 0,  1]"), False, "nat"),
+    (_MUTE.replace("]], [[", "]],  [["), False, "nat"),
+    (_MUTE.replace("[[[1, 0", "[[[1, 2"), False, "blocks[0][0][1]: expected 0 or 1, got 2"),
+    (_MUTE.replace("[[[1, 0", "[[[1, 0.0"), False, "blocks[0][0][1]: expected 0 or 1, got 0.0"),
+    (_MUTE.replace("[[[1, 0", "[[[1, false"), False,
+     "blocks[0][0][1]: expected 0 or 1, got False"),
+    (_MUTE.replace("[[[1, 0, 1]", "[[[1, 0]"), False, "blocks[0][0]: expected 3 entries"),
+    (_MUTE.replace("[[1], [0], [1]]", "[[1], [0]]"), False, "blocks[1]: expected 3 rows"),
+    (_MUTE.replace("[2, 3, 1]", "[2, 3, 2]"), False, "blocks[1][0]: expected 2 entries"),
+    (_MUTE.replace('"no_mute": false', '"no_mute": true'), False,
+     "flags.no_mute: stored True, recomputed False"),
+    (_MUTE.replace('"cobweb": false', '"cobweb": true'), False,
+     "flags.cobweb: stored True, recomputed False"),
+    (_MUTE.replace("0", "1"), False,
+     "flags.cobweb: stored False, recomputed True"),
 ]
 
 
@@ -131,11 +151,11 @@ NEAR_CANONICAL = [
 def test_the_cobweb_shortcut_changes_no_load_result(monkeypatch, text, fast, want):
     # the result of the full decode and validation, with the shortcut off
     # and on, and whether the shortcut gave it
-    real = formats._canonical_cobweb
-    monkeypatch.setattr(formats, "_canonical_cobweb", lambda text: None)
+    real = formats._canonical_poset
+    monkeypatch.setattr(formats, "_canonical_poset", lambda text: None)
     full = _loaded(text)
     taken = []
-    monkeypatch.setattr(formats, "_canonical_cobweb",
+    monkeypatch.setattr(formats, "_canonical_poset",
                         lambda text: taken.append(real(text)) or taken[-1])
     assert _loaded(text) == full
     assert (taken[-1] is not None) == fast
@@ -160,18 +180,25 @@ def test_a_cobweb_file_is_read_from_its_level_sizes():
 
 
 def test_a_short_file_claiming_huge_levels_is_refused_without_building_them():
-    text = ('{"level_sizes": [3000, 3000], "blocks": [], '
-            '"flags": {"cobweb": true, "no_mute": true}, "sequence": null}')
-    assert len(text) < 110
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError) as e:
-            poset_from_json(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(e.value) == "blocks: expected 1 blocks"
-    assert peak < 2 ** 20
+    # the second file's sizes give _ones_blocks_length 3, the length of
+    # "[ ]", so only their signs refuse it before a 3,000,000-entry row
+    flags = ', "flags": {"cobweb": true, "no_mute": true}, "sequence": null}'
+    cases = [('{"level_sizes": [3000, 3000], "blocks": []' + flags,
+              "blocks: expected 1 blocks"),
+             ('{"level_sizes": [1, 3000000, -1, 2000001], "blocks": [ ]' + flags,
+              "level_sizes: expected a nonempty list of positive integers")]
+    assert formats._ones_blocks_length([1, 3000000, -1, 2000001]) == 3
+    for text, message in cases:
+        assert len(text) < 125
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as e:
+                poset_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == message
+        assert peak < 2 ** 20
 
 
 _NAMES = st.one_of(st.none(), st.text(max_size=6), st.sampled_from(["nat", 'q"', "\u00e9", _TAIL]))
@@ -190,8 +217,86 @@ def test_cobweb_json_is_json_dumps_and_reads_back_from_its_sizes(sizes, name, ro
     assert text == json.dumps(obj)
     sizes = P.level_sizes
     assert formats._ones_blocks_length(sizes) == len(formats._ones_blocks_text(sizes))
-    Q = formats._canonical_cobweb(text + "\n")
+    Q = formats._canonical_poset(text + "\n")
     assert Q == P and Q.sequence_name == name
+
+
+# (a --blocks text, whether it is read without the json module)
+NEAR_CANONICAL_BLOCKS = [
+    ("[[[1, 1]]]", True),
+    ("[[[1, 0], [0, 1]], [[1]]]\n", True),
+    ("[[[0]], [[1, 0, 1]]]", True),
+    (" [[[1, 1]]]", False),
+    ("[[[1,1]]]", False),
+    ("[[[1, 1]],  [[1]]]", False),
+    ("[[[1, 1], [1]]]", False),
+    ("[[[1], [1, 1, 1]]]", False),
+    ("[[[1, 1], [1, 1, 1]]]", False),
+    ("[[[]]]", False),
+    ("[[[1, 2]]]", False),
+    ("[[[1.0, 1]]]", False),
+    ("[[[true, 1]]]", False),
+    ('[[["1", 1]]]', False),
+    ("[[[1, 1]], []]", False),
+    ("[[[1, 1]]]]", False),
+    ("[[[1, 1]]", False),
+    ("[" * 100000 + "]" * 100000, False),
+]
+
+
+@pytest.mark.parametrize("text, fast", NEAR_CANONICAL_BLOCKS,
+                         ids=[f"text{i}" for i in range(len(NEAR_CANONICAL_BLOCKS))])
+def test_a_blocks_file_reads_as_json_loads_does(monkeypatch, text, fast):
+    try:
+        want = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        want = str(e)
+    loads = json.loads
+    calls = []
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+    try:
+        got = formats.blocks_from_json(text)
+    except FormatError as e:
+        got = str(e)
+    assert got == want and (calls == []) == fast
+
+
+@st.composite
+def graded_posets(draw):
+    """A poset of 1-5 levels of 1-4 nodes, blocks of any density, so mute
+    nodes and cobwebs come too, and a name json.dumps writes as it stands."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
+    blocks = [[draw(st.lists(st.integers(0, 1), min_size=b, max_size=b)) for _ in range(a)]
+              for a, b in zip(sizes, sizes[1:])]
+    return from_blocks(sizes, blocks, draw(st.sampled_from([None, "nat", "gauss:q=2"])))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graded_posets())
+@example(from_blocks([3], []))
+@example(from_blocks([1, 1, 1], [[[1]], [[0]]]))
+def test_a_gen_written_poset_and_blocks_file_load_without_json(tmp_path, P):
+    text = poset_to_json(P)
+    assert text == json.dumps({"level_sizes": P.level_sizes, "blocks": P.blocks,
+                               "flags": {"cobweb": P.is_cobweb, "no_mute": not P.has_mute_nodes},
+                               "sequence": P.sequence_name})
+    blocks_file = tmp_path / "blocks.json"
+    blocks_file.write_text(json.dumps(P.blocks) + "\n")
+    out = tmp_path / "p.json"
+    saved = {m: sys.modules.pop(m) for m in list(sys.modules) if m.split(".")[0] == "json"}
+    try:
+        Q = poset_from_json(text + "\n")
+        code = P.n_levels > 1 and cli.main(["gen", "--blocks", str(blocks_file), "-o", str(out)])
+        loaded = "json" in sys.modules
+    finally:
+        sys.modules.update(saved)
+    assert not loaded
+    assert (Q, Q.sequence_name, Q.is_cobweb, Q.has_mute_nodes) == \
+        (P, P.sequence_name, P.is_cobweb, P.has_mute_nodes)
+    if P.n_levels > 1:
+        assert code == 0
+        assert out.read_text() == poset_to_json(from_blocks(P.level_sizes, P.blocks)) + "\n"
 
 
 class _Int(int):

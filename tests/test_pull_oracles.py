@@ -973,7 +973,7 @@ def test_interval_rows_match_the_column_sweep_and_brute_counts(P):
     assert rows == [[brute_interval_count(P, x, y) for y in all_nodes(P)] for x in all_nodes(P)]
 
 
-def test_interval_rows_past_64_bits():
+def test_interval_rows_past_64_bits(monkeypatch):
     # 20 levels of 16 nodes between a bottom and a top: 16^20 = 2^80 chains
     # from the bottom to the top, in fields of up to 81 bits
     P = cobweb_of_sizes([1] + [16] * 20 + [1])
@@ -982,6 +982,28 @@ def test_interval_rows_past_64_bits():
     assert rows[0][1:17] == [1] * 16 and rows[1][-1] == 16 ** 19
     assert rows == column_rows(P)
     assert rows == [list(row) for row in max_matrix(P).rows]
+    # the read of one field at a time, which a big-endian machine takes at
+    # every width
+    monkeypatch.setattr(chains, "_LITTLE", False)
+    assert _interval_rows(P) == rows
+
+
+def test_interval_rows_take_the_least_field_that_holds_a_count(monkeypatch):
+    # on 80 levels of 2 nodes a chain count into level L is below 2^(L - 1),
+    # so w = L bits, and a field is the least of 1, 2, 4 or 8 bytes that
+    # holds w bits, past 64 bits w / 8 rounded up; the sweep for level L
+    # starts from the tallies 1 << 8 * step * i
+    P = cobweb_of_sizes([2] * 80)
+    real, steps = chains._tallies, []
+
+    def record(Q, tally, *args):
+        steps.append(tally[1].bit_length() // 8)
+        return real(Q, tally, *args)
+    monkeypatch.setattr(chains, "_tallies", record)
+    rows = _interval_rows(P)
+    assert steps == [next(b for b in (1, 2, 4, 8) if 8 * b >= L) if L <= 64 else -(-L // 8)
+                     for L in range(1, 81)]
+    assert rows[0][-1] == 2 ** 78 and rows[0][-3] == 2 ** 77
 
 
 def corrupt_max(monkeypatch, *changes):
